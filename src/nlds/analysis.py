@@ -19,7 +19,7 @@ import numpy as np
 from .assembly import assemble_operator, pointwise_A, sample_fields
 from .errors import InvalidParametersError, ResolventDomainError
 from .grid import Grid, build_grid
-from .matspec import metzler_bound, perron_bound
+from .matspec import MAX_ITERATIONS, metzler_bound, perron_bound
 from .model import DispersalSystem, Mode
 from .opspec import essential_bound, spectral_bound
 from .reduce import (CaseA, SystemWeights, classify_threshold,
@@ -256,7 +256,8 @@ SWEEP_MODES = ("small-d", "large-d-nondegen", "large-d-degen")
 
 def sweep(sys: DispersalSystem, grid: Grid, t_schedule,
           mode: str, tol: float = 1e-10,
-          weights: SystemWeights | None = None) -> SweepTable:
+          weights: SystemWeights | None = None,
+          max_iterations: int = MAX_ITERATIONS) -> SweepTable:
     """Assemble and solve the operator along a diffusion schedule and
     record the deviation from the mode's theoretical limit.
 
@@ -301,7 +302,7 @@ def sweep(sys: DispersalSystem, grid: Grid, t_schedule,
             d[:sys.l1] *= t
         scaled = sys.with_d(d)
         P = assemble_operator(scaled, grid, force=True, fields=fields)
-        r = spectral_bound(P, tol=tol)
+        r = spectral_bound(P, tol=tol, max_iterations=max_iterations)
         s_e = essential_bound(pointwise_A(scaled, grid, fields=fields))
         rows.append(SweepRow(t=t, s=r.value, s_e=s_e, gap=r.value - s_e,
                              reference=reference,

@@ -8,8 +8,9 @@ sidecars for tabular results; all decimals carry 17 significant digits
 and repeated runs with the same config and seed are byte-identical
 (timings excepted, which live under a separate key).
 
-Exit codes: 0 success, 1 validation failure, 2 solver non-convergence,
-3 config error.
+Exit codes: 0 success, 1 validation failure, 2 numerical failure
+(solver non-convergence, inconsistent certificate or grid consistency),
+3 config or other input error.
 """
 
 from __future__ import annotations
@@ -29,8 +30,11 @@ from .analysis import (generalized_eigen_residual, integrability_diagnostic,
                        sweep)
 from .assembly import assemble_operator, dump_matrix, pointwise_A
 from .epidemic import VSIParams, compute_r0_report
-from .errors import ConfigError, NldsError
+from .errors import (CertificateInconsistencyError, ConfigError,
+                     GridConsistencyError, NldsError, NonConvergenceError,
+                     ValidationGateError)
 from .grid import build_grid
+from .matspec import MAX_ITERATIONS
 from .model import CoefField, DispersalSystem, KernelSpec, validate
 from .opspec import Exists, compute_spectral_report, dense_spectrum
 from .reduce import reduced_quantities, weights_for_system
@@ -39,6 +43,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NONCONVERGENCE = 2
 EXIT_CONFIG = 3
+# error type -> exit code; every other NldsError exits with EXIT_CONFIG
+_EXIT_CODES = {ValidationGateError: EXIT_VALIDATION,
+               NonConvergenceError: EXIT_NONCONVERGENCE,
+               CertificateInconsistencyError: EXIT_NONCONVERGENCE,
+               GridConsistencyError: EXIT_NONCONVERGENCE}
 
 _NUM = {"type": "number"}
 _SCHEMA = {
@@ -219,9 +228,21 @@ def build_objects(cfg: dict, n_override: int | None):
     return system, g
 
 
+def validated_objects(cfg: dict, args, report: dict):
+    """build_objects behind the validation gate: records the validation
+    report and raises ValidationGateError unless it passed or --force."""
+    system, g = build_objects(cfg, args.n)
+    vr = validate(system, g)
+    report["validation"] = vr.to_dict()
+    if not vr.passed and not args.force:
+        raise ValidationGateError(vr)
+    return system, g
+
+
 def solver_opts(cfg: dict) -> dict:
     s = cfg.get("solver", {})
-    return {"tol": s.get("tol", 1e-10), "gap_tol": s.get("gap_tol")}
+    return {"tol": s.get("tol", 1e-10), "gap_tol": s.get("gap_tol"),
+            "max_iterations": s.get("max_iterations", MAX_ITERATIONS)}
 
 
 # --- subcommands ----------------------------------------------------------
@@ -234,15 +255,10 @@ def cmd_validate(cfg, args, report, outdir) -> int:
 
 
 def cmd_spectrum(cfg, args, report, outdir) -> int:
-    system, g = build_objects(cfg, args.n)
-    vr = validate(system, g)
-    report["validation"] = vr.to_dict()
-    if not vr.passed and not args.force:
-        return EXIT_VALIDATION
+    system, g = validated_objects(cfg, args, report)
     opts = solver_opts(cfg)
     P = assemble_operator(system, g, force=True)
-    sr = compute_spectral_report(P, pointwise_A(system, g),
-                                 tol=opts["tol"], gap_tol=opts["gap_tol"])
+    sr = compute_spectral_report(P, pointwise_A(system, g), **opts)
     d = sr.to_dict()
     d["tol"] = opts["tol"]
     report["spectral"] = d
@@ -250,11 +266,7 @@ def cmd_spectrum(cfg, args, report, outdir) -> int:
 
 
 def cmd_reduce(cfg, args, report, outdir) -> int:
-    system, g = build_objects(cfg, args.n)
-    vr = validate(system, g)
-    report["validation"] = vr.to_dict()
-    if not vr.passed and not args.force:
-        return EXIT_VALIDATION
+    system, g = validated_objects(cfg, args, report)
     weights = weights_for_system(system, g)
     rq = reduced_quantities(system, g, weights)
     report["reduced"] = rq.to_dict()
@@ -268,14 +280,11 @@ def cmd_reduce(cfg, args, report, outdir) -> int:
 
 def cmd_sweep(cfg, args, report, outdir) -> int:
     _require(cfg, "sweep")
-    system, g = build_objects(cfg, args.n)
-    vr = validate(system, g)
-    report["validation"] = vr.to_dict()
-    if not vr.passed and not args.force:
-        return EXIT_VALIDATION
+    system, g = validated_objects(cfg, args, report)
     opts = solver_opts(cfg)
     table = sweep(system, g, cfg["sweep"]["t_schedule"],
-                  cfg["sweep"]["mode"], tol=opts["tol"])
+                  cfg["sweep"]["mode"], tol=opts["tol"],
+                  max_iterations=opts["max_iterations"])
     report["sweep"] = table.to_dict()
     table.write_csv(outdir / "sweep.csv")
     ok = all(r.converged for r in table.rows)
@@ -283,11 +292,7 @@ def cmd_sweep(cfg, args, report, outdir) -> int:
 
 
 def cmd_diagnose(cfg, args, report, outdir) -> int:
-    system, g = build_objects(cfg, args.n)
-    vr = validate(system, g)
-    report["validation"] = vr.to_dict()
-    if not vr.passed and not args.force:
-        return EXIT_VALIDATION
+    system, g = validated_objects(cfg, args, report)
     opts = solver_opts(cfg)
     region = tuple(cfg.get("diagnose", {}).get("region",
                                                [system.domain[0], system.domain[1]]))
@@ -297,7 +302,7 @@ def cmd_diagnose(cfg, args, report, outdir) -> int:
         lambda gg: spectral_field(system, gg).H, grids, region)
     report["diagnose"] = {"integrability": diag.to_dict()}
     P = assemble_operator(system, g, force=True)
-    sr = compute_spectral_report(P, pointwise_A(system, g), tol=opts["tol"])
+    sr = compute_spectral_report(P, pointwise_A(system, g), **opts)
     report["diagnose"]["spectral"] = sr.to_dict()
     field = spectral_field(system, g)
     report["diagnose"]["field"] = {
@@ -305,10 +310,10 @@ def cmd_diagnose(cfg, args, report, outdir) -> int:
         "max_h": float(np.max(field.h)),
         "nodewise_h_le_H": bool(np.all(field.h <= field.H + 1e-10)),
     }
-    if system.l1 < system.l and sr.gap > 0 and sr.converged:
-        if isinstance(sr.certificate, Exists):
-            resid = generalized_eigen_residual(system, g, sr.s, tol=opts["tol"])
-            report["diagnose"]["generalized_eigen_residual"] = resid
+    if (system.l1 < system.l and sr.gap > 0
+            and isinstance(sr.certificate, Exists)):
+        resid = generalized_eigen_residual(system, g, sr.s, tol=opts["tol"])
+        report["diagnose"]["generalized_eigen_residual"] = resid
     return EXIT_OK if sr.converged else EXIT_NONCONVERGENCE
 
 
@@ -331,11 +336,7 @@ def cmd_r0(cfg, args, report, outdir) -> int:
 
 
 def cmd_oracle(cfg, args, report, outdir) -> int:
-    system, g = build_objects(cfg, args.n)
-    vr = validate(system, g)
-    report["validation"] = vr.to_dict()
-    if not vr.passed and not args.force:
-        return EXIT_VALIDATION
+    system, g = validated_objects(cfg, args, report)
     P = assemble_operator(system, g, force=True)
     vals = dense_spectrum(P)
     report["oracle"] = {
@@ -352,11 +353,7 @@ def cmd_oracle(cfg, args, report, outdir) -> int:
 
 
 def cmd_probe(cfg, args, report, outdir) -> int:
-    system, g = build_objects(cfg, args.n)
-    vr = validate(system, g)
-    report["validation"] = vr.to_dict()
-    if not vr.passed and not args.force:
-        return EXIT_VALIDATION
+    system, g = validated_objects(cfg, args, report)
     pc = cfg.get("probe", {})
     deltas = pc.get("delta_schedule", [1e-2, 1e-3, 1e-4, 1e-5])
     draws = pc.get("draws", 3)
@@ -437,7 +434,8 @@ def run(argv) -> int:
         code = EXIT_CONFIG
     except NldsError as e:
         report["error"] = {"kind": type(e).__name__, "message": str(e)}
-        code = EXIT_NONCONVERGENCE if "onverg" in type(e).__name__ else EXIT_CONFIG
+        code = next((c for t, c in _EXIT_CODES.items() if isinstance(e, t)),
+                    EXIT_CONFIG)
     report["exit_code"] = code
     report["timings"] = {"wall_seconds": time.perf_counter() - t0}
     (outdir / "report.json").write_text(dumps_report(report))

@@ -1,13 +1,13 @@
 """Spectral tools for small cooperative (Metzler) matrices, plus the
-shared Perron iteration engine used on matrices of any size.
+shared Perron engine used on matrices of any size.
 
-A cooperative matrix has nonnegative off-diagonal entries, so A + cI is
-nonnegative for c = 1 + max(0, -min diag A) and its rightmost eigenvalue
-is real (Perron root).  The engine below runs normalized power iteration
-on the shifted matrix and, when the iteration stalls on a clustered
-spectrum, switches to repeated matrix squaring: the squared-matrix
-iterate equals the 2^k-th power-method iterate, so the method stays a
-power iteration while the effective step count grows geometrically.
+A cooperative matrix has nonnegative off-diagonal entries, so its
+rightmost eigenvalue s is real (Perron root) and, for every positive
+vector u, min_i (A u)_i / u_i <= s <= max_i (A u)_i / u_i
+(Collatz-Wielandt).  The engine below is Noda's inverse iteration: it
+shifts by the upper quotient, which keeps the resolvent nonnegative and
+the iterate positive, converges quadratically on irreducible input and
+reports the quotient bracket as the evidence for s.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import numpy as np
 from .errors import NonConvergenceError, ResolventDomainError
 
 TOL_ZERO = 1e-13  # entries below this count as structural zeros
+MAX_ITERATIONS = 100  # Noda steps (dense LU solves) per bound
+EPS = float(np.finfo(float).eps)
 
 
 class IllConditionedWarning(UserWarning):
@@ -60,72 +62,70 @@ def _as_matrix(C) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PerronResult:
-    """Outcome of a Perron iteration on a Metzler matrix."""
+    """Outcome of a Perron iteration; the bracket holds the bound."""
 
     value: float
     vector: np.ndarray
     iterations: int
     residual: float
     converged: bool
+    bracket: tuple[float, float]
 
 
 def metzler_bound(A: np.ndarray, tol: float = 1e-12,
-                  power_budget: int = 200,
-                  max_squarings: int = 70) -> PerronResult:
-    """Spectral bound of a Metzler matrix by shifted power iteration.
+                  max_iterations: int = MAX_ITERATIONS) -> PerronResult:
+    """Spectral bound of a Metzler matrix by Noda's inverse iteration.
 
-    The residual is measured on the shifted matrix B = A + cI as
-    ||B u - rho u||_inf / rho with ||u||_inf = 1, which tracks value
-    convergence even when the eigenvector direction rotates slowly.
-    Returns the best estimate flagged non-converged if both iteration
-    phases exhaust their budget.
+    From u = 1, each step solves (hi I - A) y = u by one dense LU, with
+    hi = max q and q = (A u) / u, and sets u = y / max y.  Stops when
+    hi - min q <= tol * c, c = 1 + max(0, -min diag A), or when both the
+    residual ||A u - rho u||_inf at the Rayleigh quotient rho and the
+    last change of rho are that small, which (numerically) reducible
+    input reaches with its quotients apart.  The value is rho, or hi if
+    hi I - A is exactly singular; the bracket [min q, max q] is widened
+    by the rounding bound of A u.  Non-convergence is flagged.
     """
     A = np.asarray(A, dtype=float)
     m = A.shape[0]
     if m == 0:
-        return PerronResult(-np.inf, np.zeros(0), 0, 0.0, True)
+        return PerronResult(-np.inf, np.zeros(0), 0, 0.0, True,
+                            (-np.inf, -np.inf))
     if m == 1:
-        return PerronResult(float(A[0, 0]), np.ones(1), 0, 0.0, True)
-    c = 1.0 + max(0.0, -float(np.min(np.diag(A))))
-    B = A + c * np.eye(m)
+        a = float(A[0, 0])
+        return PerronResult(a, np.ones(1), 0, 0.0, True, (a, a))
+    scale = tol * (1.0 + max(0.0, -float(np.min(np.diag(A)))))
+    shifted = np.empty_like(A)   # one buffer for hi I - A, then |A|
     u = np.ones(m)
-
-    def assess(u):
-        v = B @ u
-        uu = float(u @ u)
-        rho = float(u @ v) / uu
-        res = float(np.max(np.abs(v - rho * u))) / max(abs(rho), 1e-300)
-        return v, rho, res
-
-    rho = c
-    res = np.inf
-    iters = 0
-    for _ in range(power_budget):
-        v, rho, res = assess(u)
+    converged = singular = False
+    iters, last = 0, np.inf
+    while True:
+        v = A @ u
+        q = v / u
+        lo, hi = float(q.min()), float(q.max())
+        value = float(u @ v) / float(u @ u)
+        res = float(np.abs(v - value * u).max())
+        if hi - lo <= scale or (res <= scale and abs(value - last) <= scale):
+            converged = True
+            break
+        if iters == max_iterations:
+            break
+        np.negative(A, out=shifted)
+        shifted.flat[::m + 1] += hi
         iters += 1
-        if res <= tol:
+        try:
+            y = np.linalg.solve(shifted, u)
+        except np.linalg.LinAlgError:   # hi is an eigenvalue, so s(A)
+            converged = singular = True
             break
-        nv = float(np.max(np.abs(v)))
-        if nv == 0.0:  # cannot happen for positive u: diag(B) >= 1
+        y /= y[np.abs(y).argmax()]
+        if not y.min() > 0.0:   # hi is within rounding of s(A)
+            converged = res <= scale
             break
-        u = v / nv
-    if res > tol:
-        # squaring phase: after k rounds u equals the 2^k-step iterate
-        S = B / np.max(B)
-        ones = np.ones(m)
-        for _ in range(max_squarings):
-            S = S @ S
-            S /= np.max(S)
-            u = S @ ones
-            u /= np.max(np.abs(u))
-            _, rho, res = assess(u)
-            iters += 1
-            if res <= tol:
-                break
-    # Rayleigh quotient on A itself avoids the rho - c cancellation
-    u = u / np.max(np.abs(u))
-    value = float(u @ (A @ u)) / float(u @ u)
-    return PerronResult(value, u, iters, res, bool(res <= tol))
+        u, last = y, value
+    np.abs(A, out=shifted)
+    err = (m + 2) * EPS * (shifted @ u) / u
+    return PerronResult(hi if singular else value, u, iters, res, converged,
+                        (float((q - err).min()), float((q + err).max())))
 
 
 def perron_bound(C, tol: float = 1e-12) -> float:

@@ -2,13 +2,13 @@
 essential spectral bound, principal-eigenpair certification, a dense
 eigensolver oracle, and a time-stepping growth-rate cross-check.
 
-The power-iteration path (spectral_bound) and the dense oracle
-(dense_spectrum, LAPACK's Hessenberg-plus-shifted-QR eigensolver) are
-kept independent; the oracle is the source of truth in disputes.
-Existence of a principal eigenpair is certified from a spectral gap:
-when s - s_e exceeds the gap tolerance the rightmost eigenvalue is
-isolated and carries a strictly positive eigenvector; without a gap the
-routine abstains rather than guessing.
+The Noda path (spectral_bound, bracketed by Collatz-Wielandt bounds)
+and the dense oracle (dense_spectrum, LAPACK's QR eigensolver) are kept
+independent; the oracle is the source of truth in disputes.  Existence
+of a principal eigenpair is certified from a spectral gap, with the
+eigenvector of the same single solve: when s - s_e exceeds the gap
+tolerance the rightmost eigenvalue is isolated and carries a strictly
+positive eigenvector; without a gap the routine abstains.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .assembly import AssembledOperator, PointwiseA
 from .errors import CertificateInconsistencyError, SizeCapError
-from .matspec import PerronResult, metzler_bound
+from .matspec import MAX_ITERATIONS, PerronResult, metzler_bound
 
 DENSE_SIZE_CAP = 600
 
@@ -56,6 +56,7 @@ class SpectralReport:
     iterations: int
     residual: float
     converged: bool
+    bracket: tuple[float, float]
 
     def to_dict(self) -> dict:
         cert: dict
@@ -65,13 +66,15 @@ class SpectralReport:
             cert = {"exists": False, "reason": self.certificate.reason}
         return {"s": self.s, "s_e": self.s_e, "gap": self.gap,
                 "certificate": cert, "iterations": self.iterations,
-                "residual": self.residual, "converged": self.converged}
+                "residual": self.residual, "converged": self.converged,
+                "bracket": list(self.bracket)}
 
 
-def spectral_bound(P, tol: float = 1e-10) -> PerronResult:
-    """Rightmost-eigenvalue estimate of the flattened Metzler matrix by
-    shifted power iteration; non-convergence is flagged, not raised."""
-    return metzler_bound(_mat(P), tol=tol)
+def spectral_bound(P, tol: float = 1e-10,
+                   max_iterations: int = MAX_ITERATIONS) -> PerronResult:
+    """Rightmost eigenvalue of the flattened Metzler matrix by Noda
+    iteration; non-convergence is flagged, not raised."""
+    return metzler_bound(_mat(P), tol=tol, max_iterations=max_iterations)
 
 
 def essential_bound(A: PointwiseA) -> float:
@@ -80,29 +83,27 @@ def essential_bound(A: PointwiseA) -> float:
     return max(metzler_bound(m).value for m in A.matrices)
 
 
-def principal_certificate(P, s: float, s_e: float,
-                          gap_tol: float | None = None,
-                          tol: float = 1e-13) -> Certificate:
+def principal_certificate(P, r: PerronResult, s_e: float,
+                          gap_tol: float | None = None) -> Certificate:
     """Certify a principal eigenpair from the spectral gap.
 
-    With gap above tolerance, converge the eigenvector and require
-    strict positivity and a small eigen-residual; a converged vector
-    with non-positive components signals a discretization artifact and
-    raises.  Below tolerance, abstain.
+    With s = r.value above s_e by more than the tolerance, require the
+    solve's eigenvector to be strictly positive with a small
+    eigen-residual, else raise (a discretization artifact).  Below
+    tolerance, abstain.
     """
+    s = r.value
     if gap_tol is None:
         gap_tol = 1e-6 * max(1.0, abs(s))
     if not s - s_e > gap_tol:
         return NoCertificate(
             f"gap {s - s_e:.3g} below tolerance {gap_tol:.3g}")
-    M = _mat(P)
-    r = metzler_bound(M, tol=tol)
     u = r.vector / np.max(np.abs(r.vector))
     if np.min(u) <= 0.0:
         raise CertificateInconsistencyError(
             f"gap {s - s_e:.3g} is positive but the converged eigenvector "
             f"has a component {np.min(u):.3g} <= 0")
-    resid = float(np.max(np.abs(M @ u - s * u)))
+    resid = float(np.max(np.abs(_mat(P) @ u - s * u)))
     if resid > 1e-8 * float(np.max(np.abs(u))):
         raise CertificateInconsistencyError(
             f"eigen-residual {resid:.3g} exceeds 1e-8 at the certified value")
@@ -158,16 +159,16 @@ def growth_rate(P, horizon: float, u0=None) -> float:
 
 
 def compute_spectral_report(P, pointwise: PointwiseA, tol: float = 1e-10,
-                            gap_tol: float | None = None) -> SpectralReport:
-    """One-stop spectral bound + essential bound + certificate."""
-    r = spectral_bound(P, tol=tol)
+                            gap_tol: float | None = None,
+                            max_iterations: int = MAX_ITERATIONS
+                            ) -> SpectralReport:
+    """One-stop spectral bound + essential bound + certificate, from a
+    single solve at min(tol, 1e-13)."""
+    r = spectral_bound(P, tol=min(tol, 1e-13), max_iterations=max_iterations)
     s_e = essential_bound(pointwise)
-    gap = r.value - s_e
-    cert: Certificate
-    if not r.converged:
-        cert = NoCertificate("spectral bound iteration did not converge")
-    else:
-        cert = principal_certificate(P, r.value, s_e, gap_tol=gap_tol)
-    return SpectralReport(s=r.value, s_e=s_e, gap=gap, certificate=cert,
-                          iterations=r.iterations, residual=r.residual,
-                          converged=r.converged)
+    cert = (principal_certificate(P, r, s_e, gap_tol=gap_tol) if r.converged
+            else NoCertificate("spectral bound iteration did not converge"))
+    return SpectralReport(s=r.value, s_e=s_e, gap=r.value - s_e,
+                          certificate=cert, iterations=r.iterations,
+                          residual=r.residual, converged=r.converged,
+                          bracket=r.bracket)

@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from nlds import cli
 from nlds.assembly import load_matrix
 from nlds.cli import run
+from nlds.errors import (CertificateInconsistencyError, GridConsistencyError,
+                         NonConvergenceError, SizeCapError)
 
 GAUSS = "exp(-(x-y)^2)"
 
@@ -229,3 +232,85 @@ def test_determinism_across_runs(tmp_path):
                                 if command == "sweep" else b"")
         blobs.append(reports)
     assert blobs[0] == blobs[1]
+
+
+CASE_B = {"l": 2, "l1": 1, "d": [1.0, 0.0], "kernels": [GAUSS],
+          "coefficients": [["-2", "0.1"], ["0.1", "-abs(x)^0.5"]]}
+
+
+def test_spectrum_reports_bracket(tmp_path):
+    cfg = write_config(tmp_path, BASE)
+    out = tmp_path / "out"
+    assert run(["spectrum", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    sp = read_report(out)["spectral"]
+    lo, hi = sp["bracket"]
+    assert lo <= sp["s"] <= hi
+    assert hi - lo <= 1e-10
+
+
+def test_max_iterations_caps_the_solve(tmp_path):
+    cfg_dict = json.loads(json.dumps(BASE))
+    cfg_dict["system"] = CASE_B
+    cfg_dict["solver"] = {"max_iterations": 1}
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "out"
+    assert run(["spectrum", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    sp = read_report(out)["spectral"]
+    assert sp["converged"] is False
+    assert sp["iterations"] == 1
+    assert sp["certificate"]["exists"] is False
+
+
+def test_max_iterations_caps_the_sweep(tmp_path):
+    cfg_dict = json.loads(json.dumps(BASE))
+    cfg_dict["system"] = CASE_B
+    cfg_dict["solver"] = {"max_iterations": 1}
+    cfg_dict["sweep"] = {"mode": "large-d-degen", "t_schedule": [1.0, 10.0]}
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert not any(r["converged"] for r in read_report(out)["sweep"]["rows"])
+
+
+def test_diagnose_honours_gap_tol(tmp_path):
+    cfg_dict = json.loads(json.dumps(BASE))
+    cfg_dict["grid"]["refinements"] = [20, 40]
+    cfg_dict["solver"] = {"gap_tol": 1e6}
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "out"
+    assert run(["diagnose", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    diag = read_report(out)["diagnose"]
+    assert diag["spectral"]["certificate"]["exists"] is False
+    assert "gap" in diag["spectral"]["certificate"]["reason"]
+    assert "generalized_eigen_residual" not in diag
+
+
+@pytest.mark.parametrize("error, code", [
+    (NonConvergenceError("no convergence", 0.0, 1.0), 2),
+    (CertificateInconsistencyError("negative eigenvector"), 2),
+    (GridConsistencyError("refine the grid"), 2),
+    (SizeCapError("too large"), 3),
+])
+def test_exit_code_of_error_type(tmp_path, monkeypatch, error, code):
+    def fail(cfg, args, report, outdir):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "validate", fail)
+    cfg = write_config(tmp_path, BASE)
+    out = tmp_path / "out"
+    assert run(["validate", "--config", cfg, "--out", str(out), "--quiet"]) == code
+    rep = read_report(out)
+    assert rep["exit_code"] == code
+    assert rep["error"]["kind"] == type(error).__name__
+
+
+def test_refused_run_names_the_validation_gate(tmp_path):
+    bad = json.loads(json.dumps(BASE))
+    bad["system"]["coefficients"] = [["-1", "0"], ["0", "-1"]]
+    cfg = write_config(tmp_path, bad)
+    out = tmp_path / "out"
+    assert run(["spectrum", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    rep = read_report(out)
+    assert rep["error"]["kind"] == "ValidationGateError"
+    assert rep["validation"]["passed"] is False
+    assert "spectral" not in rep

@@ -1,11 +1,16 @@
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from nlds.assembly import assemble_operator
 from nlds.errors import ResolventDomainError
+from nlds.grid import build_grid
 from nlds.matspec import (CoopMatrix, is_irreducible, large_shift_limit_check,
                           metzler_bound, perron_bound, schur_reduce)
+from nlds.model import CoefField, DispersalSystem, KernelSpec
 
 
 def rand_cooperative(rng, l, irreducible=True):
@@ -147,3 +152,121 @@ def test_metzler_bound_defective_dominant():
     # accuracy to about sqrt(tol), which is still a convergent estimate
     r = metzler_bound(np.array([[0.0, 1.0], [0.0, 0.0]]), tol=1e-12)
     assert r.value == pytest.approx(0.0, abs=1e-4)
+
+
+# --- Noda iteration: value, Collatz-Wielandt bracket, positive vector ----
+
+@st.composite
+def irreducible_cooperative(draw):
+    """Cooperative matrix of order <= 40 whose positive cycle
+    i -> i+1 (mod m) makes it irreducible."""
+    m = draw(st.integers(2, 40))
+    off = draw(hnp.arrays(float, (m, m), elements=st.floats(0.0, 1.0)))
+    diag = draw(hnp.arrays(float, m, elements=st.floats(-3.0, 1.0)))
+    cycle = draw(hnp.arrays(float, m, elements=st.floats(0.1, 1.0)))
+    a = off.copy()
+    np.fill_diagonal(a, diag)
+    a[np.arange(m), (np.arange(m) + 1) % m] += cycle
+    return a
+
+
+def assert_perron_evidence(a, r, exact, atol, oracle_err=0.0):
+    """Converged, within atol * c of the exact value, bracketed, and
+    positive; oracle_err is the rounding error of the exact value."""
+    c = 1.0 + max(0.0, -float(np.min(np.diag(a))))
+    assert r.converged
+    assert abs(r.value - exact) <= atol * c + oracle_err
+    lo, hi = r.bracket
+    assert lo - oracle_err <= exact <= hi + oracle_err
+    assert np.min(r.vector) > 0.0
+
+
+def eigvals_oracle(a):
+    """Rightmost real part of the spectrum, with its rounding error:
+    the backward error m * eps * ||a||_inf times the eigenvalue's
+    condition number 1 / |y . x| (unit right and left eigenvectors)."""
+    vals, right = np.linalg.eig(a)
+    vals_t, left = np.linalg.eig(a.T)
+    x = right[:, np.argmax(vals.real)]
+    y = left[:, np.argmax(vals_t.real)]
+    backward = len(a) * np.finfo(float).eps * np.abs(a).sum(1).max()
+    return float(np.max(vals.real)), 4 * backward / abs(np.vdot(y, x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(irreducible_cooperative())
+def test_metzler_bound_matches_eigvals(a):
+    exact, err = eigvals_oracle(a)
+    # a nearly defective root is beyond the oracle's resolution
+    assume(err <= 1e-10)
+    assert_perron_evidence(a, metzler_bound(a), exact, 1e-10, err)
+
+
+def test_metzler_bound_bracket_holds_in_floating_point():
+    # s = sqrt(2); the bracket must contain it, not merely sit within
+    # rounding distance of it
+    a = np.array([[0.0, 2.0], [1.0, 0.0]])
+    r = metzler_bound(a)
+    assert_perron_evidence(a, r, math.sqrt(2.0), 1e-12)
+    assert r.bracket[1] - r.bracket[0] < 1e-12
+
+
+def test_metzler_bound_waits_for_the_value_to_settle():
+    # weak cycle, eigenvector entries down to ~1e-6: the residual meets
+    # tol one step before the value does (error 8e-10 there)
+    a = np.diag([1.0, 1.0, -2.0, -2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    a[np.arange(9), (np.arange(9) + 1) % 9] = [1.0, 0.1, 1.0, 0.125, 0.25,
+                                                0.25, 0.125, 1.0, 0.1]
+    exact, err = eigvals_oracle(a)
+    assert_perron_evidence(a, metzler_bound(a), exact, 1e-12, err)
+
+
+def test_metzler_bound_stops_at_the_rounding_floor():
+    # eigenvector entries down to ~1e-17: the last solve loses positivity
+    # to rounding once hi meets s, and the residual test decides
+    m = 32
+    a = np.diag(np.full(m, -1.5280837779054364))
+    a[np.arange(m), (np.arange(m) + 1) % m] = 0.1
+    for i, j, x in [(12, 12, 0.2117044437077027), (22, 22, 0.0),
+                    (26, 26, -0.6287851359925392),
+                    (27, 27, 0.9999999999999999),
+                    (12, 13, 0.2117044437077027),
+                    (27, 28, 0.9999999999999999),
+                    (0, 12, 0.2117044437077027),
+                    (0, 27, 0.9999999999999999)]:
+        a[i, j] = x
+    exact, err = eigvals_oracle(a)
+    assert_perron_evidence(a, metzler_bound(a), exact, 1e-12, err)
+
+
+def test_metzler_bound_diagonal():
+    a = np.diag([-1.0, 0.5, 0.25, -3.0])
+    r = metzler_bound(a)
+    assert r.value == 0.5
+    assert_perron_evidence(a, r, 0.5, 0.0)
+
+
+def test_metzler_bound_jordan_block_bracket():
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert_perron_evidence(a, metzler_bound(a), 0.0, 1e-4)
+
+
+def test_metzler_bound_block_diagonal_operator():
+    # no dispersal: the operator splits into one 2 x 2 block per node
+    sys = DispersalSystem(
+        l=2, l1=2, d=(0.0, 0.0),
+        kernels=tuple(KernelSpec.from_text("exp(-(x-y)^2)") for _ in "ab"),
+        coefficients=CoefField.from_text([["-1 - x^2", "0.5"],
+                                          ["0.3", "-2 + x"]]),
+        domain=(-1.0, 1.0))
+    a = assemble_operator(sys, build_grid(-1, 1, 30), force=True).matrix
+    assert not is_irreducible(a)
+    exact, err = eigvals_oracle(a)
+    assert_perron_evidence(a, metzler_bound(a), exact, 1e-10, err)
+
+
+def test_metzler_bound_step_budget():
+    a = np.array([[-2.0, 0.1], [0.1, -0.5]])
+    r = metzler_bound(a, max_iterations=1)
+    assert (r.iterations, r.converged) == (1, False)
+    assert r.bracket[0] <= perron_bound(a) <= r.bracket[1]

@@ -4,6 +4,7 @@ import pytest
 from nlds.assembly import assemble_operator, pointwise_A
 from nlds.errors import SizeCapError
 from nlds.grid import build_grid
+from nlds.matspec import metzler_bound
 from nlds.model import CoefField, DispersalSystem, KernelSpec
 from nlds.opspec import (Exists, NoCertificate, compute_spectral_report,
                          dense_spectrum, essential_bound, growth_rate,
@@ -172,3 +173,45 @@ def test_certified_value_strictly_separated():
     second = vals[1].real
     assert second < rep.s
     assert rep.s - second > 1e-6
+
+
+CASE_A = [["-1 - 0.2*x^2", "1"], ["1", "-1"]]
+CASE_B = [["-2", "0.1"], ["0.1", "-abs(x)^0.5"]]
+
+
+def test_report_solves_once_on_the_operator(monkeypatch):
+    import nlds.opspec
+    orders = []
+
+    def counting(A, *args, **kwargs):
+        orders.append(len(A))
+        return metzler_bound(A, *args, **kwargs)
+
+    monkeypatch.setattr(nlds.opspec, "metzler_bound", counting)
+    sys = make_system(CASE_B, d=(1.0, 0.0), l1=1, kernels=[GAUSS])
+    g = build_grid(-1, 1, 40)
+    P = assemble_operator(sys, g)
+    rep = compute_spectral_report(P, pointwise_A(sys, g))
+    assert isinstance(rep.certificate, Exists)
+    assert orders.count(P.size) == 1
+    assert rep.to_dict()["bracket"] == list(rep.bracket)
+
+
+@pytest.mark.parametrize("coeffs", [CASE_A, CASE_B], ids=["case_a", "case_b"])
+def test_certified_bracket_at_order_1024(coeffs):
+    # the threshold systems at n = 512 over the diffusion range [0.5, 2]:
+    # P is symmetric, so eigvalsh is the oracle
+    g = build_grid(-1, 1, 512)
+    for d in (0.5, 0.8, 1.25, 2.0):
+        sys = make_system(coeffs, d=(d, 0.0), l1=1, kernels=[GAUSS])
+        P = assemble_operator(sys, g)
+        rep = compute_spectral_report(P, pointwise_A(sys, g))
+        top = float(np.linalg.eigvalsh(P.matrix)[-1])
+        assert abs(rep.s - top) <= 1e-12, d
+        assert rep.bracket[0] <= top <= rep.bracket[1], d
+        assert isinstance(rep.certificate, Exists), d
+    sys = make_system(coeffs, d=(0.0, 0.0), l1=1, kernels=[GAUSS])
+    P = assemble_operator(sys, g, force=True)
+    rep = compute_spectral_report(P, pointwise_A(sys, g))
+    assert rep.converged
+    assert isinstance(rep.certificate, NoCertificate)
