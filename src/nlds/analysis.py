@@ -16,14 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import assemble_operator, pointwise_A, sample_fields
+from .assembly import (SampledFields, assemble_operator, block_matrix,
+                       pointwise_A, sample_fields)
 from .errors import InvalidParametersError, ResolventDomainError
 from .grid import Grid, build_grid
-from .matspec import MAX_ITERATIONS, metzler_bound, perron_bound
+from .matspec import (MAX_ITERATIONS, nodal_bounds, perron_bound,
+                      schur_reduce_stack)
 from .model import DispersalSystem, Mode
 from .opspec import essential_bound, spectral_bound
 from .reduce import (CaseA, SystemWeights, classify_threshold,
-                     kappa_and_eta22, reduced_tilde_M, weights_for_system)
+                     kappa_and_eta22, reduced_tilde_M, static_block_bound,
+                     weights_for_system)
 
 FIT_WINDOW = 10          # nodes used by the local-order fit
 FLOOR = 1e-13            # distances to the max below this are poles
@@ -46,20 +49,12 @@ class SpectralField:
     eta: float
 
 
-def _reduce_at(A: np.ndarray, l1: int, lam: float) -> np.ndarray:
-    if l1 == A.shape[0]:
-        return A
-    R = lam * np.eye(A.shape[0] - l1) - A[l1:, l1:]
-    X = np.linalg.solve(R, A[l1:, :l1])
-    return A[:l1, :l1] + A[:l1, l1:] @ X
-
-
-def spectral_field(sys: DispersalSystem, grid: Grid) -> SpectralField:
-    pw = pointwise_A(sys, grid)
-    H = np.array([metzler_bound(m).value for m in pw.matrices])
+def spectral_field(sys: DispersalSystem, grid: Grid,
+                   fields: SampledFields | None = None) -> SpectralField:
+    A = pointwise_A(sys, grid, fields=fields).matrices
+    H = nodal_bounds(A)
     eta = float(np.max(H))
-    h = np.array([metzler_bound(_reduce_at(m, sys.l1, eta)).value
-                  for m in pw.matrices])
+    h = nodal_bounds(schur_reduce_stack(A, sys.l1, eta))
     return SpectralField(grid=grid, H=H, h=h, eta=eta)
 
 
@@ -183,37 +178,22 @@ def assemble_reduced_operator(sys: DispersalSystem, grid: Grid,
     """
     if fields is None:
         fields = sample_fields(sys, grid)
-    n, l1 = grid.n, sys.l1
-    A = fields.M.copy()
-    for i in range(l1):
-        A[:, i, i] -= float(sys.d[i]) * fields.chi[i]
-    if l1 < sys.l:
-        eta22 = max(metzler_bound(m[l1:, l1:]).value for m in fields.M)
-        if not lam > eta22:
-            raise ResolventDomainError(
-                f"lambda = {lam:.6g} is not above the static-block bound "
-                f"{eta22:.6g}")
-        R = lam * np.eye(sys.l - l1)[None, :, :] - A[:, l1:, l1:]
-        X = np.linalg.solve(R, A[:, l1:, :l1])
-        F = A[:, :l1, :l1] + A[:, :l1, l1:] @ X
-    else:
-        F = A
-    T = np.zeros((l1 * n, l1 * n))
-    for i in range(l1):
-        for j in range(l1):
-            blk = T[i * n:(i + 1) * n, j * n:(j + 1) * n]
-            np.fill_diagonal(blk, F[:, i, j])
-        K = fields.raw_kernels[i] * grid.weights[None, :]
-        blk = T[i * n:(i + 1) * n, i * n:(i + 1) * n]
-        blk += float(sys.d[i]) * K
-    return T
+    eta22 = static_block_bound(fields.M, sys.l1)
+    if not lam > eta22:
+        raise ResolventDomainError(
+            f"lambda = {lam:.6g} is not above the static-block bound "
+            f"{eta22:.6g}")
+    A = pointwise_A(sys, grid, fields=fields).matrices
+    F = schur_reduce_stack(A, sys.l1, lam)
+    return block_matrix(F, fields.raw_kernels, sys.d, grid)
 
 
 def generalized_eigen_residual(sys: DispersalSystem, grid: Grid,
-                               lam: float, tol: float = 1e-10) -> float:
+                               lam: float, tol: float = 1e-10,
+                               fields: SampledFields | None = None) -> float:
     """s(T_lam) - lam: zero exactly when lam solves the reduced
     generalized eigenproblem, which certified spectral bounds do."""
-    T = assemble_reduced_operator(sys, grid, lam)
+    T = assemble_reduced_operator(sys, grid, lam, fields=fields)
     return spectral_bound(T, tol=tol).value - lam
 
 
@@ -369,7 +349,6 @@ def perturbation_probe(sys: DispersalSystem, grid: Grid, delta: float,
         raws.append(fields.raw_kernels[i] + dK)
         if dK.size:
             dk_inf = max(dk_inf, float(np.max(np.abs(dK))))
-    from .assembly import SampledFields
     chis = tuple(raw.T @ grid.weights for raw in raws)
     fields_p = SampledFields(M=Mp, raw_kernels=tuple(raws), chi=chis)
     P1 = assemble_operator(sys, grid, force=True, fields=fields_p).matrix

@@ -57,7 +57,6 @@ class AssembledOperator:
     """Dense (l n) x (l n) discretization of the dispersal operator."""
 
     matrix: np.ndarray = field(repr=False)
-    chi: tuple                      # l arrays; zeros for non-diffusing species
     grid: Grid
     system: DispersalSystem
 
@@ -87,23 +86,25 @@ def assemble_operator(sys: DispersalSystem, grid: Grid, force: bool = False,
             raise ValidationGateError(report)
     if fields is None:
         fields = sample_fields(sys, grid)
-    n, l, l1 = grid.n, sys.l, sys.l1
-    P = np.zeros((l * n, l * n))
-    chi_full = []
-    for i in range(l):
-        for j in range(l):
-            blk = P[i * n:(i + 1) * n, j * n:(j + 1) * n]
-            np.fill_diagonal(blk, fields.M[:, i, j])
-        if i < l1:
-            K = fields.raw_kernels[i] * grid.weights[None, :]
-            di = float(sys.d[i])
-            blk = P[i * n:(i + 1) * n, i * n:(i + 1) * n]
-            blk += di * K
-            blk[np.diag_indices(n)] -= di * fields.chi[i]
-            chi_full.append(fields.chi[i].copy())
-        else:
-            chi_full.append(np.zeros(n))
-    return AssembledOperator(matrix=P, chi=tuple(chi_full), grid=grid, system=sys)
+    P = block_matrix(pointwise_A(sys, grid, fields=fields).matrices,
+                     fields.raw_kernels, sys.d, grid)
+    return AssembledOperator(matrix=P, grid=grid, system=sys)
+
+
+def block_matrix(F: np.ndarray, raw_kernels, d, grid: Grid) -> np.ndarray:
+    """Species-major (k n) x (k n) matrix of the nodal field F (n, k, k):
+    block (i, j) is diag(F[:, i, j]), and block (i, i) gains the
+    transfer d_i K_i for each of the leading len(raw_kernels) species."""
+    n, k = F.shape[0], F.shape[1]
+    P = np.zeros((k * n, k * n))
+    for i in range(k):
+        for j in range(k):
+            np.fill_diagonal(P[i * n:(i + 1) * n, j * n:(j + 1) * n],
+                             F[:, i, j])
+    for i, raw in enumerate(raw_kernels):
+        P[i * n:(i + 1) * n, i * n:(i + 1) * n] += \
+            float(d[i]) * (raw * grid.weights[None, :])
+    return P
 
 
 @dataclass(frozen=True)

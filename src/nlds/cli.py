@@ -28,7 +28,8 @@ from . import __version__
 from .analysis import (generalized_eigen_residual, integrability_diagnostic,
                        perturbation_probe, refinement_grids, spectral_field,
                        sweep)
-from .assembly import assemble_operator, dump_matrix, pointwise_A
+from .assembly import (assemble_operator, dump_matrix, pointwise_A,
+                       sample_fields)
 from .epidemic import VSIParams, compute_r0_report
 from .errors import (CertificateInconsistencyError, ConfigError,
                      GridConsistencyError, NldsError, NonConvergenceError,
@@ -124,17 +125,11 @@ _SCHEMA = {
                 "beta_i": {"type": "string"},
             },
         },
-        "output": {
-            "type": "object", "additionalProperties": False,
-            "properties": {
-                "directory": {"type": "string"},
-                "formats": {"type": "array",
-                            "items": {"enum": ["json", "csv"]}},
-            },
-        },
         "seed": {"type": "integer"},
     },
 }
+# built once; jsonschema.validate re-checks _SCHEMA on every call
+_VALIDATOR = jsonschema.validators.validator_for(_SCHEMA)(_SCHEMA)
 
 
 # --- deterministic JSON with 17-significant-digit decimals ---------------
@@ -196,9 +191,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
-    try:
-        jsonschema.validate(cfg, _SCHEMA)
-    except jsonschema.ValidationError as e:
+    e = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+    if e is not None:
         path_str = "/".join(str(p) for p in e.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path_str}: {e.message}")
     return cfg
@@ -257,8 +251,10 @@ def cmd_validate(cfg, args, report, outdir) -> int:
 def cmd_spectrum(cfg, args, report, outdir) -> int:
     system, g = validated_objects(cfg, args, report)
     opts = solver_opts(cfg)
-    P = assemble_operator(system, g, force=True)
-    sr = compute_spectral_report(P, pointwise_A(system, g), **opts)
+    fields = sample_fields(system, g)
+    P = assemble_operator(system, g, force=True, fields=fields)
+    sr = compute_spectral_report(P, pointwise_A(system, g, fields=fields),
+                                 **opts)
     d = sr.to_dict()
     d["tol"] = opts["tol"]
     report["spectral"] = d
@@ -298,13 +294,22 @@ def cmd_diagnose(cfg, args, report, outdir) -> int:
                                                [system.domain[0], system.domain[1]]))
     n_list = cfg.get("grid", {}).get("refinements", [g.n // 4, g.n // 2, g.n])
     grids = refinement_grids(system.domain[0], system.domain[1], n_list)
-    diag = integrability_diagnostic(
-        lambda gg: spectral_field(system, gg).H, grids, region)
+    fields = sample_fields(system, g)
+    by_n = {}   # grid size -> SpectralField, so the run grid's is reused
+
+    def field_of(gg):
+        if gg.n not in by_n:
+            by_n[gg.n] = spectral_field(
+                system, gg, fields=fields if gg.n == g.n else None)
+        return by_n[gg.n]
+
+    diag = integrability_diagnostic(lambda gg: field_of(gg).H, grids, region)
     report["diagnose"] = {"integrability": diag.to_dict()}
-    P = assemble_operator(system, g, force=True)
-    sr = compute_spectral_report(P, pointwise_A(system, g), **opts)
+    P = assemble_operator(system, g, force=True, fields=fields)
+    sr = compute_spectral_report(P, pointwise_A(system, g, fields=fields),
+                                 **opts)
     report["diagnose"]["spectral"] = sr.to_dict()
-    field = spectral_field(system, g)
+    field = field_of(g)
     report["diagnose"]["field"] = {
         "eta": field.eta,
         "max_h": float(np.max(field.h)),
@@ -312,7 +317,8 @@ def cmd_diagnose(cfg, args, report, outdir) -> int:
     }
     if (system.l1 < system.l and sr.gap > 0
             and isinstance(sr.certificate, Exists)):
-        resid = generalized_eigen_residual(system, g, sr.s, tol=opts["tol"])
+        resid = generalized_eigen_residual(system, g, sr.s, tol=opts["tol"],
+                                           fields=fields)
         report["diagnose"]["generalized_eigen_residual"] = resid
     return EXIT_OK if sr.converged else EXIT_NONCONVERGENCE
 
@@ -326,7 +332,8 @@ def cmd_r0(cfg, args, report, outdir) -> int:
     params = VSIParams.from_text(e["kernel"], e["d"], e["r"], e["m"], e["b"],
                                  e["beta_d"], e["beta_i"])
     opts = solver_opts(cfg)
-    rep = compute_r0_report(params, g, tol=opts["tol"])
+    rep = compute_r0_report(params, g, tol=opts["tol"],
+                            max_iterations=opts["max_iterations"])
     report["r0"] = rep.to_dict()
     lines = ["mu,Q"]
     for mu, q in rep.q_samples:

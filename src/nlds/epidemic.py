@@ -25,10 +25,10 @@ from . import exprlang
 from .errors import InvalidParametersError, ResolventDomainError
 from .exprlang import Expr
 from .grid import Grid
-from .matspec import metzler_bound
+from .matspec import MAX_ITERATIONS, metzler_bound
 from .model import KernelSpec
 from .opspec import spectral_bound
-from .reduce import BISECT_CAP, ladder_classify
+from .reduce import bracket_and_bisect, ladder_classify
 from .reduce import perron_weight as _perron_weight
 
 R0_BISECT_TOL = 1e-12
@@ -67,8 +67,7 @@ class SampledVSI:
     b: np.ndarray
     beta_d: np.ndarray
     beta_i: np.ndarray
-    raw_kernel: np.ndarray
-    chi: np.ndarray
+    B11: np.ndarray    # d (K - diag chi) - diag m: virion dispersal, clearance
     outside_positivity: bool
 
 
@@ -91,8 +90,9 @@ def sample_params(params: VSIParams, grid: Grid) -> SampledVSI:
         raise InvalidParametersError(f"d must be nonnegative, got {params.d}")
     raw = params.kernel.sample(grid)
     chi = raw.T @ grid.weights
-    return SampledVSI(r=r, m=m, b=b, beta_d=bd, beta_i=bi, raw_kernel=raw,
-                      chi=chi, outside_positivity=outside)
+    L = params.d * (raw * grid.weights[None, :] - np.diag(chi))
+    return SampledVSI(r=r, m=m, b=b, beta_d=bd, beta_i=bi, B11=L - np.diag(m),
+                      outside_positivity=outside)
 
 
 def assemble_epidemic(params: VSIParams, grid: Grid,
@@ -102,9 +102,8 @@ def assemble_epidemic(params: VSIParams, grid: Grid,
     matrix F, each 2n x 2n over the stacked (V, I) nodal vector."""
     sv = sampled if sampled is not None else sample_params(params, grid)
     n = grid.n
-    L = params.d * (sv.raw_kernel * grid.weights[None, :] - np.diag(sv.chi))
     B = np.zeros((2 * n, 2 * n))
-    B[:n, :n] = L - np.diag(sv.m)
+    B[:n, :n] = sv.B11
     B[:n, n:] = np.diag(sv.r)
     B[n:, n:] = -np.diag(sv.b)
     F = np.zeros((2 * n, 2 * n))
@@ -122,7 +121,9 @@ class R0Result:
     outside_positivity: bool
 
 
-def r0(params: VSIParams, grid: Grid, tol: float = 1e-10) -> R0Result:
+def r0(params: VSIParams, grid: Grid, tol: float = 1e-10,
+       max_iterations: int = MAX_ITERATIONS,
+       sampled: SampledVSI | None = None) -> R0Result:
     """Spectral radius of the next-generation operator.
 
     B is block upper triangular, so applying -F B^{-1} back-substitutes
@@ -130,50 +131,50 @@ def r0(params: VSIParams, grid: Grid, tol: float = 1e-10) -> R0Result:
     nonzero spectrum lives on the cell compartment, where the operator
     reduces to the nonnegative matrix
         diag(beta_d / b) + diag(beta_i) (-B11)^{-1} diag(r / b),
-    iterated to value convergence.
+    iterated to value convergence within max_iterations Noda steps.
     """
-    sv = sample_params(params, grid)
-    n = grid.n
-    L = params.d * (sv.raw_kernel * grid.weights[None, :] - np.diag(sv.chi))
-    B11 = L - np.diag(sv.m)
-    sb = metzler_bound(B11).value
+    sv = sampled if sampled is not None else sample_params(params, grid)
+    sb = metzler_bound(sv.B11).value
     if sb >= 0:
         raise InvalidParametersError(
             f"transition block must be dissipative, got bound {sb:.6g}")
-    X = np.linalg.solve(-B11, np.diag(sv.r / sv.b))
+    X = np.linalg.solve(-sv.B11, np.diag(sv.r / sv.b))
     G = np.diag(sv.beta_d / sv.b) + np.diag(sv.beta_i) @ X
-    res = metzler_bound(G, tol=tol)
+    res = metzler_bound(G, tol=tol, max_iterations=max_iterations)
     return R0Result(value=res.value, iterations=res.iterations,
                     residual=res.residual, converged=res.converged,
                     outside_positivity=sv.outside_positivity)
 
 
 def H_mu(params: VSIParams, grid: Grid, mu: float,
-         tol: float = 1e-10) -> float:
+         tol: float = 1e-10, sampled: SampledVSI | None = None) -> float:
     """Spectral bound of B + F/mu; zero exactly at mu = R0."""
     if mu <= 0:
         raise InvalidParametersError(f"mu must be positive, got {mu}")
-    B, F = assemble_epidemic(params, grid)
+    B, F = assemble_epidemic(params, grid, sampled=sampled)
     return spectral_bound(B + F / mu, tol=tol).value
 
 
-def hat_r0(params: VSIParams, grid: Grid) -> float:
+def hat_r0(params: VSIParams, grid: Grid,
+           sampled: SampledVSI | None = None) -> float:
     """Direct-route maximum max_x beta_d(x)/b(x)."""
-    sv = sample_params(params, grid)
+    sv = sampled if sampled is not None else sample_params(params, grid)
     return float(np.max(sv.beta_d / sv.b))
 
 
-def r0_at_zero_diffusion(params: VSIParams, grid: Grid) -> float:
+def r0_at_zero_diffusion(params: VSIParams, grid: Grid,
+                         sampled: SampledVSI | None = None) -> float:
     """Closed form of the zero-diffusion limit:
     max_x (beta_d/b + beta_i r / (b m))."""
-    sv = sample_params(params, grid)
+    sv = sampled if sampled is not None else sample_params(params, grid)
     return float(np.max(sv.beta_d / sv.b + sv.beta_i * sv.r / (sv.b * sv.m)))
 
 
-def q_of_mu(params: VSIParams, grid: Grid, weight_samples, mu: float) -> float:
+def q_of_mu(params: VSIParams, grid: Grid, weight_samples, mu: float,
+            sampled: SampledVSI | None = None) -> float:
     """Mixing balance Q(mu) = integral [-m + r beta_i / (mu b - beta_d)] p;
     defined for mu above the direct-route maximum."""
-    sv = sample_params(params, grid)
+    sv = sampled if sampled is not None else sample_params(params, grid)
     den = mu * sv.b - sv.beta_d
     if np.min(den) <= 0:
         raise ResolventDomainError(
@@ -214,42 +215,28 @@ LimitClassification = RootCase | BoundaryCase
 
 
 def r0_large_d_limit(params: VSIParams, grid: Grid, weight_samples=None,
-                     tol: float = 1e-4) -> LimitClassification:
+                     tol: float = 1e-4,
+                     sampled: SampledVSI | None = None) -> LimitClassification:
     """Classify the large-diffusion limit of R0 with the shared ladder
     policy: root case when Q clears zero on every rung, boundary case
     otherwise; in the root case the root is found by bisecting the
     decreasing Q."""
     if weight_samples is None:
         weight_samples = _perron_weight(params.kernel, grid).samples
-    hat = hat_r0(params, grid)
+    sv = sampled if sampled is not None else sample_params(params, grid)
+    hat = hat_r0(params, grid, sampled=sv)
 
-    def sample(eps: float) -> float:
-        return q_of_mu(params, grid, weight_samples, hat + eps)
+    def q(mu: float) -> float:
+        return q_of_mu(params, grid, weight_samples, mu, sampled=sv)
 
-    above, ladder = ladder_classify(sample, 0.0, tol)
+    above, ladder = ladder_classify(lambda eps: q(hat + eps), 0.0, tol)
     if not above:
         return BoundaryCase(hat_r0=hat, ladder=ladder)
-    lo = hat + 1e-6
-    offset = 1e-6
-    hi = None
-    for _ in range(80):
-        offset *= 2.0
-        if q_of_mu(params, grid, weight_samples, hat + offset) < 0.0:
-            hi = hat + offset
-            break
-        lo = hat + offset
-    if hi is None:
+    root = bracket_and_bisect(q, hat, R0_BISECT_TOL)
+    if root is None:
         raise InvalidParametersError(
             "mixing balance does not change sign; no finite root")
-    for _ in range(BISECT_CAP):
-        mid = 0.5 * (lo + hi)
-        if q_of_mu(params, grid, weight_samples, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= R0_BISECT_TOL:
-            break
-    return RootCase(tilde_r0=0.5 * (lo + hi), ladder=ladder)
+    return RootCase(tilde_r0=root, ladder=ladder)
 
 
 @dataclass(frozen=True)
@@ -275,16 +262,21 @@ class R0Report:
                 "outside_positivity": self.outside_positivity}
 
 
-def compute_r0_report(params: VSIParams, grid: Grid,
-                      tol: float = 1e-10) -> R0Report:
-    res = r0(params, grid, tol=tol)
+def compute_r0_report(params: VSIParams, grid: Grid, tol: float = 1e-10,
+                      max_iterations: int = MAX_ITERATIONS) -> R0Report:
+    """R0, its diffusion limits and the sign check H(R0), from one
+    sampling of the parameters."""
+    sv = sample_params(params, grid)
+    res = r0(params, grid, tol=tol, max_iterations=max_iterations,
+             sampled=sv)
     weight = _perron_weight(params.kernel, grid).samples
-    limit = r0_large_d_limit(params, grid, weight)
-    hat = hat_r0(params, grid)
+    limit = r0_large_d_limit(params, grid, weight, sampled=sv)
+    hat = hat_r0(params, grid, sampled=sv)
     q_samples = tuple((hat + eps, q) for eps, q in limit.ladder)
     return R0Report(
         r0=res.value, hat_r0=hat,
         tilde_r0=limit.tilde_r0 if isinstance(limit, RootCase) else None,
-        limit=limit, r0_at_zero=r0_at_zero_diffusion(params, grid),
-        q_samples=q_samples, sign_residual=H_mu(params, grid, res.value),
+        limit=limit, r0_at_zero=r0_at_zero_diffusion(params, grid, sampled=sv),
+        q_samples=q_samples,
+        sign_residual=H_mu(params, grid, res.value, sampled=sv),
         converged=res.converged, outside_positivity=res.outside_positivity)

@@ -165,6 +165,25 @@ def _reaches_all(adj: np.ndarray) -> bool:
     return bool(seen.all())
 
 
+def nodal_bounds(stack) -> np.ndarray:
+    """Spectral bounds s(A_a) of a stack (n, l, l) of Metzler matrices,
+    one per node; an empty block (l = 0) gives -inf."""
+    return np.array([metzler_bound(m).value
+                     for m in np.asarray(stack, dtype=float)])
+
+
+def schur_reduce_stack(A, l1: int, lam: float) -> np.ndarray:
+    """A11 + A12 (lam I - A22)^{-1} A21 for every matrix of a stack
+    (..., l, l), without checks; A itself when l1 = l."""
+    A = np.asarray(A, dtype=float)
+    l = A.shape[-1]
+    if l1 == l:
+        return A
+    R = lam * np.eye(l - l1) - A[..., l1:, l1:]
+    X = np.linalg.solve(R, A[..., l1:, :l1])
+    return A[..., :l1, :l1] + A[..., :l1, l1:] @ X
+
+
 def schur_reduce(C, l1: int, gamma: float) -> CoopMatrix:
     """Eliminate the trailing block at resolvent parameter gamma:
     C11 + C12 (gamma I - C22)^{-1} C21, an l1 x l1 cooperative matrix.
@@ -183,14 +202,11 @@ def schur_reduce(C, l1: int, gamma: float) -> CoopMatrix:
         raise ResolventDomainError(
             f"resolvent parameter {gamma:.6g} is not above the trailing "
             f"block bound {s22:.6g}")
-    R = gamma * np.eye(m - l1) - c22
-    cond = np.linalg.cond(R, 1)
+    cond = np.linalg.cond(gamma * np.eye(m - l1) - c22, 1)
     if cond > 1e14:
         warnings.warn(f"resolvent solve condition estimate {cond:.3g}",
                       IllConditionedWarning, stacklevel=2)
-    X = np.linalg.solve(R, a[l1:, :l1])
-    reduced = a[:l1, :l1] + a[:l1, l1:] @ X
-    return CoopMatrix(reduced)
+    return CoopMatrix(schur_reduce_stack(a, l1, gamma))
 
 
 def large_shift_limit_check(C, l1: int, mu_schedule) -> list[float]:

@@ -21,7 +21,7 @@ from . import exprlang
 from .errors import DimensionError
 from .exprlang import Expr
 from .grid import Grid
-from .matspec import TOL_ZERO, _reaches_all
+from .matspec import TOL_ZERO, is_irreducible
 
 
 @dataclass(frozen=True)
@@ -161,13 +161,11 @@ def validate(sys: DispersalSystem, grid: Grid) -> ValidationReport:
             "cooperativity", f"x={pts[a]:.6g}, entry ({i+1},{j+1})",
             f"m[{i+1}][{j+1}] = {Ms[a, i, j]:.6g} < 0"))
 
-    if sys.l > 1:
-        for a in range(grid.n):
-            adj = off[a] > TOL_ZERO
-            if not (_reaches_all(adj) and _reaches_all(adj.T)):
-                violations.append(Violation(
-                    "irreducibility", f"x={pts[a]:.6g}",
-                    "coupling pattern is not strongly connected"))
+    for a in range(grid.n):
+        if not is_irreducible(off[a]):
+            violations.append(Violation(
+                "irreducibility", f"x={pts[a]:.6g}",
+                "coupling pattern is not strongly connected"))
 
     for i, kern in enumerate(sys.kernels):
         raw = kern.sample(grid)

@@ -19,7 +19,8 @@ import numpy as np
 
 from .assembly import AssembledOperator, PointwiseA
 from .errors import CertificateInconsistencyError, SizeCapError
-from .matspec import MAX_ITERATIONS, PerronResult, metzler_bound
+from .matspec import (MAX_ITERATIONS, PerronResult, metzler_bound,
+                      nodal_bounds)
 
 DENSE_SIZE_CAP = 600
 
@@ -80,7 +81,7 @@ def spectral_bound(P, tol: float = 1e-10,
 def essential_bound(A: PointwiseA) -> float:
     """Largest nodal spectral bound max_a s(A(x_a)); for these operators
     this is the essential spectral bound of the assembled operator."""
-    return max(metzler_bound(m).value for m in A.matrices)
+    return float(np.max(nodal_bounds(A.matrices)))
 
 
 def principal_certificate(P, r: PerronResult, s_e: float,

@@ -26,7 +26,7 @@ from .errors import (ClassificationError, GridConsistencyError,
                      InvalidParametersError, ResolventDomainError)
 from .grid import Grid
 from .matspec import (CoopMatrix, NearSingularWarning, metzler_bound,
-                      perron_bound)
+                      nodal_bounds, perron_bound, schur_reduce_stack)
 from .model import DispersalSystem, KernelSpec, Mode
 
 EPS_LADDER = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -115,25 +115,20 @@ def kappa_and_eta22(sys: DispersalSystem, grid: Grid) -> tuple[float, float]:
     """(max_a s(M(x_a)), max_a s(M22(x_a))); the second is -inf when
     every species diffuses (empty trailing block)."""
     Ms = sys.coefficients.sample(grid)
-    kappa = max(metzler_bound(m).value for m in Ms)
-    if sys.l1 == sys.l:
-        return kappa, -np.inf
-    l1 = sys.l1
-    eta22 = max(metzler_bound(m[l1:, l1:]).value for m in Ms)
-    return kappa, eta22
+    return float(np.max(nodal_bounds(Ms))), static_block_bound(Ms, sys.l1)
+
+
+def static_block_bound(Ms: np.ndarray, l1: int) -> float:
+    """eta22 = max_a s(M22(x_a)) of the nodal matrices Ms (n, l, l);
+    -inf when the trailing block is empty."""
+    return float(np.max(nodal_bounds(Ms[:, l1:, l1:])))
 
 
 def _tilde_B_core(Ms: np.ndarray, l1: int, weights: SystemWeights,
                   quad_w: np.ndarray, gamma: float) -> np.ndarray:
     """Averaged Schur reduction without revalidation; Ms is (n, l, l)."""
-    n, l, _ = Ms.shape
     col_w = np.stack([weights.weights[j] * quad_w for j in range(l1)], axis=1)
-    if l1 == l:
-        return np.einsum("aij,aj->ij", Ms, col_w)
-    R = gamma * np.eye(l - l1)[None, :, :] - Ms[:, l1:, l1:]
-    X = np.linalg.solve(R, Ms[:, l1:, :l1])
-    b = Ms[:, :l1, :l1] + Ms[:, :l1, l1:] @ X
-    return np.einsum("aij,aj->ij", b, col_w)
+    return np.einsum("aij,aj->ij", schur_reduce_stack(Ms, l1, gamma), col_w)
 
 
 def tilde_B(sys: DispersalSystem, grid: Grid, weights: SystemWeights,
@@ -147,7 +142,7 @@ def tilde_B(sys: DispersalSystem, grid: Grid, weights: SystemWeights,
     Ms = sys.coefficients.sample(grid)
     l1 = sys.l1
     if sys.l1 < sys.l:
-        poles = np.array([metzler_bound(m[l1:, l1:]).value for m in Ms])
+        poles = nodal_bounds(Ms[:, l1:, l1:])
         if not gamma > float(np.max(poles)):
             raise ResolventDomainError(
                 f"gamma = {gamma:.6g} is not above the static-block bound "
@@ -214,6 +209,31 @@ def ladder_classify(evaluate, threshold: float, margin: float,
     return above, tuple(samples)
 
 
+def bracket_and_bisect(f, base: float, tol: float) -> float | None:
+    """Root of f above base, for f positive just above base and
+    decreasing through zero: doubles an offset from 1e-6 until f < 0
+    (at most 80 times), then bisects to width tol.  None when f never
+    turns negative."""
+    lo, offset, hi = base + 1e-6, 1e-6, None
+    for _ in range(80):
+        offset *= 2.0
+        if f(base + offset) < 0.0:
+            hi = base + offset
+            break
+        lo = base + offset
+    if hi is None:
+        return None
+    for _ in range(BISECT_CAP):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol:
+            break
+    return 0.5 * (lo + hi)
+
+
 def classify_threshold(sys: DispersalSystem, grid: Grid,
                        weights: SystemWeights,
                        tol: float | None = None) -> ThresholdOutcome:
@@ -225,44 +245,24 @@ def classify_threshold(sys: DispersalSystem, grid: Grid,
             "systems with a non-diffusing block")
     Ms = sys.coefficients.sample(grid)
     l1 = sys.l1
-    eta22 = max(metzler_bound(m[l1:, l1:]).value for m in Ms)
+    eta22 = static_block_bound(Ms, l1)
     if tol is None:
         tol = 1e-4 * max(1.0, abs(eta22))
 
-    def sample(eps: float) -> float:
-        b = _tilde_B_core(Ms, l1, weights, grid.weights, eta22 + eps)
+    def s_tilde(gamma: float) -> float:
+        b = _tilde_B_core(Ms, l1, weights, grid.weights, gamma)
         return metzler_bound(b).value
 
-    above, ladder = ladder_classify(sample, eta22, tol)
+    above, ladder = ladder_classify(lambda eps: s_tilde(eta22 + eps),
+                                    eta22, tol)
     if not above:
         return CaseB(eta22=eta22, ladder=ladder)
-
-    def f(gamma: float) -> float:
-        b = _tilde_B_core(Ms, l1, weights, grid.weights, gamma)
-        return metzler_bound(b).value - gamma
-
-    lo = eta22 + 1e-6
-    offset = 1e-6
-    hi = None
-    for _ in range(80):
-        offset *= 2.0
-        g = eta22 + offset
-        if f(g) < 0.0:
-            hi = g
-            break
-        lo = g
-    if hi is None:
+    gamma_star = bracket_and_bisect(lambda g: s_tilde(g) - g, eta22,
+                                    BISECT_TOL)
+    if gamma_star is None:
         raise ClassificationError(
             "no sign change found while bracketing the fixed point", ladder)
-    for _ in range(BISECT_CAP):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= BISECT_TOL:
-            break
-    return CaseA(gamma_star=0.5 * (lo + hi), ladder=ladder)
+    return CaseA(gamma_star=gamma_star, ladder=ladder)
 
 
 @dataclass(frozen=True)

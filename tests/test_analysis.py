@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nlds.analysis import (generalized_eigen_residual,
+from nlds.analysis import (assemble_reduced_operator,
+                           generalized_eigen_residual,
                            integrability_diagnostic, perturbation_probe,
                            refinement_grids, spectral_field, sweep)
 from nlds.assembly import assemble_operator, pointwise_A
@@ -99,6 +100,16 @@ def test_residual_full_diffusion_limit():
     for lam in (s, s + 0.5, s - 0.3):
         resid = generalized_eigen_residual(sys, g, lam)
         assert resid == pytest.approx(s - lam, abs=1e-9)
+
+
+def test_reduced_operator_without_static_block_is_the_operator():
+    # one block builder: with l1 = l the reduced field F_lam is A(x) and
+    # the blocks are those of the assembled operator, bit for bit
+    sys = make_system([["-x^2", "1"], ["0.5", "-1 + 0.3*x"]], (1.0, 0.5), 2,
+                      [GAUSS, "exp(-2*(x-y)^2)"])
+    g = build_grid(-1, 1, 30)
+    T = assemble_reduced_operator(sys, g, 0.7)
+    assert np.array_equal(T, assemble_operator(sys, g).matrix)
 
 
 def test_residual_domain_error():

@@ -314,3 +314,52 @@ def test_refused_run_names_the_validation_gate(tmp_path):
     assert rep["error"]["kind"] == "ValidationGateError"
     assert rep["validation"]["passed"] is False
     assert "spectral" not in rep
+
+
+def test_config_schema_is_valid():
+    # load_config uses a validator built once at import and no longer
+    # checks the schema itself on every call
+    cli._VALIDATOR.check_schema(cli._SCHEMA)
+
+
+def test_output_section_is_rejected(tmp_path):
+    cfg_dict = json.loads(json.dumps(BASE))
+    cfg_dict["output"] = {"directory": "elsewhere", "formats": ["json"]}
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "out"
+    assert run(["validate", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    rep = read_report(out)
+    assert rep["error"]["kind"] == "config"
+    assert "output" in rep["error"]["message"]
+
+
+def test_diagnose_computes_one_field_per_grid(tmp_path, monkeypatch):
+    sizes = []
+    real = cli.spectral_field
+
+    def counting(system, grid, **kwargs):
+        sizes.append(grid.n)
+        return real(system, grid, **kwargs)
+
+    monkeypatch.setattr(cli, "spectral_field", counting)
+    cfg = write_config(tmp_path, BASE)
+    out = tmp_path / "out"
+    assert run(["diagnose", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert sizes == [10, 20, 40]
+    field = read_report(out)["diagnose"]["field"]
+    assert field["eta"] == real(*cli.build_objects(BASE, None)).eta
+
+
+def test_max_iterations_caps_r0(tmp_path):
+    cfg_dict = {"domain": BASE["domain"], "grid": BASE["grid"],
+                "epidemic": {"kernel": GAUSS, "d": 2.0, "r": "1 + 0.5*x",
+                             "m": "1 + x^2", "b": "1",
+                             "beta_d": "0.3 + 0.2*x^2", "beta_i": "1"}}
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "out"
+    assert run(["r0", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert read_report(out)["r0"]["converged"] is True
+    cfg_dict["solver"] = {"max_iterations": 1}
+    cfg = write_config(tmp_path, cfg_dict)
+    assert run(["r0", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert read_report(out)["r0"]["converged"] is False

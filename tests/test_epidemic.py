@@ -4,7 +4,7 @@ import pytest
 from nlds.epidemic import (BoundaryCase, RootCase, VSIParams,
                            assemble_epidemic, compute_r0_report, H_mu,
                            hat_r0, q_of_mu, r0, r0_at_zero_diffusion,
-                           r0_large_d_limit)
+                           r0_large_d_limit, sample_params)
 from nlds.errors import InvalidParametersError, ResolventDomainError
 from nlds.grid import build_grid
 from nlds.opspec import dense_spectrum
@@ -170,3 +170,47 @@ def test_genuine_boundary_case_with_varying_ratio():
     assert isinstance(limit, BoundaryCase)
     res = r0(params, g)
     assert abs(res.value - limit.hat_r0) <= 1e-2
+
+
+def test_report_samples_the_parameters_once(monkeypatch):
+    import nlds.epidemic
+    calls = []
+    real = nlds.epidemic.sample_params
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nlds.epidemic, "sample_params", counting)
+    g = build_grid(-1, 1, 40)
+    rep = compute_r0_report(make_params(d=2.0, m="1 + x^2"), g)
+    assert len(calls) == 1
+    assert rep.converged
+
+
+def test_sampled_parameters_give_identical_results():
+    g = build_grid(-1, 1, 40)
+    params = make_params(d=2.0, r="1 + 0.5*x", m="1 + x^2",
+                         beta_d="0.3 + 0.2*x^2")
+    sv = sample_params(params, g)
+    p = perron_weight(params.kernel, g).samples
+    assert r0(params, g, sampled=sv) == r0(params, g)
+    assert H_mu(params, g, 1.2, sampled=sv) == H_mu(params, g, 1.2)
+    assert hat_r0(params, g, sampled=sv) == hat_r0(params, g)
+    assert r0_at_zero_diffusion(params, g, sampled=sv) == \
+        r0_at_zero_diffusion(params, g)
+    assert q_of_mu(params, g, p, 0.8, sampled=sv) == q_of_mu(params, g, p, 0.8)
+    assert r0_large_d_limit(params, g, p, sampled=sv) == \
+        r0_large_d_limit(params, g, p)
+    for with_sv, without in zip(assemble_epidemic(params, g, sampled=sv),
+                                assemble_epidemic(params, g)):
+        assert np.array_equal(with_sv, without)
+
+
+def test_r0_step_budget():
+    g = build_grid(-1, 1, 40)
+    params = make_params(d=2.0, r="1 + 0.5*x", m="1 + x^2",
+                         beta_d="0.3 + 0.2*x^2")
+    assert r0(params, g).iterations > 1
+    capped = r0(params, g, max_iterations=1)
+    assert (capped.iterations, capped.converged) == (1, False)

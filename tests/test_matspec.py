@@ -9,7 +9,8 @@ from nlds.assembly import assemble_operator
 from nlds.errors import ResolventDomainError
 from nlds.grid import build_grid
 from nlds.matspec import (CoopMatrix, is_irreducible, large_shift_limit_check,
-                          metzler_bound, perron_bound, schur_reduce)
+                          metzler_bound, nodal_bounds, perron_bound,
+                          schur_reduce, schur_reduce_stack)
 from nlds.model import CoefField, DispersalSystem, KernelSpec
 
 
@@ -270,3 +271,45 @@ def test_metzler_bound_step_budget():
     r = metzler_bound(a, max_iterations=1)
     assert (r.iterations, r.converged) == (1, False)
     assert r.bracket[0] <= perron_bound(a) <= r.bracket[1]
+
+
+# --- stacked helpers: one matrix per grid node ----------------------------
+
+@st.composite
+def cooperative_stack(draw):
+    """Stack of up to 8 cooperative matrices of order l <= 4, a split
+    0 < l1 < l, and a resolvent parameter above every trailing block."""
+    l = draw(st.integers(2, 4))
+    l1 = draw(st.integers(1, l - 1))
+    n = draw(st.integers(1, 8))
+    off = draw(hnp.arrays(float, (n, l, l), elements=st.floats(0.0, 2.0)))
+    diag = draw(hnp.arrays(float, (n, l), elements=st.floats(-3.0, 1.0)))
+    stack = off.copy()
+    stack[:, np.arange(l), np.arange(l)] = diag
+    above = draw(st.floats(0.05, 5.0))
+    gamma = max(metzler_bound(m[l1:, l1:]).value for m in stack) + above
+    return stack, l1, gamma
+
+
+@settings(max_examples=200, deadline=None)
+@given(cooperative_stack())
+def test_schur_reduce_stack_matches_schur_reduce(case):
+    stack, l1, gamma = case
+    reduced = schur_reduce_stack(stack, l1, gamma)
+    assert reduced.shape == (len(stack), l1, l1)
+    for m, r in zip(stack, reduced):
+        one = schur_reduce(m, l1, gamma).entries
+        scale = 1.0 + np.abs(one).max()
+        np.testing.assert_allclose(r, one, rtol=0, atol=1e-13 * scale)
+        # and the textbook formula, through an explicit inverse
+        inv = np.linalg.inv(gamma * np.eye(len(m) - l1) - m[l1:, l1:])
+        textbook = m[:l1, :l1] + m[:l1, l1:] @ inv @ m[l1:, :l1]
+        np.testing.assert_allclose(r, textbook, rtol=0, atol=1e-9 * scale)
+
+
+def test_nodal_bounds_are_the_per_matrix_bounds():
+    rng = np.random.default_rng(5)
+    stack = np.array([rand_cooperative(rng, 3) for _ in range(6)])
+    assert list(nodal_bounds(stack)) == [metzler_bound(m).value
+                                         for m in stack]
+    assert list(nodal_bounds(stack[:, 3:, 3:])) == [-np.inf] * 6

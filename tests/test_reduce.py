@@ -6,9 +6,10 @@ from nlds.errors import (ClassificationError, InvalidParametersError,
 from nlds.grid import build_grid
 from nlds.matspec import is_irreducible, perron_bound
 from nlds.model import CoefField, DispersalSystem, KernelSpec
-from nlds.reduce import (CaseA, CaseB, classify_threshold, kappa_and_eta22,
-                         ladder_classify, perron_weight, reduced_quantities,
-                         reduced_tilde_M, tilde_B, weights_for_system)
+from nlds.reduce import (CaseA, CaseB, bracket_and_bisect,
+                         classify_threshold, kappa_and_eta22, ladder_classify,
+                         perron_weight, reduced_quantities, reduced_tilde_M,
+                         tilde_B, weights_for_system)
 
 GAUSS = "exp(-(x-y)^2)"
 
@@ -243,3 +244,28 @@ def test_reduced_quantities_bundle():
     assert rq.uniform_fallback == (False, True)
     d = rq.to_dict()
     assert d["threshold"]["case"] == "A"
+
+
+# --- fixed-point bracketing ------------------------------------------------
+
+def test_bracket_and_bisect_finds_the_root():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 0.75 - x
+
+    root = bracket_and_bisect(f, 0.5, 1e-12)
+    assert root == pytest.approx(0.75, abs=1e-12)
+    assert min(calls) > 0.5
+
+
+def test_bracket_and_bisect_without_sign_change_is_none():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 1.0 + x
+
+    assert bracket_and_bisect(f, 0.0, 1e-12) is None
+    assert len(calls) == 80
