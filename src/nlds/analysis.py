@@ -12,12 +12,12 @@ under seeded random perturbations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .assembly import (SampledFields, assemble_operator, block_matrix,
-                       pointwise_A, sample_fields)
+                       kernel_quadrature, pointwise_A, sample_fields)
 from .errors import InvalidParametersError, ResolventDomainError
 from .grid import Grid, build_grid
 from .matspec import (MAX_ITERATIONS, nodal_bounds, perron_bound,
@@ -221,14 +221,21 @@ class SweepTable:
                 "rows": [vars(r) for r in self.rows]}
 
     def write_csv(self, path) -> None:
-        def fmt(x: float) -> str:
-            return format(x, ".17g")
-        with open(path, "w", newline="\n") as fh:
-            fh.write("t,s,s_e,gap,reference,deviation,converged\n")
-            for r in self.rows:
-                fh.write(",".join([fmt(r.t), fmt(r.s), fmt(r.s_e), fmt(r.gap),
-                                   fmt(r.reference), fmt(r.deviation),
-                                   "true" if r.converged else "false"]) + "\n")
+        write_csv(path, ["t", "s", "s_e", "gap", "reference", "deviation",
+                         "converged"], (astuple(r) for r in self.rows))
+
+
+def write_csv(path, header, rows) -> None:
+    """CSV table with a header line: numbers carry 17 significant
+    digits and booleans read true/false."""
+    def cell(v) -> str:
+        if isinstance(v, (bool, np.bool_)):
+            return "true" if v else "false"
+        return format(float(v), ".17g")
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(cell(v) for v in row) + "\n")
 
 
 SWEEP_MODES = ("small-d", "large-d-nondegen", "large-d-degen")
@@ -349,7 +356,7 @@ def perturbation_probe(sys: DispersalSystem, grid: Grid, delta: float,
         raws.append(fields.raw_kernels[i] + dK)
         if dK.size:
             dk_inf = max(dk_inf, float(np.max(np.abs(dK))))
-    chis = tuple(raw.T @ grid.weights for raw in raws)
+    chis = tuple(kernel_quadrature(raw, grid)[1] for raw in raws)
     fields_p = SampledFields(M=Mp, raw_kernels=tuple(raws), chi=chis)
     P1 = assemble_operator(sys, grid, force=True, fields=fields_p).matrix
     s1 = spectral_bound(P1, tol=tol).value

@@ -26,13 +26,22 @@ from .grid import Grid
 from .model import DispersalSystem, KernelSpec, validate
 
 
+def kernel_quadrature(raw: np.ndarray, grid: Grid
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer matrix K[a, b] = k(x_a, x_b) w_b and departure rates
+    chi(x_a) = sum_b k(x_b, x_a) w_b of the raw kernel samples (n, n).
+
+    Both use the grid weights, so w^T (K - diag chi) = 0 to rounding.
+    """
+    return raw * grid.weights[None, :], raw.T @ grid.weights
+
+
 def compute_chi(kernel: KernelSpec, grid: Grid) -> np.ndarray:
     """Departure rates chi(x_a) = sum_b k(x_b, x_a) w_b.
 
     The first kernel argument is the integration variable.
     """
-    raw = kernel.sample(grid)
-    return raw.T @ grid.weights
+    return kernel_quadrature(kernel.sample(grid), grid)[1]
 
 
 @dataclass(frozen=True)
@@ -47,7 +56,7 @@ class SampledFields:
 
 def sample_fields(sys: DispersalSystem, grid: Grid) -> SampledFields:
     raws = tuple(k.sample(grid) for k in sys.kernels)
-    chis = tuple(raw.T @ grid.weights for raw in raws)
+    chis = tuple(kernel_quadrature(raw, grid)[1] for raw in raws)
     return SampledFields(M=sys.coefficients.sample(grid),
                          raw_kernels=raws, chi=chis)
 
@@ -63,14 +72,6 @@ class AssembledOperator:
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.grid.n
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        n = self.n
-        return self.matrix[i * n:(i + 1) * n, j * n:(j + 1) * n]
 
 
 def assemble_operator(sys: DispersalSystem, grid: Grid, force: bool = False,
@@ -103,7 +104,7 @@ def block_matrix(F: np.ndarray, raw_kernels, d, grid: Grid) -> np.ndarray:
                              F[:, i, j])
     for i, raw in enumerate(raw_kernels):
         P[i * n:(i + 1) * n, i * n:(i + 1) * n] += \
-            float(d[i]) * (raw * grid.weights[None, :])
+            float(d[i]) * kernel_quadrature(raw, grid)[0]
     return P
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .analysis import (generalized_eigen_residual, integrability_diagnostic,
                        perturbation_probe, refinement_grids, spectral_field,
-                       sweep)
+                       sweep, write_csv)
 from .assembly import (assemble_operator, dump_matrix, pointwise_A,
                        sample_fields)
 from .epidemic import VSIParams, compute_r0_report
@@ -177,10 +177,6 @@ def dumps_report(report: dict) -> str:
     return "".join(out)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 # --- config handling ------------------------------------------------------
 
 def load_config(path: str) -> dict:
@@ -266,11 +262,9 @@ def cmd_reduce(cfg, args, report, outdir) -> int:
     weights = weights_for_system(system, g)
     rq = reduced_quantities(system, g, weights)
     report["reduced"] = rq.to_dict()
-    lines = ["species,x,weight"]
-    for i, wgt in enumerate(weights.weights):
-        for x, p in zip(g.points, wgt):
-            lines.append(f"{i + 1},{_fmt(x)},{_fmt(p)}")
-    (outdir / "weights.csv").write_text("\n".join(lines) + "\n")
+    write_csv(outdir / "weights.csv", ["species", "x", "weight"],
+              ((i + 1, x, p) for i, wgt in enumerate(weights.weights)
+               for x, p in zip(g.points, wgt)))
     return EXIT_OK
 
 
@@ -335,10 +329,7 @@ def cmd_r0(cfg, args, report, outdir) -> int:
     rep = compute_r0_report(params, g, tol=opts["tol"],
                             max_iterations=opts["max_iterations"])
     report["r0"] = rep.to_dict()
-    lines = ["mu,Q"]
-    for mu, q in rep.q_samples:
-        lines.append(f"{_fmt(mu)},{_fmt(q)}")
-    (outdir / "q_samples.csv").write_text("\n".join(lines) + "\n")
+    write_csv(outdir / "q_samples.csv", ["mu", "Q"], rep.q_samples)
     return EXIT_OK if rep.converged else EXIT_NONCONVERGENCE
 
 
@@ -351,10 +342,8 @@ def cmd_oracle(cfg, args, report, outdir) -> int:
         "max_real": float(vals[0].real),
         "count": int(len(vals)),
     }
-    lines = ["re,im"]
-    for v in vals:
-        lines.append(f"{_fmt(v.real)},{_fmt(v.imag)}")
-    (outdir / "eigenvalues.csv").write_text("\n".join(lines) + "\n")
+    write_csv(outdir / "eigenvalues.csv", ["re", "im"],
+              ((v.real, v.imag) for v in vals))
     dump_matrix(P.matrix, outdir / "operator.bin")
     return EXIT_OK
 
@@ -382,13 +371,10 @@ def cmd_probe(cfg, args, report, outdir) -> int:
         report["probe_diagonal_shift"] = pr.to_dict()
     report["probe"] = {"deltas": list(deltas), "draws": draws,
                        "results": results}
-    lines = ["delta,draw,dm_inf,dk_inf,ds,ds_abs,sandwich_bound"]
-    for row in results:
-        lines.append(",".join([_fmt(row["delta"]), str(row["draw"]),
-                               _fmt(row["dm_inf"]), _fmt(row["dk_inf"]),
-                               _fmt(row["ds"]), _fmt(row["ds_abs"]),
-                               _fmt(row["sandwich_bound"])]))
-    (outdir / "probe.csv").write_text("\n".join(lines) + "\n")
+    cols = ["delta", "draw", "dm_inf", "dk_inf", "ds", "ds_abs",
+            "sandwich_bound"]
+    write_csv(outdir / "probe.csv", cols,
+              ([row[c] for c in cols] for row in results))
     return EXIT_OK
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprlang
+from .assembly import kernel_quadrature
 from .errors import InvalidParametersError, ResolventDomainError
 from .exprlang import Expr
 from .grid import Grid
@@ -88,9 +89,8 @@ def sample_params(params: VSIParams, grid: Grid) -> SampledVSI:
     outside = bool(np.min(bi) == 0.0)
     if params.d < 0:
         raise InvalidParametersError(f"d must be nonnegative, got {params.d}")
-    raw = params.kernel.sample(grid)
-    chi = raw.T @ grid.weights
-    L = params.d * (raw * grid.weights[None, :] - np.diag(chi))
+    K, chi = kernel_quadrature(params.kernel.sample(grid), grid)
+    L = params.d * (K - np.diag(chi))
     return SampledVSI(r=r, m=m, b=b, beta_d=bd, beta_i=bi, B11=L - np.diag(m),
                       outside_positivity=outside)
 

@@ -298,22 +298,6 @@ def _eval(node, env):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def variables_of(node: Expr) -> set[str]:
-    """Names of the variables the tree references."""
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, Neg):
-        return variables_of(node.operand)
-    if isinstance(node, Bin):
-        return variables_of(node.left) | variables_of(node.right)
-    if isinstance(node, Call):
-        out: set[str] = set()
-        for a in node.args:
-            out |= variables_of(a)
-        return out
-    return set()
-
-
 # --- canonical printer -------------------------------------------------
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}

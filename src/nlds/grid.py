@@ -29,10 +29,6 @@ class Grid:
     points: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
-    @property
-    def h(self) -> float:
-        return (self.b - self.a) / self.n
-
 
 def build_grid(a: float, b: float, n: int) -> Grid:
     """Build the n-cell midpoint grid on (a, b).

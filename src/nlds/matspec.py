@@ -12,6 +12,7 @@ reports the quotient bracket as the evidence for s.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -48,10 +49,6 @@ class CoopMatrix:
             raise ValueError(
                 f"not cooperative: entry ({i},{j}) = {a[i, j]:.6g} < 0")
         object.__setattr__(self, "entries", a)
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
 
 
 def _as_matrix(C) -> np.ndarray:
@@ -117,8 +114,11 @@ def metzler_bound(A: np.ndarray, tol: float = 1e-12,
         except np.linalg.LinAlgError:   # hi is an eigenvalue, so s(A)
             converged = singular = True
             break
-        y /= y[np.abs(y).argmax()]
-        if not y.min() > 0.0:   # hi is within rounding of s(A)
+        top = float(y[np.abs(y).argmax()])   # inf or nan if any entry is
+        finite = math.isfinite(top)
+        if finite:
+            y /= top
+        if not (finite and y.min() > 0.0):   # hi is within rounding of s(A)
             converged = res <= scale
             break
         u, last = y, value
@@ -128,47 +128,45 @@ def metzler_bound(A: np.ndarray, tol: float = 1e-12,
                         (float((q - err).min()), float((q + err).max())))
 
 
-def perron_bound(C, tol: float = 1e-12) -> float:
-    """Spectral bound s(C) of a cooperative matrix.
-
-    Raises NonConvergenceError if the iteration budget is exhausted.
-    """
-    r = metzler_bound(_as_matrix(C), tol=tol)
+def _converged_bound(A: np.ndarray, tol: float = 1e-12) -> float:
+    r = metzler_bound(A, tol=tol)
     if not r.converged:
         raise NonConvergenceError("Perron iteration did not converge",
                                   r.value, r.residual)
     return r.value
 
 
-def is_irreducible(C, tol_zero: float = TOL_ZERO) -> bool:
-    """True iff the off-diagonal adjacency graph is strongly connected."""
+def perron_bound(C, tol: float = 1e-12) -> float:
+    """Spectral bound s(C) of a cooperative matrix.
+
+    Raises NonConvergenceError if the iteration budget is exhausted.
+    """
+    return _converged_bound(_as_matrix(C), tol=tol)
+
+
+def is_irreducible(C, tol_zero: float = TOL_ZERO) -> bool | np.ndarray:
+    """True iff the off-diagonal adjacency graph is strongly connected;
+    for a stack (..., m, m), a boolean array with one answer per matrix.
+
+    Squaring the reflexive adjacency ceil(log2(m - 1)) times marks every
+    pair joined by a path of length at most m - 1.
+    """
     a = np.asarray(C.entries if isinstance(C, CoopMatrix) else C, dtype=float)
-    m = a.shape[0]
-    if m <= 1:
-        return True
-    adj = a > tol_zero
-    np.fill_diagonal(adj, False)
-    return _reaches_all(adj) and _reaches_all(adj.T)
-
-
-def _reaches_all(adj: np.ndarray) -> bool:
-    m = adj.shape[0]
-    seen = np.zeros(m, dtype=bool)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(adj[i])[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return bool(seen.all())
+    m = a.shape[-1]
+    reach = (a > tol_zero) | np.eye(m, dtype=bool)
+    for _ in range(max(m - 2, 0).bit_length()):
+        reach = reach @ reach
+    ok = reach.all(axis=(-2, -1))
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def nodal_bounds(stack) -> np.ndarray:
     """Spectral bounds s(A_a) of a stack (n, l, l) of Metzler matrices,
-    one per node; an empty block (l = 0) gives -inf."""
-    return np.array([metzler_bound(m).value
+    one per node; an empty block (l = 0) gives -inf.
+
+    Raises NonConvergenceError if any nodal iteration fails to converge.
+    """
+    return np.array([_converged_bound(m)
                      for m in np.asarray(stack, dtype=float)])
 
 

@@ -12,7 +12,7 @@ into a report rather than raised, so a run can list every violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -161,11 +161,10 @@ def validate(sys: DispersalSystem, grid: Grid) -> ValidationReport:
             "cooperativity", f"x={pts[a]:.6g}, entry ({i+1},{j+1})",
             f"m[{i+1}][{j+1}] = {Ms[a, i, j]:.6g} < 0"))
 
-    for a in range(grid.n):
-        if not is_irreducible(off[a]):
-            violations.append(Violation(
-                "irreducibility", f"x={pts[a]:.6g}",
-                "coupling pattern is not strongly connected"))
+    for a in np.flatnonzero(~is_irreducible(off)):
+        violations.append(Violation(
+            "irreducibility", f"x={pts[a]:.6g}",
+            "coupling pattern is not strongly connected"))
 
     for i, kern in enumerate(sys.kernels):
         raw = kern.sample(grid)

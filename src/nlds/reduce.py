@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import kernel_quadrature
 from .errors import (ClassificationError, GridConsistencyError,
                      InvalidParametersError, ResolventDomainError)
 from .grid import Grid
@@ -47,26 +48,23 @@ class PerronWeight:
 
 def perron_weight(kernel: KernelSpec, grid: Grid,
                   tol: float = 1e-12) -> PerronWeight:
-    """Power-iterate v -> diag(chi)^{-1} K v and normalize to unit mass.
+    """Perron vector of diag(chi)^{-1} K by Noda iteration, normalized
+    to unit mass.
 
     The weighted node masses w_a chi(x_a) form an exact discrete left
     eigenvector at eigenvalue one, so the converged eigenvalue must sit
     within 100*tol of one; a larger deviation signals an inconsistent
     grid and raises.
     """
-    raw = kernel.sample(grid)
-    K = raw * grid.weights[None, :]
-    chi = raw.T @ grid.weights
+    K, chi = kernel_quadrature(kernel.sample(grid), grid)
     if np.min(chi) <= 0:
         raise InvalidParametersError("kernel has a node with zero departure rate")
-    N = K / chi[:, None]
-    r = metzler_bound(N, tol=tol)
+    r = metzler_bound(K / chi[:, None], tol=tol)
     p = r.vector.copy()
     if np.min(p) <= 0:
         raise GridConsistencyError(
             f"dispersal profile has a non-positive sample {np.min(p):.3g}")
-    lam = float(p @ (N @ p)) / float(p @ p)
-    dev = abs(lam - 1.0)
+    dev = abs(r.value - 1.0)
     if dev > 100.0 * tol:
         raise GridConsistencyError(
             f"normalized kernel eigenvalue deviates from one by {dev:.3g}; "
@@ -100,15 +98,20 @@ def weights_for_system(sys: DispersalSystem, grid: Grid,
     return SystemWeights(weights=tuple(ws), uniform_fallback=tuple(fallback))
 
 
+def p_weighted_mean(F: np.ndarray, weights: SystemWeights,
+                    grid: Grid) -> np.ndarray:
+    """Column-weighted averages integral F_ij(x) p_j(x) dx of a nodal
+    field F (n, k, k'), column j weighted by species j's profile."""
+    col_w = np.stack([weights.weights[j] * grid.weights
+                      for j in range(F.shape[-1])], axis=1)
+    return np.einsum("aij,aj->ij", F, col_w)
+
+
 def reduced_tilde_M(sys: DispersalSystem, grid: Grid,
                     weights: SystemWeights) -> CoopMatrix:
     """Column-weighted averages m~_ij = integral m_ij(x) p_j(x) dx."""
-    Ms = sys.coefficients.sample(grid)
-    out = np.empty((sys.l, sys.l))
-    for j in range(sys.l):
-        pj_w = weights.weights[j] * grid.weights
-        out[:, j] = Ms[:, :, j].T @ pj_w
-    return CoopMatrix(out)
+    return CoopMatrix(p_weighted_mean(sys.coefficients.sample(grid),
+                                      weights, grid))
 
 
 def kappa_and_eta22(sys: DispersalSystem, grid: Grid) -> tuple[float, float]:
@@ -122,13 +125,6 @@ def static_block_bound(Ms: np.ndarray, l1: int) -> float:
     """eta22 = max_a s(M22(x_a)) of the nodal matrices Ms (n, l, l);
     -inf when the trailing block is empty."""
     return float(np.max(nodal_bounds(Ms[:, l1:, l1:])))
-
-
-def _tilde_B_core(Ms: np.ndarray, l1: int, weights: SystemWeights,
-                  quad_w: np.ndarray, gamma: float) -> np.ndarray:
-    """Averaged Schur reduction without revalidation; Ms is (n, l, l)."""
-    col_w = np.stack([weights.weights[j] * quad_w for j in range(l1)], axis=1)
-    return np.einsum("aij,aj->ij", schur_reduce_stack(Ms, l1, gamma), col_w)
 
 
 def tilde_B(sys: DispersalSystem, grid: Grid, weights: SystemWeights,
@@ -152,7 +148,8 @@ def tilde_B(sys: DispersalSystem, grid: Grid, weights: SystemWeights,
             warnings.warn(
                 f"gamma within {closest:.3g} of a nodal resolvent pole",
                 NearSingularWarning, stacklevel=2)
-    return CoopMatrix(_tilde_B_core(Ms, l1, weights, grid.weights, gamma))
+    return CoopMatrix(p_weighted_mean(schur_reduce_stack(Ms, l1, gamma),
+                                      weights, grid))
 
 
 # --- threshold classification -------------------------------------------
@@ -250,7 +247,7 @@ def classify_threshold(sys: DispersalSystem, grid: Grid,
         tol = 1e-4 * max(1.0, abs(eta22))
 
     def s_tilde(gamma: float) -> float:
-        b = _tilde_B_core(Ms, l1, weights, grid.weights, gamma)
+        b = p_weighted_mean(schur_reduce_stack(Ms, l1, gamma), weights, grid)
         return metzler_bound(b).value
 
     above, ladder = ladder_classify(lambda eps: s_tilde(eta22 + eps),

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nlds.assembly import (assemble_operator, compute_chi, dump_matrix,
-                           load_matrix, pointwise_A, sample_fields)
+                           kernel_quadrature, load_matrix, pointwise_A,
+                           sample_fields)
 from nlds.errors import ValidationGateError
 from nlds.grid import build_grid
 from nlds.model import CoefField, DispersalSystem, KernelSpec
@@ -104,6 +105,14 @@ def test_mass_balance_identity():
     lhs = float(g.weights @ K1)
     rhs = float(g.weights @ fields.chi[0])
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+def test_kernel_quadrature_conserves_mass():
+    g = build_grid(-1, 1, 37)
+    raw = KernelSpec.from_text("exp(-(x-y-0.3)^2)").sample(g)
+    K, chi = kernel_quadrature(raw, g)
+    np.testing.assert_allclose(g.weights @ K, g.weights * chi,
+                               rtol=1e-14, atol=0)
 
 
 def test_validation_gate():

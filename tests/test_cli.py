@@ -363,3 +363,18 @@ def test_max_iterations_caps_r0(tmp_path):
     cfg = write_config(tmp_path, cfg_dict)
     assert run(["r0", "--config", cfg, "--out", str(out), "--quiet"]) == 2
     assert read_report(out)["r0"]["converged"] is False
+
+
+def test_unconverged_nodal_bound_exits_two(tmp_path):
+    # exp(-700 x^2) reaches 1e-304 at the ends: the nodal solve there
+    # overflows, and s_e must not be read off the unconverged value
+    cfg_dict = json.loads(json.dumps(BASE))
+    cfg_dict["grid"]["n"] = 64
+    cfg_dict["system"]["d"] = [0.1, 0.0]
+    cfg_dict["system"]["coefficients"] = [["0.5 + x", "exp(-700*x^2)"],
+                                          ["exp(-700*x^2)", "0"]]
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "out"
+    assert run(["spectrum", "--config", cfg, "--out", str(out), "--quiet",
+                "--force"]) == 2
+    assert read_report(out)["error"]["kind"] == "NonConvergenceError"

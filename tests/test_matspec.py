@@ -4,9 +4,10 @@ import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from nlds.assembly import assemble_operator
-from nlds.errors import ResolventDomainError
+from nlds.errors import NonConvergenceError, ResolventDomainError
 from nlds.grid import build_grid
 from nlds.matspec import (CoopMatrix, is_irreducible, large_shift_limit_check,
                           metzler_bound, nodal_bounds, perron_bound,
@@ -313,3 +314,30 @@ def test_nodal_bounds_are_the_per_matrix_bounds():
     assert list(nodal_bounds(stack)) == [metzler_bound(m).value
                                          for m in stack]
     assert list(nodal_bounds(stack[:, 3:, 3:])) == [-np.inf] * 6
+
+
+def test_metzler_bound_flags_an_overflowing_solve():
+    # the coupling is so weak that the first solve of hi I - A overflows
+    a = np.array([[0.5, 1e-300], [1e-300, 0.0]])
+    r = metzler_bound(a)   # RuntimeWarnings from nlds fail the suite
+    assert not r.converged
+    with pytest.raises(NonConvergenceError):
+        nodal_bounds(np.stack([np.array([[1.0, 1.0], [1.0, 1.0]]), a]))
+
+
+def strongly_connected(pattern) -> bool:
+    n_comp, _ = connected_components(pattern, directed=True,
+                                     connection="strong")
+    return n_comp == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda m: hnp.arrays(np.int8, st.tuples(st.integers(1, 5),
+                                             st.just(m), st.just(m)),
+                         elements=st.integers(0, 1))))
+def test_is_irreducible_matches_strong_components(patterns):
+    expected = [strongly_connected(p) for p in patterns]
+    assert [is_irreducible(p) for p in patterns] == expected
+    assert is_irreducible(patterns).tolist() == expected
+    assert isinstance(is_irreducible(patterns[0]), bool)

@@ -35,6 +35,15 @@ def test_reducible_pattern_fails_everywhere():
     assert len(bad) == g.n
 
 
+def test_reducible_nodes_are_listed_exactly():
+    # m_12 = |x| + x vanishes for x <= 0, where the pattern is reducible
+    sys = make_system([["-1", "abs(x)+x"], ["1", "-1"]], d=(1.0, 0.0), l1=1)
+    g = build_grid(-1, 1, 30)
+    report = validate(sys, g)
+    bad = [v.where for v in report.violations if v.check == "irreducibility"]
+    assert bad == [f"x={x:.6g}" for x in g.points if x < 0]
+
+
 def test_kernel_sign_violation():
     sys = make_system([["-1", "1"], ["1", "-1"]], d=(1.0, 0.0), l1=1,
                       kernels=["x*y"])
