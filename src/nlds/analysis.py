@@ -20,8 +20,8 @@ from .assembly import (SampledFields, assemble_operator, block_matrix,
                        kernel_quadrature, pointwise_A, sample_fields)
 from .errors import InvalidParametersError, ResolventDomainError
 from .grid import Grid, build_grid
-from .matspec import (MAX_ITERATIONS, nodal_bounds, perron_bound,
-                      schur_reduce_stack)
+from .matspec import (MAX_ITERATIONS, _converged_bound, nodal_bounds,
+                      perron_bound, schur_reduce_stack)
 from .model import DispersalSystem, Mode
 from .opspec import essential_bound, spectral_bound
 from .reduce import (CaseA, SystemWeights, classify_threshold,
@@ -314,7 +314,8 @@ class ProbeResult:
 
 def perturbation_probe(sys: DispersalSystem, grid: Grid, delta: float,
                        seed: int, tol: float = 1e-10,
-                       diagonal_shift: float | None = None) -> ProbeResult:
+                       diagonal_shift: float | None = None,
+                       max_iterations: int = MAX_ITERATIONS) -> ProbeResult:
     """Measure the spectral-bound response to a seeded random
     perturbation of the sampled coefficients and kernels.
 
@@ -325,17 +326,23 @@ def perturbation_probe(sys: DispersalSystem, grid: Grid, delta: float,
     min and max of the two operators bracket both bounds, giving a
     rigorous comparison bound on |ds| per draw.  diagonal_shift bypasses
     the randomness and adds c to every diagonal entry, which must move
-    the bound by exactly c.
+    the bound by exactly c.  Each of the solves is capped at
+    max_iterations Noda steps and raises NonConvergenceError when it
+    does not converge.
     """
     if delta < 0:
         raise InvalidParametersError("delta must be nonnegative")
+
+    def bound(P):
+        return _converged_bound(P, tol=tol, max_iterations=max_iterations)
+
     fields = sample_fields(sys, grid)
     P0 = assemble_operator(sys, grid, force=True, fields=fields).matrix
-    s0 = spectral_bound(P0, tol=tol).value
+    s0 = bound(P0)
 
     if diagonal_shift is not None:
         P1 = P0 + diagonal_shift * np.eye(P0.shape[0])
-        s1 = spectral_bound(P1, tol=tol).value
+        s1 = bound(P1)
         return ProbeResult(dm_inf=abs(diagonal_shift), dk_inf=0.0,
                            ds=s1 - s0, ds_abs=abs(s1 - s0),
                            sandwich_bound=abs(diagonal_shift))
@@ -359,10 +366,10 @@ def perturbation_probe(sys: DispersalSystem, grid: Grid, delta: float,
     chis = tuple(kernel_quadrature(raw, grid)[1] for raw in raws)
     fields_p = SampledFields(M=Mp, raw_kernels=tuple(raws), chi=chis)
     P1 = assemble_operator(sys, grid, force=True, fields=fields_p).matrix
-    s1 = spectral_bound(P1, tol=tol).value
+    s1 = bound(P1)
 
-    s_up = spectral_bound(np.maximum(P0, P1), tol=tol).value
-    s_dn = spectral_bound(np.minimum(P0, P1), tol=tol).value
+    s_up = bound(np.maximum(P0, P1))
+    s_dn = bound(np.minimum(P0, P1))
     dm_inf = float(np.max(np.abs(Mp - fields.M))) if Mp.size else 0.0
     return ProbeResult(dm_inf=dm_inf, dk_inf=dk_inf, ds=s1 - s0,
                        ds_abs=abs(s1 - s0), sandwich_bound=s_up - s_dn)

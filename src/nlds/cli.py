@@ -360,14 +360,16 @@ def cmd_probe(cfg, args, report, outdir) -> int:
     for delta in deltas:
         for k in range(draws):
             pr = perturbation_probe(system, g, delta, seed=seed + k,
-                                    tol=opts["tol"])
+                                    tol=opts["tol"],
+                                    max_iterations=opts["max_iterations"])
             row = pr.to_dict()
             row["delta"] = delta
             row["draw"] = k
             results.append(row)
     if shift is not None:
         pr = perturbation_probe(system, g, 0.0, seed=seed, tol=opts["tol"],
-                                diagonal_shift=shift)
+                                diagonal_shift=shift,
+                                max_iterations=opts["max_iterations"])
         report["probe_diagonal_shift"] = pr.to_dict()
     report["probe"] = {"deltas": list(deltas), "draws": draws,
                        "results": results}

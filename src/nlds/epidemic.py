@@ -26,7 +26,7 @@ from .assembly import kernel_quadrature
 from .errors import InvalidParametersError, ResolventDomainError
 from .exprlang import Expr
 from .grid import Grid
-from .matspec import MAX_ITERATIONS, metzler_bound
+from .matspec import MAX_ITERATIONS, _converged_bound, metzler_bound
 from .model import KernelSpec
 from .opspec import spectral_bound
 from .reduce import bracket_and_bisect, ladder_classify
@@ -134,7 +134,7 @@ def r0(params: VSIParams, grid: Grid, tol: float = 1e-10,
     iterated to value convergence within max_iterations Noda steps.
     """
     sv = sampled if sampled is not None else sample_params(params, grid)
-    sb = metzler_bound(sv.B11).value
+    sb = _converged_bound(sv.B11)
     if sb >= 0:
         raise InvalidParametersError(
             f"transition block must be dissipative, got bound {sb:.6g}")

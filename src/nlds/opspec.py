@@ -74,7 +74,21 @@ class SpectralReport:
 def spectral_bound(P, tol: float = 1e-10,
                    max_iterations: int = MAX_ITERATIONS) -> PerronResult:
     """Rightmost eigenvalue of the flattened Metzler matrix by Noda
-    iteration; non-convergence is flagged, not raised."""
+    iteration; non-convergence is flagged, not raised.
+
+    On an AssembledOperator of a partially degenerate system (l1 < l)
+    each Noda step eliminates the static species node by node, through
+    the nodal resolvents (sigma - A22(x_a))^{-1}, and factors only the
+    order-(l1 n) Schur complement sigma I - L_sigma, with L_sigma the
+    reduced operator at sigma; block_matrix makes the static rows and
+    columns nodal.  sigma stays above s(P), so sigma I - P is a
+    nonsingular M-matrix and the elimination needs no pivoting across
+    blocks.  Raw arrays and fully diffusing systems take one dense LU
+    per step; both give the same bracket on the whole matrix.
+    """
+    if isinstance(P, AssembledOperator):
+        return metzler_bound(P.matrix, tol=tol, max_iterations=max_iterations,
+                             split=(P.system.l1, P.grid.n))
     return metzler_bound(_mat(P), tol=tol, max_iterations=max_iterations)
 
 

@@ -26,8 +26,9 @@ from .assembly import kernel_quadrature
 from .errors import (ClassificationError, GridConsistencyError,
                      InvalidParametersError, ResolventDomainError)
 from .grid import Grid
-from .matspec import (CoopMatrix, NearSingularWarning, metzler_bound,
-                      nodal_bounds, perron_bound, schur_reduce_stack)
+from .matspec import (CoopMatrix, NearSingularWarning, _converged_bound,
+                      metzler_bound, nodal_bounds, perron_bound,
+                      schur_reduce_stack)
 from .model import DispersalSystem, KernelSpec, Mode
 
 EPS_LADDER = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -248,7 +249,7 @@ def classify_threshold(sys: DispersalSystem, grid: Grid,
 
     def s_tilde(gamma: float) -> float:
         b = p_weighted_mean(schur_reduce_stack(Ms, l1, gamma), weights, grid)
-        return metzler_bound(b).value
+        return _converged_bound(b)
 
     above, ladder = ladder_classify(lambda eps: s_tilde(eta22 + eps),
                                     eta22, tol)

@@ -162,3 +162,21 @@ def test_binary_dump_round_trip(tmp_path):
     assert len(raw) == 16 + rows * cols * 8
     back = load_matrix(path)
     assert np.array_equal(back, P.matrix)
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_static_rows_and_columns_are_nodal(force):
+    # the partially degenerate Noda step eliminates the static species
+    # node by node, so their rows and columns must vanish off the nodal
+    # pattern; a nonzero trailing d (force=True) must not add a kernel
+    coeffs = [["-1", "0.5", "0.2"], ["0.3", "-x", "0.4"],
+              ["0.1", "0.6", "-2 + x^2"]]
+    d = (1.0, 0.0, 0.0) if not force else (1.0, 0.7, 2.0)
+    g = build_grid(-1, 1, 24)
+    sys = make_system(coeffs, d, 1, [GAUSS])
+    P = assemble_operator(sys, g, force=force).matrix
+    n, k = g.n, g.n
+    off_nodal = (np.arange(3 * n)[:, None] % n) != (np.arange(3 * n) % n)
+    assert not P[k:][off_nodal[k:]].any()
+    assert not P[:, k:][off_nodal[:, k:]].any()
+    assert P[:k, :k][off_nodal[:k, :k]].any()

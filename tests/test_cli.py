@@ -378,3 +378,16 @@ def test_unconverged_nodal_bound_exits_two(tmp_path):
     assert run(["spectrum", "--config", cfg, "--out", str(out), "--quiet",
                 "--force"]) == 2
     assert read_report(out)["error"]["kind"] == "NonConvergenceError"
+
+
+def test_max_iterations_caps_the_probe(tmp_path):
+    cfg_dict = json.loads(json.dumps(BASE))
+    cfg_dict["probe"] = {"delta_schedule": [1e-3], "draws": 1}
+    cfg_dict["solver"] = {"max_iterations": 1}
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "out"
+    assert run(["probe", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert read_report(out)["error"]["kind"] == "NonConvergenceError"
+    cfg_dict["solver"] = {"max_iterations": 100}
+    cfg = write_config(tmp_path, cfg_dict)
+    assert run(["probe", "--config", cfg, "--out", str(out), "--quiet"]) == 0

@@ -341,3 +341,41 @@ def test_is_irreducible_matches_strong_components(patterns):
     assert [is_irreducible(p) for p in patterns] == expected
     assert is_irreducible(patterns).tolist() == expected
     assert isinstance(is_irreducible(patterns[0]), bool)
+
+
+WEAK = [[0.5, 1e-300], [1e-300, 0.0]]   # its first Noda solve overflows
+
+
+def test_metzler_bound_reports_hi_at_the_rounding_floor():
+    r = metzler_bound(np.array(WEAK))
+    assert not r.converged
+    assert r.value == 0.5
+    assert r.bracket[0] <= 0.5 <= r.bracket[1]
+
+
+def test_unconverged_bounds_raise():
+    # s(C22) = 0.5 > gamma: the parent returned [[-1.667]] here
+    c = [[0.0, 1.0, 1.0], [1.0, 0.5, 1e-300], [1.0, 1e-300, 0.0]]
+    with pytest.raises(NonConvergenceError):
+        schur_reduce(c, 1, 0.3)
+    # above the bracket the resolvent domain is decided all the same
+    assert schur_reduce(c, 1, 0.75).entries[0, 0] == pytest.approx(
+        1 / 0.75 + 1 / 0.25, abs=1e-12)
+    with pytest.raises(NonConvergenceError):
+        large_shift_limit_check(WEAK, 1, [0.0])
+
+
+def test_schur_reduce_stack_with_right_hand_sides():
+    rng = np.random.default_rng(3)
+    stack = np.array([rand_cooperative(rng, 4) for _ in range(5)])
+    rhs = rng.uniform(0.0, 1.0, size=(5, 3, 2))
+    lam = max(metzler_bound(m[1:, 1:]).value for m in stack) + 0.5
+    F, X = schur_reduce_stack(stack, 1, lam, rhs=rhs)
+    np.testing.assert_allclose(F[..., :1], schur_reduce_stack(stack, 1, lam),
+                               rtol=1e-14)
+    for m, f, x, b in zip(stack, F, X, rhs):
+        inv = np.linalg.inv(lam * np.eye(3) - m[1:, 1:])
+        np.testing.assert_allclose(x, inv @ np.hstack((m[1:, :1], b)),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(f[:, 1:], m[:1, 1:] @ inv @ b,
+                                   rtol=1e-12)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nlds.assembly import assemble_operator, pointwise_A
 from nlds.errors import SizeCapError
@@ -215,3 +216,112 @@ def test_certified_bracket_at_order_1024(coeffs):
     rep = compute_spectral_report(P, pointwise_A(sys, g))
     assert rep.converged
     assert isinstance(rep.certificate, NoCertificate)
+
+
+# --- partially degenerate operators: block elimination in the Noda step ---
+
+def recorded_solve_orders(monkeypatch):
+    """Orders of the square matrices np.linalg.solve factors from now on
+    (stacks of nodal blocks are left out)."""
+    orders = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        if np.ndim(a) == 2:
+            orders.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    return orders
+
+
+THREE = [["-1 - x^2", "0.5", "0.2"], ["0.3", "-x", "0.4"],
+         ["0.1", "0.6", "-2 + x^2"]]
+
+
+@pytest.mark.parametrize("coeffs,l1", [(CASE_B, 1), (THREE, 1), (THREE, 2)])
+def test_partially_degenerate_steps_factor_the_diffusing_block(
+        monkeypatch, coeffs, l1):
+    l = len(coeffs)
+    sys = make_system(coeffs, d=[1.0] * l1 + [0.0] * (l - l1), l1=l1,
+                      kernels=[GAUSS] * l1)
+    g = build_grid(-1, 1, 40)
+    P = assemble_operator(sys, g)
+    orders = recorded_solve_orders(monkeypatch)
+    r = spectral_bound(P, tol=1e-13)
+    assert r.converged
+    assert len(orders) == r.iterations > 0
+    assert set(orders) == {l1 * g.n}
+    # raw arrays keep the dense LU of the whole matrix
+    orders.clear()
+    spectral_bound(P.matrix, tol=1e-13)
+    assert set(orders) == {l * g.n}
+
+
+def test_fully_diffusing_steps_factor_the_whole_operator(monkeypatch):
+    sys = make_system(CASE_A, d=(1.0, 0.5), l1=2, kernels=[GAUSS, GAUSS])
+    g = build_grid(-1, 1, 30)
+    P = assemble_operator(sys, g)
+    orders = recorded_solve_orders(monkeypatch)
+    assert spectral_bound(P).converged
+    assert set(orders) == {P.size}
+
+
+def rightmost_with_error(M):
+    """Rightmost real part of the spectrum from dense_spectrum, with its
+    rounding error: backward error times the condition number."""
+    top = dense_spectrum(M)[0]
+    vals, right = np.linalg.eig(M)
+    vals_t, left = np.linalg.eig(M.T)
+    x = right[:, np.argmin(np.abs(vals - top))]
+    y = left[:, np.argmin(np.abs(vals_t - top))]
+    backward = len(M) * np.finfo(float).eps * np.abs(M).sum(1).max()
+    return float(top.real), 4 * backward / abs(np.vdot(y, x))
+
+
+@st.composite
+def cooperative_systems(draw):
+    """Irreducible cooperative system of l <= 3 species, 1 <= l1 <= l of
+    them dispersing, on a grid of n <= 48 nodes; the couplings
+    i -> i + 1 (mod l) stay positive, so every node is irreducible."""
+    l = draw(st.integers(1, 3))
+    l1 = draw(st.integers(1, l))
+    n = draw(st.integers(2, 48))
+
+    def cents(lo, hi):
+        return draw(st.integers(lo, hi)) / 100
+
+    coeffs = [[f"{cents(-200, 100)} + {cents(-100, 100)}*x^2" if i == j
+               else f"{cents(0, 100) + 0.1 * (j == (i + 1) % l)}"
+                    f" * (1 + {cents(-100, 100)}*x)"
+               for j in range(l)] for i in range(l)]
+    kernels = [f"exp(-(x-y)^2 / {cents(10, 200)})" for _ in range(l1)]
+    d = [cents(5, 300) for _ in range(l1)] + [0.0] * (l - l1)
+    return make_system(coeffs, d, l1, kernels), build_grid(-1, 1, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cooperative_systems())
+def test_spectral_bound_of_random_systems(case):
+    sys, g = case
+    P = assemble_operator(sys, g)
+    exact, err = rightmost_with_error(P.matrix)
+    assume(err <= 1e-10)   # a nearly defective root is beyond the oracle
+    c = 1.0 + max(0.0, -float(np.min(np.diag(P.matrix))))
+    r = spectral_bound(P, tol=1e-13)
+    assert r.converged
+    assert abs(r.value - exact) <= 1e-10 * c + err
+    lo, hi = r.bracket
+    assert lo - err <= exact <= hi + err
+    assert np.min(r.vector) > 0.0
+    s_e = essential_bound(pointwise_A(sys, g))
+    assert r.value >= s_e - 1e-10 * c
+    rep = compute_spectral_report(P, pointwise_A(sys, g))
+    assert (rep.s, rep.bracket) == (r.value, r.bracket)
+    if isinstance(rep.certificate, Exists):
+        assert np.min(rep.certificate.eigenvector) > 0.0
+    # the dense LU of the whole matrix: the same bound within the bracket
+    dense = spectral_bound(P.matrix, tol=1e-13)
+    assert abs(dense.iterations - r.iterations) <= 1
+    assert lo <= dense.value <= hi
+    assert dense.bracket[0] <= r.value <= dense.bracket[1]
