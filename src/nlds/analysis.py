@@ -326,15 +326,16 @@ def perturbation_probe(sys: DispersalSystem, grid: Grid, delta: float,
     min and max of the two operators bracket both bounds, giving a
     rigorous comparison bound on |ds| per draw.  diagonal_shift bypasses
     the randomness and adds c to every diagonal entry, which must move
-    the bound by exactly c.  Each of the solves is capped at
-    max_iterations Noda steps and raises NonConvergenceError when it
-    does not converge.
+    the bound by exactly c.  Each solve eliminates the static species,
+    is capped at max_iterations Noda steps and raises
+    NonConvergenceError when it does not converge.
     """
     if delta < 0:
         raise InvalidParametersError("delta must be nonnegative")
 
     def bound(P):
-        return _converged_bound(P, tol=tol, max_iterations=max_iterations)
+        return _converged_bound(P, tol=tol, max_iterations=max_iterations,
+                                split=(sys.l1, grid.n))
 
     fields = sample_fields(sys, grid)
     P0 = assemble_operator(sys, grid, force=True, fields=fields).matrix

@@ -3,10 +3,11 @@
 Two infected compartments: free virions V, which disperse through a
 kernel, are produced by infected cells at rate r and cleared at rate m;
 and infected cells I, which die at rate b and are created through the
-cell-free route (beta_i V) and the cell-to-cell route (beta_d I).  The
-reproduction ratio is the spectral radius of the next-generation
-operator -F B^{-1}, where B collects transitions (dispersal, clearance,
-death) and F collects infections.
+cell-free route (beta_i V) and the cell-to-cell route (beta_d I).  R0
+is the spectral radius of -F B^{-1} (B: transitions, F: infections),
+and s(B + F/mu) has the sign of R0 - mu (Thieme, SIAM J. Appl. Math.
+70, 2009).  B + t F is the partially degenerate operator of the nodal
+field [[-m - d chi, r], [t beta_i, t beta_d - b]]; only virions disperse.
 
 The diffusion limits mirror the threshold dichotomy of the reduce
 module: as d grows, R0 tends either to the root of the mixing balance
@@ -22,13 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprlang
-from .assembly import kernel_quadrature
+from .assembly import block_matrix, kernel_quadrature
 from .errors import InvalidParametersError, ResolventDomainError
 from .exprlang import Expr
 from .grid import Grid
-from .matspec import MAX_ITERATIONS, _converged_bound, metzler_bound
+from .matspec import EPS, MAX_ITERATIONS, _converged_bound, metzler_bound
 from .model import KernelSpec
-from .opspec import spectral_bound
 from .reduce import bracket_and_bisect, ladder_classify
 from .reduce import perron_weight as _perron_weight
 
@@ -68,7 +68,7 @@ class SampledVSI:
     b: np.ndarray
     beta_d: np.ndarray
     beta_i: np.ndarray
-    B11: np.ndarray    # d (K - diag chi) - diag m: virion dispersal, clearance
+    raw_kernel: np.ndarray   # k(x_a, x_b)
     outside_positivity: bool
 
 
@@ -86,30 +86,29 @@ def sample_params(params: VSIParams, grid: Grid) -> SampledVSI:
     if np.min(bi) < 0:
         raise InvalidParametersError(
             f"beta_i must be nonnegative, min = {np.min(bi):.6g}")
-    outside = bool(np.min(bi) == 0.0)
     if params.d < 0:
         raise InvalidParametersError(f"d must be nonnegative, got {params.d}")
-    K, chi = kernel_quadrature(params.kernel.sample(grid), grid)
-    L = params.d * (K - np.diag(chi))
-    return SampledVSI(r=r, m=m, b=b, beta_d=bd, beta_i=bi, B11=L - np.diag(m),
-                      outside_positivity=outside)
+    return SampledVSI(r=r, m=m, b=b, beta_d=bd, beta_i=bi,
+                      raw_kernel=params.kernel.sample(grid),
+                      outside_positivity=bool(np.min(bi) == 0.0))
+
+
+def _operator(sv: SampledVSI, d: float, grid: Grid, t: float,
+              species: int = 2) -> np.ndarray:
+    """B + t F over the stacked (V, I) nodal vector; B11 if species = 1."""
+    chi = kernel_quadrature(sv.raw_kernel, grid)[1]
+    M = np.array([[-sv.m - d * chi, sv.r],
+                  [t * sv.beta_i, t * sv.beta_d - sv.b]]).transpose(2, 0, 1)
+    return block_matrix(M[:, :species, :species], (sv.raw_kernel,), (d,), grid)
 
 
 def assemble_epidemic(params: VSIParams, grid: Grid,
                       sampled: SampledVSI | None = None
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Transition matrix B (block upper triangular) and infection
-    matrix F, each 2n x 2n over the stacked (V, I) nodal vector."""
+    """Transition matrix B and infection matrix F, each of order 2n."""
     sv = sampled if sampled is not None else sample_params(params, grid)
-    n = grid.n
-    B = np.zeros((2 * n, 2 * n))
-    B[:n, :n] = sv.B11
-    B[:n, n:] = np.diag(sv.r)
-    B[n:, n:] = -np.diag(sv.b)
-    F = np.zeros((2 * n, 2 * n))
-    F[n:, :n] = np.diag(sv.beta_i)
-    F[n:, n:] = np.diag(sv.beta_d)
-    return B, F
+    B = _operator(sv, params.d, grid, 0.0)
+    return B, _operator(sv, params.d, grid, 1.0) - B
 
 
 @dataclass(frozen=True)
@@ -126,20 +125,23 @@ def r0(params: VSIParams, grid: Grid, tol: float = 1e-10,
        sampled: SampledVSI | None = None) -> R0Result:
     """Spectral radius of the next-generation operator.
 
-    B is block upper triangular, so applying -F B^{-1} back-substitutes
-    the cell block and solves the dispersal block by dense LU; the
-    nonzero spectrum lives on the cell compartment, where the operator
-    reduces to the nonnegative matrix
+    B is block upper triangular with cell block -diag(b), so the nonzero
+    spectrum is that of the nonnegative cell-compartment matrix
         diag(beta_d / b) + diag(beta_i) (-B11)^{-1} diag(r / b),
-    iterated to value convergence within max_iterations Noda steps.
+    iterated within max_iterations Noda steps.  s(B11) < 0 is certified
+    without a solve by the Collatz-Wielandt bound at the grid weights w,
+    max_a ((B11^T w)_a + (n + 2) eps (|B11|^T w)_a) / w_a < 0, which is
+    -m plus rounding since w^T (K - diag chi) = 0.
     """
     sv = sampled if sampled is not None else sample_params(params, grid)
-    sb = _converged_bound(sv.B11)
+    B11 = _operator(sv, params.d, grid, 0.0, species=1)
+    w = grid.weights
+    sb = float(np.max((w @ B11 + (grid.n + 2) * EPS * (w @ np.abs(B11))) / w))
     if sb >= 0:
         raise InvalidParametersError(
             f"transition block must be dissipative, got bound {sb:.6g}")
-    X = np.linalg.solve(-sv.B11, np.diag(sv.r / sv.b))
-    G = np.diag(sv.beta_d / sv.b) + np.diag(sv.beta_i) @ X
+    X = np.linalg.solve(-B11, np.diag(sv.r / sv.b))
+    G = np.diag(sv.beta_d / sv.b) + sv.beta_i[:, None] * X
     res = metzler_bound(G, tol=tol, max_iterations=max_iterations)
     return R0Result(value=res.value, iterations=res.iterations,
                     residual=res.residual, converged=res.converged,
@@ -148,11 +150,13 @@ def r0(params: VSIParams, grid: Grid, tol: float = 1e-10,
 
 def H_mu(params: VSIParams, grid: Grid, mu: float,
          tol: float = 1e-10, sampled: SampledVSI | None = None) -> float:
-    """Spectral bound of B + F/mu; zero exactly at mu = R0."""
+    """Spectral bound of B + F/mu, zero at mu = R0, by Noda steps that
+    eliminate the static cells; raises NonConvergenceError if unconverged."""
     if mu <= 0:
         raise InvalidParametersError(f"mu must be positive, got {mu}")
-    B, F = assemble_epidemic(params, grid, sampled=sampled)
-    return spectral_bound(B + F / mu, tol=tol).value
+    sv = sampled if sampled is not None else sample_params(params, grid)
+    return _converged_bound(_operator(sv, params.d, grid, 1.0 / mu), tol=tol,
+                            split=(1, grid.n))
 
 
 def hat_r0(params: VSIParams, grid: Grid,

@@ -192,10 +192,11 @@ def _static_elimination(A: np.ndarray, l1: int, n: int):
 
 
 def _converged_bound(A: np.ndarray, tol: float = 1e-12,
-                     max_iterations: int = MAX_ITERATIONS) -> float:
+                     max_iterations: int = MAX_ITERATIONS,
+                     split: tuple[int, int] | None = None) -> float:
     """metzler_bound(A).value; raises NonConvergenceError when the
     iteration does not converge."""
-    r = metzler_bound(A, tol=tol, max_iterations=max_iterations)
+    r = metzler_bound(A, tol=tol, max_iterations=max_iterations, split=split)
     if not r.converged:
         raise NonConvergenceError("Perron iteration did not converge",
                                   r.value, r.residual)

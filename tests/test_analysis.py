@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nlds.matspec
 from nlds.analysis import (assemble_reduced_operator,
                            generalized_eigen_residual,
                            integrability_diagnostic, perturbation_probe,
@@ -221,3 +222,18 @@ def test_probe_trend_with_delta():
                  for s in range(3)]
         medians.append(sorted(draws)[1])
     assert medians[0] > medians[1] > medians[2]
+
+
+def test_probe_eliminates_the_static_species(monkeypatch):
+    g = build_grid(-1, 1, 40)
+    expected = perturbation_probe(CASE_A, g, 1e-3, seed=3)
+
+    def refuse(A):
+        raise AssertionError(f"dense LU of order {A.shape[0]}")
+
+    monkeypatch.setattr(nlds.matspec, "_dense_solver", refuse)
+    pr = perturbation_probe(CASE_A, g, 1e-3, seed=3)
+    assert pr.ds == pytest.approx(expected.ds, abs=1e-12)
+    assert pr.ds_abs <= pr.sandwich_bound + 1e-12
+    shifted = perturbation_probe(CASE_A, g, 0.0, seed=0, diagonal_shift=0.37)
+    assert shifted.ds == pytest.approx(0.37, abs=1e-12)

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from test_opspec import rightmost_with_error
 
+import nlds.matspec
 from nlds.epidemic import (BoundaryCase, RootCase, VSIParams,
                            assemble_epidemic, compute_r0_report, H_mu,
                            hat_r0, q_of_mu, r0, r0_at_zero_diffusion,
                            r0_large_d_limit, sample_params)
-from nlds.errors import InvalidParametersError, ResolventDomainError
+from nlds.errors import (InvalidParametersError, NonConvergenceError,
+                         ResolventDomainError)
 from nlds.grid import build_grid
+from nlds.matspec import schur_reduce_stack
 from nlds.opspec import dense_spectrum
-from nlds.reduce import perron_weight
+from nlds.reduce import SystemWeights, p_weighted_mean, perron_weight
 
 GAUSS = "exp(-(x-y)^2)"
 
@@ -64,6 +69,13 @@ def test_r0_without_cell_free_route():
 def test_r0_requires_dissipative_transitions():
     with pytest.raises(InvalidParametersError):
         r0(make_params(m="-1"), build_grid(-1, 1, 10))
+
+
+def test_r0_rejects_clearance_lost_in_rounding():
+    # s(B11) = -1e-14 is below the rounding of the dissipativity bound,
+    # which then cannot certify it
+    with pytest.raises(InvalidParametersError):
+        r0(make_params(m="1e-14"), build_grid(-1, 1, 40))
 
 
 def test_sign_characterization():
@@ -214,3 +226,75 @@ def test_r0_step_budget():
     assert r0(params, g).iterations > 1
     capped = r0(params, g, max_iterations=1)
     assert (capped.iterations, capped.converged) == (1, False)
+
+
+def test_H_mu_eliminates_the_static_cells(monkeypatch):
+    def refuse(A):
+        raise AssertionError(f"dense LU of order {A.shape[0]}")
+
+    g = build_grid(-1, 1, 40)
+    params = make_params(d=2.0, r="1 + 0.5*x", m="1 + x^2",
+                         beta_d="0.3 + 0.2*x^2")
+    B, F = assemble_epidemic(params, g)
+    exact = dense_spectrum(B + F / 1.2)[0].real
+    monkeypatch.setattr(nlds.matspec, "_dense_solver", refuse)
+    assert H_mu(params, g, 1.2) == pytest.approx(exact, abs=1e-9)
+
+
+@st.composite
+def vsi_models(draw):
+    """Non-constant VSI model on a grid of n <= 48 nodes, d in [0, 100]
+    and beta_i >= 0."""
+    def cents(lo, hi):
+        return draw(st.integers(lo, hi)) / 100
+
+    params = make_params(
+        d=cents(0, 10000),
+        r=f"{cents(10, 200)} * (1 + {cents(-90, 90)}*x)",
+        m=f"{cents(10, 200)} + {cents(0, 100)}*x^2",
+        b=f"{cents(10, 200)} * (1 + {cents(-90, 90)}*x^2)",
+        beta_d=f"{cents(1, 200)} * (1 + {cents(-90, 90)}*x)",
+        beta_i=f"{cents(0, 200)} + {cents(0, 100)}*x^2",
+        kernel=f"exp(-(x-y)^2 / {cents(10, 200)})")
+    return params, build_grid(-1, 1, draw(st.integers(2, 48)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(vsi_models())
+def test_H_mu_of_random_vsi_models(case):
+    params, g = case
+    sv = sample_params(params, g)
+    R0 = r0(params, g, sampled=sv).value
+    B, F = assemble_epidemic(params, g, sampled=sv)
+    for mu in (R0 / 2, R0, 2 * R0):
+        P = B + F / mu
+        exact, err = rightmost_with_error(P)
+        assume(err <= 1e-10)   # a nearly defective root is beyond the oracle
+        c = 1.0 + max(0.0, -float(np.min(np.diag(P))))
+        try:
+            h = H_mu(params, g, mu, sampled=sv)
+        except NonConvergenceError:
+            # without dispersal or without the cell-free route the
+            # operator is reducible, its bracket need not close, and
+            # the solve may abstain
+            assert params.d == 0.0 or sv.outside_positivity
+            continue
+        assert abs(h - exact) <= 1e-10 * c + err
+        if mu == R0:
+            assert abs(h) <= 1e-8
+    # above the direct-route maximum Q is the paper's reduced B~_0: the
+    # weighted mean of the nodal field with the cells eliminated at 0
+    p = perron_weight(params.kernel, g).samples
+    weights = SystemWeights(weights=(p,), uniform_fallback=(False,))
+    for mu in (R0 / 2, R0, 2 * R0):
+        if not mu > hat_r0(params, g, sampled=sv):
+            continue
+        M = np.empty((g.n, 2, 2))
+        M[:, 0, 0], M[:, 0, 1] = -sv.m, sv.r
+        M[:, 1, 0], M[:, 1, 1] = sv.beta_i / mu, sv.beta_d / mu - sv.b
+        tilde_B0 = p_weighted_mean(schur_reduce_stack(M, 1, 0.0), weights, g)
+        # mu b - beta_d loses accuracy by the factor mu b / (mu b - beta_d)
+        den = mu * sv.b - sv.beta_d
+        scale = (sv.m + sv.r * sv.beta_i * mu * sv.b / den ** 2) * p
+        assert abs(q_of_mu(params, g, p, mu, sampled=sv) - tilde_B0[0, 0]) \
+            <= 1e-12 * float(scale @ g.weights)
