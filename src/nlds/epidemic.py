@@ -8,6 +8,9 @@ is the spectral radius of -F B^{-1} (B: transitions, F: infections),
 and s(B + F/mu) has the sign of R0 - mu (Thieme, SIAM J. Appl. Math.
 70, 2009).  B + t F is the partially degenerate operator of the nodal
 field [[-m - d chi, r], [t beta_i, t beta_d - b]]; only virions disperse.
+R0 itself comes from Noda steps on the n x n cell-compartment matrix G,
+which is never formed: each step eliminates the cells node by node,
+makes one order-n solve and gets the next product G y from it as well.
 
 The diffusion limits mirror the threshold dichotomy of the reduce
 module: as d grows, R0 tends either to the root of the mixing balance
@@ -27,10 +30,10 @@ from .assembly import block_matrix, kernel_quadrature
 from .errors import InvalidParametersError, ResolventDomainError
 from .exprlang import Expr
 from .grid import Grid
-from .matspec import EPS, MAX_ITERATIONS, _converged_bound, metzler_bound
+from .matspec import (EPS, MAX_ITERATIONS, _converged_bound, _noda,
+                      metzler_bound, schur_reduce_stack)
 from .model import KernelSpec
-from .reduce import bracket_and_bisect, ladder_classify
-from .reduce import perron_weight as _perron_weight
+from .reduce import _sampled_perron_weight, bracket_and_bisect, ladder_classify
 
 R0_BISECT_TOL = 1e-12
 
@@ -118,17 +121,31 @@ class R0Result:
     residual: float
     converged: bool
     outside_positivity: bool
+    bracket: tuple[float, float]
 
 
 def r0(params: VSIParams, grid: Grid, tol: float = 1e-10,
        max_iterations: int = MAX_ITERATIONS,
        sampled: SampledVSI | None = None) -> R0Result:
-    """Spectral radius of the next-generation operator.
+    """Spectral radius of the next-generation operator, with its bracket.
 
     B is block upper triangular with cell block -diag(b), so the nonzero
     spectrum is that of the nonnegative cell-compartment matrix
-        diag(beta_d / b) + diag(beta_i) (-B11)^{-1} diag(r / b),
-    iterated within max_iterations Noda steps.  s(B11) < 0 is certified
+        G = diag(beta_d / b) + diag(beta_i) (-B11)^{-1} diag(r / b),
+    iterated within max_iterations Noda steps without forming G.  A step
+    solves (hi I - G) y = u.  With D = hi - beta_d / b and c = r / b,
+    eliminating the cells node by node (the 1 x 1 pivots D) leaves one
+    order-n solve (-B11 - diag(c beta_i / D)) z = c u / D, and then
+    y = (u + beta_i z) / D.  The same z gives the next product
+    G y = (beta_d / b) y + beta_i z, and G 1 takes one solve with -B11,
+    so k steps cost k + 1 order-n solves.  A zero pivot D (beta_i = 0
+    where beta_d / b is largest) is the singular branch: R0 = hi.  The
+    bracket is that of G, widened by the rounding of the products but
+    not by the error of the solves behind them.  Without dispersal G is
+    diagonal and is iterated as a matrix: a step at its largest entry is
+    then exactly singular, which the eliminated pivots need not be.
+
+    s(B11) < 0 is certified
     without a solve by the Collatz-Wielandt bound at the grid weights w,
     max_a ((B11^T w)_a + (n + 2) eps (|B11|^T w)_a) / w_a < 0, which is
     -m plus rounding since w^T (K - diag chi) = 0.
@@ -140,12 +157,25 @@ def r0(params: VSIParams, grid: Grid, tol: float = 1e-10,
     if sb >= 0:
         raise InvalidParametersError(
             f"transition block must be dissipative, got bound {sb:.6g}")
-    X = np.linalg.solve(-B11, np.diag(sv.r / sv.b))
-    G = np.diag(sv.beta_d / sv.b) + sv.beta_i[:, None] * X
-    res = metzler_bound(G, tol=tol, max_iterations=max_iterations)
+    A, c, bi, bd = -B11, sv.r / sv.b, sv.beta_i, sv.beta_d / sv.b
+    if np.count_nonzero(A) == grid.n:   # no dispersal: G is diagonal
+        G = np.diag(bd + bi * (c / np.diag(A)))
+        res = metzler_bound(G, tol=tol, max_iterations=max_iterations)
+    else:
+        nodal = np.array([[0.0 * c, c], [bi, bd]]).transpose(2, 0, 1)
+
+        def step(hi: float, u: np.ndarray):
+            F, X = schur_reduce_stack(nodal, 1, hi, rhs=u[:, None, None])
+            z = np.linalg.solve(A - np.diag(F[:, 0, 0]), F[:, 0, 1])
+            y = X[:, 0, 0] * z + X[:, 0, 1]
+            return y, bd * y + bi * z
+
+        res = _noda(None, step, np.ones(grid.n),
+                    bd + bi * np.linalg.solve(A, c), tol, max_iterations)
     return R0Result(value=res.value, iterations=res.iterations,
                     residual=res.residual, converged=res.converged,
-                    outside_positivity=sv.outside_positivity)
+                    outside_positivity=sv.outside_positivity,
+                    bracket=res.bracket)
 
 
 def H_mu(params: VSIParams, grid: Grid, mu: float,
@@ -225,9 +255,9 @@ def r0_large_d_limit(params: VSIParams, grid: Grid, weight_samples=None,
     policy: root case when Q clears zero on every rung, boundary case
     otherwise; in the root case the root is found by bisecting the
     decreasing Q."""
-    if weight_samples is None:
-        weight_samples = _perron_weight(params.kernel, grid).samples
     sv = sampled if sampled is not None else sample_params(params, grid)
+    if weight_samples is None:
+        weight_samples = _sampled_perron_weight(sv.raw_kernel, grid).samples
     hat = hat_r0(params, grid, sampled=sv)
 
     def q(mu: float) -> float:
@@ -246,6 +276,7 @@ def r0_large_d_limit(params: VSIParams, grid: Grid, weight_samples=None,
 @dataclass(frozen=True)
 class R0Report:
     r0: float
+    bracket: tuple           # Collatz-Wielandt bracket of R0
     hat_r0: float
     tilde_r0: float | None
     limit: LimitClassification
@@ -256,7 +287,8 @@ class R0Report:
     outside_positivity: bool
 
     def to_dict(self) -> dict:
-        return {"r0": self.r0, "hat_r0": self.hat_r0,
+        return {"r0": self.r0, "bracket": list(self.bracket),
+                "hat_r0": self.hat_r0,
                 "tilde_r0": self.tilde_r0,
                 "limit": self.limit.to_dict(),
                 "r0_at_zero_diffusion": self.r0_at_zero,
@@ -273,12 +305,12 @@ def compute_r0_report(params: VSIParams, grid: Grid, tol: float = 1e-10,
     sv = sample_params(params, grid)
     res = r0(params, grid, tol=tol, max_iterations=max_iterations,
              sampled=sv)
-    weight = _perron_weight(params.kernel, grid).samples
+    weight = _sampled_perron_weight(sv.raw_kernel, grid).samples
     limit = r0_large_d_limit(params, grid, weight, sampled=sv)
     hat = hat_r0(params, grid, sampled=sv)
     q_samples = tuple((hat + eps, q) for eps, q in limit.ladder)
     return R0Report(
-        r0=res.value, hat_r0=hat,
+        r0=res.value, bracket=res.bracket, hat_r0=hat,
         tilde_r0=limit.tilde_r0 if isinstance(limit, RootCase) else None,
         limit=limit, r0_at_zero=r0_at_zero_diffusion(params, grid, sampled=sv),
         q_samples=q_samples,

@@ -57,7 +57,14 @@ def perron_weight(kernel: KernelSpec, grid: Grid,
     within 100*tol of one; a larger deviation signals an inconsistent
     grid and raises.
     """
-    K, chi = kernel_quadrature(kernel.sample(grid), grid)
+    return _sampled_perron_weight(kernel.sample(grid), grid, tol)
+
+
+def _sampled_perron_weight(raw: np.ndarray, grid: Grid,
+                           tol: float = 1e-12) -> PerronWeight:
+    """perron_weight from the raw kernel samples k(x_a, x_b)."""
+    K, chi = kernel_quadrature(raw, grid)
+    del raw   # samples made for this call are freed before the solve
     if np.min(chi) <= 0:
         raise InvalidParametersError("kernel has a node with zero departure rate")
     r = metzler_bound(K / chi[:, None], tol=tol)

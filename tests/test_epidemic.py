@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,7 +13,7 @@ from nlds.epidemic import (BoundaryCase, RootCase, VSIParams,
 from nlds.errors import (InvalidParametersError, NonConvergenceError,
                          ResolventDomainError)
 from nlds.grid import build_grid
-from nlds.matspec import schur_reduce_stack
+from nlds.matspec import EPS, metzler_bound, schur_reduce_stack
 from nlds.opspec import dense_spectrum
 from nlds.reduce import SystemWeights, p_weighted_mean, perron_weight
 
@@ -64,6 +66,42 @@ def test_r0_without_cell_free_route():
     assert res.outside_positivity
     expected = float(np.max(0.5 + 0.1 * g.points ** 2))
     assert res.value == pytest.approx(expected, abs=1e-10)
+
+
+def test_r0_without_cell_free_route_stops_at_a_zero_pivot(monkeypatch):
+    # G = diag(beta_d / b): after one step the cell pivot hi - beta_d/b
+    # is exactly zero at the maximum, and the singular branch returns hi
+    raised = []
+    real = np.linalg.solve
+
+    def spy(a, b):
+        try:
+            return real(a, b)
+        except np.linalg.LinAlgError:
+            raised.append(np.shape(a))
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    g = build_grid(-1, 1, 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = r0(make_params(beta_i="0", beta_d="0.5 + 0.1*x^2"), g)
+    assert raised == [(g.n, 1, 1)]
+    assert (res.iterations, res.converged) == (1, True)
+    assert res.value == float(np.max(0.5 + 0.1 * g.points ** 2))
+    assert res.bracket[0] <= res.value <= res.bracket[1]
+
+
+def test_r0_without_dispersal_is_singular_at_the_largest_entry():
+    # d = 0: G = diag(beta_d/b + beta_i r/(b m)) peaks at two nodes, and
+    # the step there must be exactly singular to count as converged
+    g = build_grid(-1, 1, 3)
+    params = make_params(d=0.0, r="0.1", m="0.1", b="0.1", beta_d="0.01",
+                         beta_i="0.01*x^2")
+    res = r0(params, g)
+    assert (res.iterations, res.converged) == (1, True)
+    assert res.value == pytest.approx(r0_at_zero_diffusion(params, g),
+                                      rel=1e-15)
 
 
 def test_r0_requires_dissipative_transitions():
@@ -228,6 +266,26 @@ def test_r0_step_budget():
     assert (capped.iterations, capped.converged) == (1, False)
 
 
+def test_r0_report_forms_no_next_generation_matrix(monkeypatch):
+    # each Noda step on G is one order-n solve with one right-hand side;
+    # the n-column solve (-B11)^{-1} diag(r/b) that forms G is not made
+    shapes = []
+    real = np.linalg.solve
+
+    def recording(a, b):
+        shapes.append((np.shape(a), np.shape(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    g = build_grid(-1, 1, 40)
+    rep = compute_r0_report(make_params(d=2.0, r="1 + 0.5*x", m="1 + x^2",
+                                        beta_d="0.3 + 0.2*x^2"), g)
+    assert rep.converged
+    assert any(a[-1] >= g.n for a, _ in shapes)
+    assert [(a, b) for a, b in shapes
+            if a[-1] >= g.n and len(b) > 1 and b[-1] > 1] == []
+
+
 def test_H_mu_eliminates_the_static_cells(monkeypatch):
     def refuse(A):
         raise AssertionError(f"dense LU of order {A.shape[0]}")
@@ -298,3 +356,26 @@ def test_H_mu_of_random_vsi_models(case):
         scale = (sv.m + sv.r * sv.beta_i * mu * sv.b / den ** 2) * p
         assert abs(q_of_mu(params, g, p, mu, sampled=sv) - tilde_B0[0, 0]) \
             <= 1e-12 * float(scale @ g.weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(vsi_models())
+def test_r0_of_random_vsi_models(case):
+    params, g = case
+    sv = sample_params(params, g)
+    res = r0(params, g, sampled=sv)
+    B, F = assemble_epidemic(params, g, sampled=sv)
+    # the next-generation matrix formed explicitly, as a matrix input
+    X = np.linalg.solve(-B[:g.n, :g.n], np.diag(sv.r / sv.b))
+    G = np.diag(sv.beta_d / sv.b) + sv.beta_i[:, None] * X
+    ref = metzler_bound(G, tol=1e-10)
+    assert abs(res.value - ref.value) <= 1e-12 * ref.value
+    assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
+    # the bracket holds the explicit value up to the error of the solves
+    # with -B11 behind either product, which it does not cover
+    slack = (g.n + 2) * EPS * np.linalg.cond(-B[:g.n, :g.n], 1) * ref.value
+    assert res.bracket[0] - slack <= ref.value <= res.bracket[1] + slack
+    # -F B^{-1} >= 0, so its rightmost root is its spectral radius
+    exact, err = rightmost_with_error(F @ np.linalg.inv(-B))
+    assume(err <= 1e-10)   # a nearly defective root is beyond the oracle
+    assert abs(res.value - exact) <= 1e-10 * res.value + err

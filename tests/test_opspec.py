@@ -276,7 +276,8 @@ def rightmost_with_error(M):
     x = right[:, np.argmin(np.abs(vals - top))]
     y = left[:, np.argmin(np.abs(vals_t - top))]
     backward = len(M) * np.finfo(float).eps * np.abs(M).sum(1).max()
-    return float(top.real), 4 * backward / abs(np.vdot(y, x))
+    overlap = abs(np.vdot(y, x))   # 0 at a defective root: no bound
+    return float(top.real), 4 * backward / overlap if overlap else np.inf
 
 
 @st.composite
