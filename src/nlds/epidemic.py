@@ -9,8 +9,8 @@ and s(B + F/mu) has the sign of R0 - mu (Thieme, SIAM J. Appl. Math.
 70, 2009).  B + t F is the partially degenerate operator of the nodal
 field [[-m - d chi, r], [t beta_i, t beta_d - b]]; only virions disperse.
 R0 itself comes from Noda steps on the n x n cell-compartment matrix G,
-which is never formed: each step eliminates the cells node by node,
-makes one order-n solve and gets the next product G y from it as well.
+which is formed only when its first product G 1 (one order-n solve)
+does not already settle the value.
 
 The diffusion limits mirror the threshold dichotomy of the reduce
 module: as d grows, R0 tends either to the root of the mixing balance
@@ -30,8 +30,7 @@ from .assembly import block_matrix, kernel_quadrature
 from .errors import InvalidParametersError, ResolventDomainError
 from .exprlang import Expr
 from .grid import Grid
-from .matspec import (EPS, MAX_ITERATIONS, _converged_bound, _noda,
-                      metzler_bound, schur_reduce_stack)
+from .matspec import EPS, MAX_ITERATIONS, _converged_bound, metzler_bound
 from .model import KernelSpec
 from .reduce import _sampled_perron_weight, bracket_and_bisect, ladder_classify
 
@@ -131,51 +130,56 @@ def r0(params: VSIParams, grid: Grid, tol: float = 1e-10,
 
     B is block upper triangular with cell block -diag(b), so the nonzero
     spectrum is that of the nonnegative cell-compartment matrix
-        G = diag(beta_d / b) + diag(beta_i) (-B11)^{-1} diag(r / b),
-    iterated within max_iterations Noda steps without forming G.  A step
-    solves (hi I - G) y = u.  With D = hi - beta_d / b and c = r / b,
-    eliminating the cells node by node (the 1 x 1 pivots D) leaves one
-    order-n solve (-B11 - diag(c beta_i / D)) z = c u / D, and then
-    y = (u + beta_i z) / D.  The same z gives the next product
-    G y = (beta_d / b) y + beta_i z, and G 1 takes one solve with -B11,
-    so k steps cost k + 1 order-n solves.  A zero pivot D (beta_i = 0
-    where beta_d / b is largest) is the singular branch: R0 = hi.  The
-    bracket is that of G, widened by the rounding of the products but
-    not by the error of the solves behind them.  Without dispersal G is
-    diagonal and is iterated as a matrix: a step at its largest entry is
-    then exactly singular, which the eliminated pivots need not be.
+        G = diag(beta_d / b) + diag(beta_i) A^{-1} diag(c),
+    A = -B11 and c = r / b, iterated within max_iterations Noda steps.
+    G 1 = beta_d / b + beta_i A^{-1} c takes one order-n solve, and
+    diag(G 1) agrees with G in all that the loop reads before its first
+    step (G 1, |G| 1 = G 1 and diag G >= 0).  So metzler_bound on it
+    with no step budget settles a model whose G 1 is flat within tol,
+    such as one with constant rates, without forming G; otherwise G is
+    formed by an n-column solve and iterated as a matrix.
 
-    s(B11) < 0 is certified
-    without a solve by the Collatz-Wielandt bound at the grid weights w,
+    The bracket is the Collatz-Wielandt bracket of the loop at its last
+    vector u, widened by the error of the solve behind G u, so it holds
+    R0 of the assembled B and F.  With rho(y, f) = |f - A y| plus its
+    rounding bound, and x the computed A^{-1} (c u), the error is
+    A^{-1} rho(x, c u) <= max(rho(x, c u) / (c - rho(z, c))) z for
+    z = A^{-1} c as computed, because A^{-1} >= 0 and A z >= c - rho(z, c).
+
+    s(B11) < 0 is certified without a solve by the Collatz-Wielandt
+    bound at the grid weights w,
     max_a ((B11^T w)_a + (n + 2) eps (|B11|^T w)_a) / w_a < 0, which is
     -m plus rounding since w^T (K - diag chi) = 0.
     """
     sv = sampled if sampled is not None else sample_params(params, grid)
     B11 = _operator(sv, params.d, grid, 0.0, species=1)
-    w = grid.weights
-    sb = float(np.max((w @ B11 + (grid.n + 2) * EPS * (w @ np.abs(B11))) / w))
+    w, absA, gamma_n = grid.weights, np.abs(B11), (grid.n + 2) * EPS
+    sb = float(np.max((w @ B11 + gamma_n * (w @ absA)) / w))
     if sb >= 0:
         raise InvalidParametersError(
             f"transition block must be dissipative, got bound {sb:.6g}")
     A, c, bi, bd = -B11, sv.r / sv.b, sv.beta_i, sv.beta_d / sv.b
-    if np.count_nonzero(A) == grid.n:   # no dispersal: G is diagonal
-        G = np.diag(bd + bi * (c / np.diag(A)))
-        res = metzler_bound(G, tol=tol, max_iterations=max_iterations)
-    else:
-        nodal = np.array([[0.0 * c, c], [bi, bd]]).transpose(2, 0, 1)
+    x = z = np.linalg.solve(A, c)   # G 1 = bd + bi z
+    # the loop's first look at G, through a matrix with the same G 1
+    res = metzler_bound(np.diag(bd + bi * z), tol=tol, max_iterations=0)
+    if not res.converged:
+        X = np.linalg.solve(A, np.diag(c))
+        res = metzler_bound(np.diag(bd) + bi[:, None] * X, tol=tol,
+                            max_iterations=max_iterations)
+        x = X @ res.vector
+    u = res.vector
 
-        def step(hi: float, u: np.ndarray):
-            F, X = schur_reduce_stack(nodal, 1, hi, rhs=u[:, None, None])
-            z = np.linalg.solve(A - np.diag(F[:, 0, 0]), F[:, 0, 1])
-            y = X[:, 0, 0] * z + X[:, 0, 1]
-            return y, bd * y + bi * z
+    def rho(y, rhs):   # |rhs - A y| plus the rounding of computing it
+        return np.abs(rhs - A @ y) + gamma_n * (rhs + absA @ np.abs(y))
 
-        res = _noda(None, step, np.ones(grid.n),
-                    bd + bi * np.linalg.solve(A, c), tol, max_iterations)
+    floor, eta = c - rho(z, c), np.inf   # A z >= floor
+    if floor.min() > 0:
+        err = np.max(rho(x, c * u) / floor) * z + gamma_n * np.abs(x)
+        eta = float(np.max(bi * err / u))
     return R0Result(value=res.value, iterations=res.iterations,
                     residual=res.residual, converged=res.converged,
                     outside_positivity=sv.outside_positivity,
-                    bracket=res.bracket)
+                    bracket=(res.bracket[0] - eta, res.bracket[1] + eta))
 
 
 def H_mu(params: VSIParams, grid: Grid, mu: float,
@@ -276,7 +280,7 @@ def r0_large_d_limit(params: VSIParams, grid: Grid, weight_samples=None,
 @dataclass(frozen=True)
 class R0Report:
     r0: float
-    bracket: tuple           # Collatz-Wielandt bracket of R0
+    bracket: tuple           # encloses R0, solve error included
     hat_r0: float
     tilde_r0: float | None
     limit: LimitClassification

@@ -7,11 +7,7 @@ vector u, min_i (A u)_i / u_i <= s <= max_i (A u)_i / u_i
 (Collatz-Wielandt).  The engine below is Noda's inverse iteration: it
 shifts by the upper quotient, which keeps the resolvent nonnegative and
 the iterate positive, converges quadratically on irreducible input and
-reports the quotient bracket as the evidence for s.  Its loop (_noda)
-exists once.  metzler_bound runs it on a matrix given by its entries;
-epidemic.r0 runs it on a nonnegative matrix that is never formed and is
-known only through its shifted solves, each of which also returns the
-product the next quotients need.
+reports the quotient bracket as the evidence for s.
 
 On a partially degenerate operator (species-major, with its trailing
 species static so that their rows and columns are zero off the nodal
@@ -103,7 +99,6 @@ def metzler_bound(A: np.ndarray, tol: float = 1e-12,
     nodal pattern); then it is the block elimination of
     _static_elimination and the one LU has order l1 n.  The quotients,
     the stop rule, the value and the bracket always use the whole A.
-    The loop is _noda, shared with the implicit form of epidemic.r0.
     """
     A = np.asarray(A, dtype=float)
     m = A.shape[0]
@@ -113,30 +108,15 @@ def metzler_bound(A: np.ndarray, tol: float = 1e-12,
     if m == 1:
         a = float(A[0, 0])
         return PerronResult(a, np.ones(1), 0, 0.0, True, (a, a))
-    static = split is not None and split[0] * split[1] < m
+    scale = tol * (1.0 + max(0.0, -float(np.min(np.diag(A)))))
+    solve = (_static_elimination(A, *split)
+             if split is not None and split[0] * split[1] < m
+             else _dense_solver(A))
     u = np.ones(m)
-    return _noda(A, _static_elimination(A, *split) if static
-                 else _dense_solver(A), u, A @ u, tol, max_iterations)
-
-
-def _noda(A: np.ndarray | None, solve, u: np.ndarray, v: np.ndarray,
-          tol: float, max_iterations: int) -> PerronResult:
-    """The loop of metzler_bound (stop rule, finite/positive stop,
-    singular branch, rounding-widened bracket) from the positive u with
-    v = A u; solve(hi, u) returns (hi I - A)^{-1} u.
-
-    With A None the matrix is a nonnegative G that is never formed:
-    solve(hi, u) returns (y, G y), so a step costs no product, and v is
-    G u from the caller.  Then c = 1, as diag G >= 0, and the bracket is
-    widened by (m + 2) eps G u, the rounding bound of |G| u = G u.  It
-    does not cover the error of the solves that produced G u.
-    """
-    m = u.shape[0]
-    scale = tol * (1.0 if A is None
-                   else 1.0 + max(0.0, -float(np.min(np.diag(A)))))
     converged = on_hi = False
     iters, last = 0, np.inf
     while True:
+        v = A @ u
         q = v / u
         lo, hi = float(q.min()), float(q.max())
         value = float(u @ v) / float(u @ u)
@@ -152,8 +132,6 @@ def _noda(A: np.ndarray | None, solve, u: np.ndarray, v: np.ndarray,
         except np.linalg.LinAlgError:   # hi is an eigenvalue, so s(A)
             converged = on_hi = True
             break
-        if A is None:
-            y, Gy = y
         top = float(y[np.abs(y).argmax()])   # inf or nan if any entry is
         finite = math.isfinite(top)
         if finite:
@@ -163,9 +141,8 @@ def _noda(A: np.ndarray | None, solve, u: np.ndarray, v: np.ndarray,
             on_hi = not converged   # rho is no estimate without that
             break
         u, last = y, value
-        v = Gy / top if A is None else A @ u
     del solve   # free its buffers before |A| is allocated: lower peak memory
-    err = (m + 2) * EPS * (v if A is None else np.abs(A) @ u) / u
+    err = (m + 2) * EPS * (np.abs(A) @ u) / u
     return PerronResult(hi if on_hi else value, u, iters, res, converged,
                         (float((q - err).min()), float((q + err).max())))
 

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from nlds.epidemic import (BoundaryCase, RootCase, VSIParams,
 from nlds.errors import (InvalidParametersError, NonConvergenceError,
                          ResolventDomainError)
 from nlds.grid import build_grid
-from nlds.matspec import EPS, metzler_bound, schur_reduce_stack
+from nlds.matspec import metzler_bound, schur_reduce_stack
 from nlds.opspec import dense_spectrum
 from nlds.reduce import SystemWeights, p_weighted_mean, perron_weight
 
@@ -69,8 +70,8 @@ def test_r0_without_cell_free_route():
 
 
 def test_r0_without_cell_free_route_stops_at_a_zero_pivot(monkeypatch):
-    # G = diag(beta_d / b): after one step the cell pivot hi - beta_d/b
-    # is exactly zero at the maximum, and the singular branch returns hi
+    # G = diag(beta_d / b): after one step hi I - G has an exactly zero
+    # pivot at the maximum, and the singular branch returns hi
     raised = []
     real = np.linalg.solve
 
@@ -86,7 +87,7 @@ def test_r0_without_cell_free_route_stops_at_a_zero_pivot(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = r0(make_params(beta_i="0", beta_d="0.5 + 0.1*x^2"), g)
-    assert raised == [(g.n, 1, 1)]
+    assert raised == [(g.n, g.n)]
     assert (res.iterations, res.converged) == (1, True)
     assert res.value == float(np.max(0.5 + 0.1 * g.points ** 2))
     assert res.bracket[0] <= res.value <= res.bracket[1]
@@ -267,8 +268,8 @@ def test_r0_step_budget():
 
 
 def test_r0_report_forms_no_next_generation_matrix(monkeypatch):
-    # each Noda step on G is one order-n solve with one right-hand side;
-    # the n-column solve (-B11)^{-1} diag(r/b) that forms G is not made
+    # constant rates: G 1 is flat, so R0 takes one order-n solve and the
+    # n-column solve (-B11)^{-1} diag(r/b) that forms G is not made
     shapes = []
     real = np.linalg.solve
 
@@ -278,12 +279,29 @@ def test_r0_report_forms_no_next_generation_matrix(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", recording)
     g = build_grid(-1, 1, 40)
-    rep = compute_r0_report(make_params(d=2.0, r="1 + 0.5*x", m="1 + x^2",
-                                        beta_d="0.3 + 0.2*x^2"), g)
+    rep = compute_r0_report(make_params(d=2.0), g)
     assert rep.converged
     assert any(a[-1] >= g.n for a, _ in shapes)
     assert [(a, b) for a, b in shapes
             if a[-1] >= g.n and len(b) > 1 and b[-1] > 1] == []
+
+
+def test_r0_with_isolated_nodes_matches_the_formed_matrix():
+    # off its diagonal the kernel vanishes on the rows and columns of the
+    # outermost nodes, so with d > 0 G is reducible and its two largest
+    # entries sit at nodes that nothing disperses to or from: the step
+    # there is exactly singular
+    g = build_grid(-1, 1, 9)
+    params = make_params(d=3.0, r="0.1", m="0.1", b="0.1", beta_d="0.01",
+                         beta_i="0.01*x^2",
+                         kernel="max(0, min(1 - x^2, 1 - y^2) - abs(x - y))")
+    sv = sample_params(params, g)
+    res = r0(params, g, sampled=sv)
+    ref = metzler_bound(explicit_next_generation(params, g, sv), tol=1e-10)
+    assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
+    assert (res.iterations, res.converged) == (1, True)
+    top = float(np.max(0.1 + 0.1 * g.points ** 2))   # beta_d/b + beta_i r/(bm)
+    assert res.value == ref.value == pytest.approx(top, rel=1e-15)
 
 
 def test_H_mu_eliminates_the_static_cells(monkeypatch):
@@ -300,9 +318,9 @@ def test_H_mu_eliminates_the_static_cells(monkeypatch):
 
 
 @st.composite
-def vsi_models(draw):
-    """Non-constant VSI model on a grid of n <= 48 nodes, d in [0, 100]
-    and beta_i >= 0."""
+def vsi_models(draw, max_nodes=48):
+    """Non-constant VSI model on a grid of n <= max_nodes nodes,
+    d in [0, 100] and beta_i >= 0."""
     def cents(lo, hi):
         return draw(st.integers(lo, hi)) / 100
 
@@ -314,7 +332,7 @@ def vsi_models(draw):
         beta_d=f"{cents(1, 200)} * (1 + {cents(-90, 90)}*x)",
         beta_i=f"{cents(0, 200)} + {cents(0, 100)}*x^2",
         kernel=f"exp(-(x-y)^2 / {cents(10, 200)})")
-    return params, build_grid(-1, 1, draw(st.integers(2, 48)))
+    return params, build_grid(-1, 1, draw(st.integers(2, max_nodes)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -358,24 +376,62 @@ def test_H_mu_of_random_vsi_models(case):
             <= 1e-12 * float(scale @ g.weights)
 
 
+def explicit_next_generation(params, g, sv):
+    B, _ = assemble_epidemic(params, g, sampled=sv)
+    X = np.linalg.solve(-B[:g.n, :g.n], np.diag(sv.r / sv.b))
+    return np.diag(sv.beta_d / sv.b) + sv.beta_i[:, None] * X
+
+
 @settings(max_examples=100, deadline=None)
 @given(vsi_models())
 def test_r0_of_random_vsi_models(case):
     params, g = case
     sv = sample_params(params, g)
     res = r0(params, g, sampled=sv)
-    B, F = assemble_epidemic(params, g, sampled=sv)
-    # the next-generation matrix formed explicitly, as a matrix input
-    X = np.linalg.solve(-B[:g.n, :g.n], np.diag(sv.r / sv.b))
-    G = np.diag(sv.beta_d / sv.b) + sv.beta_i[:, None] * X
-    ref = metzler_bound(G, tol=1e-10)
+    ref = metzler_bound(explicit_next_generation(params, g, sv), tol=1e-10)
     assert abs(res.value - ref.value) <= 1e-12 * ref.value
     assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
-    # the bracket holds the explicit value up to the error of the solves
-    # with -B11 behind either product, which it does not cover
-    slack = (g.n + 2) * EPS * np.linalg.cond(-B[:g.n, :g.n], 1) * ref.value
-    assert res.bracket[0] - slack <= ref.value <= res.bracket[1] + slack
+    assert res.bracket[0] <= res.value <= res.bracket[1]
     # -F B^{-1} >= 0, so its rightmost root is its spectral radius
+    B, F = assemble_epidemic(params, g, sampled=sv)
     exact, err = rightmost_with_error(F @ np.linalg.inv(-B))
     assume(err <= 1e-10)   # a nearly defective root is beyond the oracle
     assert abs(res.value - exact) <= 1e-10 * res.value + err
+
+
+def exact_solve(A, b):
+    """A^{-1} b in rational arithmetic, by Gaussian elimination."""
+    n = len(b)
+    M = [[Fraction(a) for a in row] + [Fraction(v)] for row, v in zip(A, b)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if M[i][k] != 0)
+        M[k], M[p] = M[p], M[k]
+        for i in range(k + 1, n):
+            f = M[i][k] / M[k][k]
+            M[i] = [a - f * c for a, c in zip(M[i], M[k])]
+    x = [Fraction(0)] * n
+    for k in reversed(range(n)):
+        x[k] = (M[k][n] - sum(M[k][j] * x[j]
+                              for j in range(k + 1, n))) / M[k][k]
+    return x
+
+
+@settings(max_examples=40, deadline=None)
+@given(vsi_models(max_nodes=8))
+def test_r0_bracket_holds_the_exact_quotients(case):
+    # the Collatz-Wielandt quotients of the exact G at the last iterate
+    # enclose R0; the bracket must hold them, solve error and all
+    params, g = case
+    sv = sample_params(params, g)
+    res = r0(params, g, sampled=sv)
+    ref = metzler_bound(explicit_next_generation(params, g, sv), tol=1e-10)
+    assume(res.iterations == ref.iterations)   # then u is ref.vector
+    B, _ = assemble_epidemic(params, g, sampled=sv)
+    u = [Fraction(v) for v in ref.vector]
+    F = [Fraction(v) for v in sv.b]
+    c_u = [Fraction(r) / b * v for r, b, v in zip(sv.r, F, u)]
+    x = exact_solve(-B[:g.n, :g.n], c_u)
+    q = [(Fraction(bd) / b * v + Fraction(bi) * xa) / v
+         for bd, b, bi, v, xa in zip(sv.beta_d, F, sv.beta_i, u, x)]
+    assert Fraction(res.bracket[0]) <= min(q)
+    assert max(q) <= Fraction(res.bracket[1])
