@@ -24,9 +24,8 @@ from .matspec import (MAX_ITERATIONS, _converged_bound, nodal_bounds,
                       perron_bound, schur_reduce_stack)
 from .model import DispersalSystem, Mode
 from .opspec import essential_bound, spectral_bound
-from .reduce import (CaseA, SystemWeights, classify_threshold,
-                     kappa_and_eta22, reduced_tilde_M, static_block_bound,
-                     weights_for_system)
+from .reduce import (CaseA, classify_threshold, kappa_and_eta22,
+                     reduced_tilde_M, static_block_bound, weights_for_system)
 
 FIT_WINDOW = 10          # nodes used by the local-order fit
 FLOOR = 1e-13            # distances to the max below this are poles
@@ -43,7 +42,6 @@ class SpectralField:
     species at resolvent parameter lambda.
     """
 
-    grid: Grid
     H: np.ndarray
     h: np.ndarray
     eta: float
@@ -55,7 +53,7 @@ def spectral_field(sys: DispersalSystem, grid: Grid,
     H = nodal_bounds(A)
     eta = float(np.max(H))
     h = nodal_bounds(schur_reduce_stack(A, sys.l1, eta))
-    return SpectralField(grid=grid, H=H, h=h, eta=eta)
+    return SpectralField(H=H, h=h, eta=eta)
 
 
 # --- integrability diagnostic -------------------------------------------
@@ -95,9 +93,7 @@ def _extrapolate_sup(etas: list[float]) -> float:
 
 
 def integrability_diagnostic(field_on, grids: list[Grid],
-                             region: tuple[float, float],
-                             floor: float = FLOOR,
-                             fit_window: int = FIT_WINDOW) -> IntegrabilityReport:
+                             region: tuple[float, float]) -> IntegrabilityReport:
     """Probe whether 1/(sup - field) fails to be integrable over the
     region, the divergence that certifies principal-eigenvalue
     existence.
@@ -105,7 +101,8 @@ def integrability_diagnostic(field_on, grids: list[Grid],
     field_on(grid) returns the nodal field samples.  The verdict is
     graded, never a bare boolean: finite samples can only bracket the
     answer, and the evidence (quadrature sums, their growth ratios, the
-    fitted local order) ships with it.
+    order fitted on the FIT_WINDOW nodes nearest the maximum) ships with
+    it.  Distances to the supremum at or below FLOOR count as poles.
     """
     alpha, beta = region
     data = []
@@ -116,7 +113,7 @@ def integrability_diagnostic(field_on, grids: list[Grid],
     eta_hat = _extrapolate_sup(etas)
 
     g_f, H_f = data[-1]
-    plateau = int(np.sum(etas[-1] - H_f <= floor))
+    plateau = int(np.sum(etas[-1] - H_f <= FLOOR))
     if plateau >= 3:
         return IntegrabilityReport(
             verdict="degenerate", eta_hat=eta_hat, integrals=(), ratios=(),
@@ -127,7 +124,7 @@ def integrability_diagnostic(field_on, grids: list[Grid],
     integrals = []
     for g, Hs in data:
         dist = eta_hat - Hs
-        mask = (g.points >= alpha) & (g.points <= beta) & (dist > floor)
+        mask = (g.points >= alpha) & (g.points <= beta) & (dist > FLOOR)
         integrals.append((g.n, float(np.sum(g.weights[mask] / dist[mask]))))
     ratios = tuple(b / a for (_, a), (_, b) in zip(integrals, integrals[1:]))
 
@@ -138,11 +135,11 @@ def integrability_diagnostic(field_on, grids: list[Grid],
     order = np.argsort(np.abs(g_f.points - xm))
     us, vs = [], []
     for idx in order:
-        if idx == amax or dist[idx] <= floor:
+        if idx == amax or dist[idx] <= FLOOR:
             continue
         us.append(np.log(abs(g_f.points[idx] - xm)))
         vs.append(np.log(dist[idx]))
-        if len(us) == fit_window:
+        if len(us) == FIT_WINDOW:
             break
     fitted = float(np.polyfit(us, vs, 1)[0]) if len(us) >= 3 else None
 
@@ -185,7 +182,7 @@ def assemble_reduced_operator(sys: DispersalSystem, grid: Grid,
             f"{eta22:.6g}")
     A = pointwise_A(sys, grid, fields=fields).matrices
     F = schur_reduce_stack(A, sys.l1, lam)
-    return block_matrix(F, fields.raw_kernels, sys.d, grid)
+    return block_matrix(F, fields.transfer, sys.d)
 
 
 def generalized_eigen_residual(sys: DispersalSystem, grid: Grid,
@@ -243,7 +240,6 @@ SWEEP_MODES = ("small-d", "large-d-nondegen", "large-d-degen")
 
 def sweep(sys: DispersalSystem, grid: Grid, t_schedule,
           mode: str, tol: float = 1e-10,
-          weights: SystemWeights | None = None,
           max_iterations: int = MAX_ITERATIONS) -> SweepTable:
     """Assemble and solve the operator along a diffusion schedule and
     record the deviation from the mode's theoretical limit.
@@ -264,14 +260,11 @@ def sweep(sys: DispersalSystem, grid: Grid, t_schedule,
         if sys.mode is not Mode.NON_DEGENERATE:
             raise InvalidParametersError(
                 "large-d-nondegen needs every species diffusing")
-        if weights is None:
-            weights = weights_for_system(sys, grid)
-        reference = perron_bound(reduced_tilde_M(sys, grid, weights))
+        reference = perron_bound(
+            reduced_tilde_M(sys, grid, weights_for_system(sys, grid)))
         ref_name = "kappa_tilde"
     elif mode == "large-d-degen":
-        if weights is None:
-            weights = weights_for_system(sys, grid)
-        outcome = classify_threshold(sys, grid, weights)
+        outcome = classify_threshold(sys, grid, weights_for_system(sys, grid))
         if isinstance(outcome, CaseA):
             reference, ref_name = outcome.gamma_star, "gamma_star"
         else:
@@ -321,9 +314,10 @@ def perturbation_probe(sys: DispersalSystem, grid: Grid, delta: float,
 
     Off-diagonal coefficients and kernels receive additive noise in
     [0, delta] (cooperativity and nonnegativity preserved); diagonals
-    receive noise in [-delta, delta].  Departure rates are recomputed
-    from the perturbed kernels.  The spectral bounds of the entrywise
-    min and max of the two operators bracket both bounds, giving a
+    receive noise in [-delta, delta].  The transfer matrices and
+    departure rates of the perturbed kernels add the quadrature of the
+    kernel noise to the unperturbed ones.  The spectral bounds of the
+    entrywise min and max of the two operators bracket both bounds, giving a
     rigorous comparison bound on |ds| per draw.  diagonal_shift bypasses
     the randomness and adds c to every diagonal entry, which must move
     the bound by exactly c.  Each solve eliminates the static species,
@@ -349,7 +343,7 @@ def perturbation_probe(sys: DispersalSystem, grid: Grid, delta: float,
                            sandwich_bound=abs(diagonal_shift))
 
     rng = np.random.default_rng(seed)
-    n, l, l1 = grid.n, sys.l, sys.l1
+    n, l = grid.n, sys.l
     Mp = fields.M.copy()
     dM = rng.uniform(0.0, delta, size=Mp.shape)
     diag_noise = rng.uniform(-delta, delta, size=(n, l))
@@ -357,15 +351,16 @@ def perturbation_probe(sys: DispersalSystem, grid: Grid, delta: float,
     dM[:, idx, idx] = 0.0
     Mp += dM
     Mp[:, idx, idx] += diag_noise
-    raws = []
+    Ks, chis = [], []
     dk_inf = 0.0
-    for i in range(l1):
+    for K, chi in zip(fields.transfer, fields.chi):
         dK = rng.uniform(0.0, delta, size=(n, n))
-        raws.append(fields.raw_kernels[i] + dK)
         if dK.size:
             dk_inf = max(dk_inf, float(np.max(np.abs(dK))))
-    chis = tuple(kernel_quadrature(raw, grid)[1] for raw in raws)
-    fields_p = SampledFields(M=Mp, raw_kernels=tuple(raws), chi=chis)
+        dK_w, dchi = kernel_quadrature(dK, grid)   # quadrature is linear
+        Ks.append(K + dK_w)
+        chis.append(chi + dchi)
+    fields_p = SampledFields(M=Mp, transfer=tuple(Ks), chi=tuple(chis))
     P1 = assemble_operator(sys, grid, force=True, fields=fields_p).matrix
     s1 = bound(P1)
 

@@ -32,8 +32,12 @@ def kernel_quadrature(raw: np.ndarray, grid: Grid
     chi(x_a) = sum_b k(x_b, x_a) w_b of the raw kernel samples (n, n).
 
     Both use the grid weights, so w^T (K - diag chi) = 0 to rounding.
+    K is raw scaled in place, so pass samples made for this call: a
+    fresh n x n product left a heap hole that raised the peak resident
+    memory of an r0 or spectrum job by 2 MB at n = 512.
     """
-    return raw * grid.weights[None, :], raw.T @ grid.weights
+    chi = raw.T @ grid.weights
+    return np.multiply(raw, grid.weights[None, :], out=raw), chi
 
 
 def compute_chi(kernel: KernelSpec, grid: Grid) -> np.ndarray:
@@ -46,19 +50,19 @@ def compute_chi(kernel: KernelSpec, grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampledFields:
-    """Grid samples of a system's coefficients and kernels; diffusion
-    independent, so sweeps over d reuse one instance."""
+    """Grid samples of a system's coefficients and the quadrature of its
+    kernels; diffusion independent, so sweeps over d reuse one instance."""
 
     M: np.ndarray            # (n, l, l) nodal coefficient matrices
-    raw_kernels: tuple       # l1 arrays (n, n) of k_i(x_a, x_b)
+    transfer: tuple          # l1 arrays (n, n): K_i[a, b] = k_i(x_a, x_b) w_b
     chi: tuple               # l1 arrays (n,)
 
 
 def sample_fields(sys: DispersalSystem, grid: Grid) -> SampledFields:
-    raws = tuple(k.sample(grid) for k in sys.kernels)
-    chis = tuple(kernel_quadrature(raw, grid)[1] for raw in raws)
+    quads = [kernel_quadrature(k.sample(grid), grid) for k in sys.kernels]
     return SampledFields(M=sys.coefficients.sample(grid),
-                         raw_kernels=raws, chi=chis)
+                         transfer=tuple(K for K, _ in quads),
+                         chi=tuple(chi for _, chi in quads))
 
 
 @dataclass(frozen=True)
@@ -88,23 +92,22 @@ def assemble_operator(sys: DispersalSystem, grid: Grid, force: bool = False,
     if fields is None:
         fields = sample_fields(sys, grid)
     P = block_matrix(pointwise_A(sys, grid, fields=fields).matrices,
-                     fields.raw_kernels, sys.d, grid)
+                     fields.transfer, sys.d)
     return AssembledOperator(matrix=P, grid=grid, system=sys)
 
 
-def block_matrix(F: np.ndarray, raw_kernels, d, grid: Grid) -> np.ndarray:
+def block_matrix(F: np.ndarray, transfer, d) -> np.ndarray:
     """Species-major (k n) x (k n) matrix of the nodal field F (n, k, k):
-    block (i, j) is diag(F[:, i, j]), and block (i, i) gains the
-    transfer d_i K_i for each of the leading len(raw_kernels) species."""
+    block (i, j) is diag(F[:, i, j]), and block (i, i) gains d_i K_i for
+    each transfer matrix K_i (n, n) of the leading len(transfer) species."""
     n, k = F.shape[0], F.shape[1]
     P = np.zeros((k * n, k * n))
     for i in range(k):
         for j in range(k):
             np.fill_diagonal(P[i * n:(i + 1) * n, j * n:(j + 1) * n],
                              F[:, i, j])
-    for i, raw in enumerate(raw_kernels):
-        P[i * n:(i + 1) * n, i * n:(i + 1) * n] += \
-            float(d[i]) * kernel_quadrature(raw, grid)[0]
+    for i, K in enumerate(transfer):
+        P[i * n:(i + 1) * n, i * n:(i + 1) * n] += float(d[i]) * K
     return P
 
 
@@ -117,7 +120,6 @@ class PointwiseA:
     """
 
     matrices: np.ndarray  # (n, l, l)
-    grid: Grid
 
 
 def pointwise_A(sys: DispersalSystem, grid: Grid,
@@ -127,7 +129,7 @@ def pointwise_A(sys: DispersalSystem, grid: Grid,
     A = fields.M.copy()
     for i in range(sys.l1):
         A[:, i, i] -= float(sys.d[i]) * fields.chi[i]
-    return PointwiseA(matrices=A, grid=grid)
+    return PointwiseA(matrices=A)
 
 
 # --- binary dump -------------------------------------------------------

@@ -35,6 +35,7 @@ from .model import KernelSpec
 from .reduce import _sampled_perron_weight, bracket_and_bisect, ladder_classify
 
 R0_BISECT_TOL = 1e-12
+LIMIT_MARGIN = 1e-4      # Q must clear zero by this on every ladder rung
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,8 @@ class SampledVSI:
     b: np.ndarray
     beta_d: np.ndarray
     beta_i: np.ndarray
-    raw_kernel: np.ndarray   # k(x_a, x_b)
+    transfer: np.ndarray     # K[a, b] = k(x_a, x_b) w_b
+    chi: np.ndarray          # departure rates sum_b k(x_b, x_a) w_b
     outside_positivity: bool
 
 
@@ -90,18 +92,18 @@ def sample_params(params: VSIParams, grid: Grid) -> SampledVSI:
             f"beta_i must be nonnegative, min = {np.min(bi):.6g}")
     if params.d < 0:
         raise InvalidParametersError(f"d must be nonnegative, got {params.d}")
+    K, chi = kernel_quadrature(params.kernel.sample(grid), grid)
     return SampledVSI(r=r, m=m, b=b, beta_d=bd, beta_i=bi,
-                      raw_kernel=params.kernel.sample(grid),
+                      transfer=K, chi=chi,
                       outside_positivity=bool(np.min(bi) == 0.0))
 
 
-def _operator(sv: SampledVSI, d: float, grid: Grid, t: float,
+def _operator(sv: SampledVSI, d: float, t: float,
               species: int = 2) -> np.ndarray:
     """B + t F over the stacked (V, I) nodal vector; B11 if species = 1."""
-    chi = kernel_quadrature(sv.raw_kernel, grid)[1]
-    M = np.array([[-sv.m - d * chi, sv.r],
+    M = np.array([[-sv.m - d * sv.chi, sv.r],
                   [t * sv.beta_i, t * sv.beta_d - sv.b]]).transpose(2, 0, 1)
-    return block_matrix(M[:, :species, :species], (sv.raw_kernel,), (d,), grid)
+    return block_matrix(M[:, :species, :species], (sv.transfer,), (d,))
 
 
 def assemble_epidemic(params: VSIParams, grid: Grid,
@@ -109,8 +111,8 @@ def assemble_epidemic(params: VSIParams, grid: Grid,
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Transition matrix B and infection matrix F, each of order 2n."""
     sv = sampled if sampled is not None else sample_params(params, grid)
-    B = _operator(sv, params.d, grid, 0.0)
-    return B, _operator(sv, params.d, grid, 1.0) - B
+    B = _operator(sv, params.d, 0.0)
+    return B, _operator(sv, params.d, 1.0) - B
 
 
 @dataclass(frozen=True)
@@ -152,7 +154,7 @@ def r0(params: VSIParams, grid: Grid, tol: float = 1e-10,
     -m plus rounding since w^T (K - diag chi) = 0.
     """
     sv = sampled if sampled is not None else sample_params(params, grid)
-    B11 = _operator(sv, params.d, grid, 0.0, species=1)
+    B11 = _operator(sv, params.d, 0.0, species=1)
     w, absA, gamma_n = grid.weights, np.abs(B11), (grid.n + 2) * EPS
     sb = float(np.max((w @ B11 + gamma_n * (w @ absA)) / w))
     if sb >= 0:
@@ -189,7 +191,7 @@ def H_mu(params: VSIParams, grid: Grid, mu: float,
     if mu <= 0:
         raise InvalidParametersError(f"mu must be positive, got {mu}")
     sv = sampled if sampled is not None else sample_params(params, grid)
-    return _converged_bound(_operator(sv, params.d, grid, 1.0 / mu), tol=tol,
+    return _converged_bound(_operator(sv, params.d, 1.0 / mu), tol=tol,
                             split=(1, grid.n))
 
 
@@ -253,21 +255,22 @@ LimitClassification = RootCase | BoundaryCase
 
 
 def r0_large_d_limit(params: VSIParams, grid: Grid, weight_samples=None,
-                     tol: float = 1e-4,
                      sampled: SampledVSI | None = None) -> LimitClassification:
     """Classify the large-diffusion limit of R0 with the shared ladder
-    policy: root case when Q clears zero on every rung, boundary case
-    otherwise; in the root case the root is found by bisecting the
+    policy: root case when Q clears LIMIT_MARGIN on every rung, boundary
+    case otherwise; in the root case the root is found by bisecting the
     decreasing Q."""
     sv = sampled if sampled is not None else sample_params(params, grid)
     if weight_samples is None:
-        weight_samples = _sampled_perron_weight(sv.raw_kernel, grid).samples
+        weight_samples = _sampled_perron_weight(sv.transfer, sv.chi,
+                                                grid).samples
     hat = hat_r0(params, grid, sampled=sv)
 
     def q(mu: float) -> float:
         return q_of_mu(params, grid, weight_samples, mu, sampled=sv)
 
-    above, ladder = ladder_classify(lambda eps: q(hat + eps), 0.0, tol)
+    above, ladder = ladder_classify(lambda eps: q(hat + eps), 0.0,
+                                    LIMIT_MARGIN)
     if not above:
         return BoundaryCase(hat_r0=hat, ladder=ladder)
     root = bracket_and_bisect(q, hat, R0_BISECT_TOL)
@@ -309,7 +312,7 @@ def compute_r0_report(params: VSIParams, grid: Grid, tol: float = 1e-10,
     sv = sample_params(params, grid)
     res = r0(params, grid, tol=tol, max_iterations=max_iterations,
              sampled=sv)
-    weight = _sampled_perron_weight(sv.raw_kernel, grid).samples
+    weight = _sampled_perron_weight(sv.transfer, sv.chi, grid).samples
     limit = r0_large_d_limit(params, grid, weight, sampled=sv)
     hat = hat_r0(params, grid, sampled=sv)
     q_samples = tuple((hat + eps, q) for eps, q in limit.ladder)
@@ -318,5 +321,5 @@ def compute_r0_report(params: VSIParams, grid: Grid, tol: float = 1e-10,
         tilde_r0=limit.tilde_r0 if isinstance(limit, RootCase) else None,
         limit=limit, r0_at_zero=r0_at_zero_diffusion(params, grid, sampled=sv),
         q_samples=q_samples,
-        sign_residual=H_mu(params, grid, res.value, sampled=sv),
+        sign_residual=H_mu(params, grid, res.value, tol=tol, sampled=sv),
         converged=res.converged, outside_positivity=res.outside_positivity)

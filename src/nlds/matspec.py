@@ -203,15 +203,15 @@ def _converged_bound(A: np.ndarray, tol: float = 1e-12,
     return r.value
 
 
-def perron_bound(C, tol: float = 1e-12) -> float:
+def perron_bound(C) -> float:
     """Spectral bound s(C) of a cooperative matrix.
 
     Raises NonConvergenceError if the iteration budget is exhausted.
     """
-    return _converged_bound(_as_matrix(C), tol=tol)
+    return _converged_bound(_as_matrix(C))
 
 
-def is_irreducible(C, tol_zero: float = TOL_ZERO) -> bool | np.ndarray:
+def is_irreducible(C) -> bool | np.ndarray:
     """True iff the off-diagonal adjacency graph is strongly connected;
     for a stack (..., m, m), a boolean array with one answer per matrix.
 
@@ -220,7 +220,7 @@ def is_irreducible(C, tol_zero: float = TOL_ZERO) -> bool | np.ndarray:
     """
     a = np.asarray(C.entries if isinstance(C, CoopMatrix) else C, dtype=float)
     m = a.shape[-1]
-    reach = (a > tol_zero) | np.eye(m, dtype=bool)
+    reach = (a > TOL_ZERO) | np.eye(m, dtype=bool)
     for _ in range(max(m - 2, 0).bit_length()):
         reach = reach @ reach
     ok = reach.all(axis=(-2, -1))

@@ -32,6 +32,8 @@ from .matspec import (CoopMatrix, NearSingularWarning, _converged_bound,
 from .model import DispersalSystem, KernelSpec, Mode
 
 EPS_LADDER = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+MONO_TOL = 1e-10         # ladder values may dip by this much (rounding)
+PERRON_TOL = 1e-12       # Noda tolerance of the dispersal profiles
 BISECT_TOL = 1e-10
 BISECT_CAP = 200
 
@@ -47,33 +49,31 @@ class PerronWeight:
     converged: bool
 
 
-def perron_weight(kernel: KernelSpec, grid: Grid,
-                  tol: float = 1e-12) -> PerronWeight:
-    """Perron vector of diag(chi)^{-1} K by Noda iteration, normalized
-    to unit mass.
+def perron_weight(kernel: KernelSpec, grid: Grid) -> PerronWeight:
+    """Perron vector of diag(chi)^{-1} K by Noda iteration to PERRON_TOL,
+    normalized to unit mass.
 
     The weighted node masses w_a chi(x_a) form an exact discrete left
     eigenvector at eigenvalue one, so the converged eigenvalue must sit
-    within 100*tol of one; a larger deviation signals an inconsistent
-    grid and raises.
+    within 100*PERRON_TOL of one; a larger deviation signals an
+    inconsistent grid and raises.
     """
-    return _sampled_perron_weight(kernel.sample(grid), grid, tol)
+    K, chi = kernel_quadrature(kernel.sample(grid), grid)
+    return _sampled_perron_weight(K, chi, grid)
 
 
-def _sampled_perron_weight(raw: np.ndarray, grid: Grid,
-                           tol: float = 1e-12) -> PerronWeight:
-    """perron_weight from the raw kernel samples k(x_a, x_b)."""
-    K, chi = kernel_quadrature(raw, grid)
-    del raw   # samples made for this call are freed before the solve
+def _sampled_perron_weight(K: np.ndarray, chi: np.ndarray,
+                           grid: Grid) -> PerronWeight:
+    """perron_weight from the kernel's quadrature (K, chi)."""
     if np.min(chi) <= 0:
         raise InvalidParametersError("kernel has a node with zero departure rate")
-    r = metzler_bound(K / chi[:, None], tol=tol)
+    r = metzler_bound(K / chi[:, None], tol=PERRON_TOL)
     p = r.vector.copy()
     if np.min(p) <= 0:
         raise GridConsistencyError(
             f"dispersal profile has a non-positive sample {np.min(p):.3g}")
     dev = abs(r.value - 1.0)
-    if dev > 100.0 * tol:
+    if dev > 100.0 * PERRON_TOL:
         raise GridConsistencyError(
             f"normalized kernel eigenvalue deviates from one by {dev:.3g}; "
             f"refine the grid")
@@ -92,13 +92,12 @@ class SystemWeights:
     uniform_fallback: tuple  # l bools
 
 
-def weights_for_system(sys: DispersalSystem, grid: Grid,
-                       tol: float = 1e-12) -> SystemWeights:
+def weights_for_system(sys: DispersalSystem, grid: Grid) -> SystemWeights:
     ws, fallback = [], []
     uniform = np.full(grid.n, 1.0 / (grid.b - grid.a))
     for i in range(sys.l):
         if i < sys.l1:
-            ws.append(perron_weight(sys.kernels[i], grid, tol=tol).samples)
+            ws.append(perron_weight(sys.kernels[i], grid).samples)
             fallback.append(False)
         else:
             ws.append(uniform.copy())
@@ -191,22 +190,21 @@ class CaseB:
 ThresholdOutcome = CaseA | CaseB
 
 
-def ladder_classify(evaluate, threshold: float, margin: float,
-                    eps_ladder=EPS_LADDER, mono_tol: float = 1e-10):
+def ladder_classify(evaluate, threshold: float, margin: float):
     """Shared one-sided-limit bracketing policy.
 
-    evaluate(offset) is sampled at threshold + eps for eps on the
-    ladder; the samples must be non-decreasing as eps shrinks (the
-    underlying function is non-increasing in its argument).  Returns
+    evaluate(eps) is sampled for eps on EPS_LADDER; the samples must be
+    non-decreasing, within MONO_TOL, as eps shrinks (the underlying
+    function is non-increasing in its argument).  Returns
     (True, samples) when every sample clears threshold + margin,
     (False, samples) otherwise.
     """
     samples = []
-    for eps in eps_ladder:
+    for eps in EPS_LADDER:
         samples.append((eps, float(evaluate(eps))))
     values = [v for _, v in samples]
     for earlier, later in zip(values, values[1:]):
-        if later < earlier - mono_tol:
+        if later < earlier - MONO_TOL:
             raise ClassificationError(
                 "ladder values decreased while approaching the threshold",
                 samples)
@@ -240,10 +238,13 @@ def bracket_and_bisect(f, base: float, tol: float) -> float | None:
 
 
 def classify_threshold(sys: DispersalSystem, grid: Grid,
-                       weights: SystemWeights,
-                       tol: float | None = None) -> ThresholdOutcome:
+                       weights: SystemWeights) -> ThresholdOutcome:
     """Decide between the fixed-point and collapse outcomes of the
-    large-diffusion limit for a partially degenerate system."""
+    large-diffusion limit for a partially degenerate system.
+
+    Case A needs s(B~) above eta22 + 1e-4 max(1, |eta22|) on every rung
+    of the ladder; its fixed point gamma* is then bisected to BISECT_TOL.
+    """
     if sys.mode is not Mode.PARTIALLY_DEGENERATE or sys.l1 == sys.l:
         raise InvalidParametersError(
             "threshold classification applies to partially degenerate "
@@ -251,15 +252,13 @@ def classify_threshold(sys: DispersalSystem, grid: Grid,
     Ms = sys.coefficients.sample(grid)
     l1 = sys.l1
     eta22 = static_block_bound(Ms, l1)
-    if tol is None:
-        tol = 1e-4 * max(1.0, abs(eta22))
 
     def s_tilde(gamma: float) -> float:
         b = p_weighted_mean(schur_reduce_stack(Ms, l1, gamma), weights, grid)
         return _converged_bound(b)
 
     above, ladder = ladder_classify(lambda eps: s_tilde(eta22 + eps),
-                                    eta22, tol)
+                                    eta22, 1e-4 * max(1.0, abs(eta22)))
     if not above:
         return CaseB(eta22=eta22, ladder=ladder)
     gamma_star = bracket_and_bisect(lambda g: s_tilde(g) - g, eta22,
@@ -295,8 +294,8 @@ class ReducedQuantities:
 
 
 def reduced_quantities(sys: DispersalSystem, grid: Grid,
-                       weights: SystemWeights | None = None,
-                       tol: float | None = None) -> ReducedQuantities:
+                       weights: SystemWeights | None = None
+                       ) -> ReducedQuantities:
     if weights is None:
         weights = weights_for_system(sys, grid)
     tilde_M = reduced_tilde_M(sys, grid, weights)
@@ -304,7 +303,7 @@ def reduced_quantities(sys: DispersalSystem, grid: Grid,
     kappa_tilde = perron_bound(tilde_M)
     threshold = None
     if sys.mode is Mode.PARTIALLY_DEGENERATE and sys.l1 < sys.l and any(sys.d):
-        threshold = classify_threshold(sys, grid, weights, tol=tol)
+        threshold = classify_threshold(sys, grid, weights)
     return ReducedQuantities(tilde_M=tilde_M, kappa=kappa,
                              kappa_tilde=kappa_tilde, eta22=eta22,
                              threshold=threshold,

@@ -101,7 +101,7 @@ def test_mass_balance_identity():
                       kernels=["exp(-(x-y-0.2)^2)"])
     g = build_grid(-1, 1, 60)
     fields = sample_fields(sys, g)
-    K1 = fields.raw_kernels[0] @ g.weights       # mass arriving per node
+    K1 = fields.transfer[0].sum(axis=1)          # mass arriving per node
     lhs = float(g.weights @ K1)
     rhs = float(g.weights @ fields.chi[0])
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))

@@ -365,6 +365,26 @@ def test_max_iterations_caps_r0(tmp_path):
     assert read_report(out)["r0"]["converged"] is False
 
 
+def test_solver_tol_reaches_the_r0_sign_check(tmp_path, monkeypatch):
+    import nlds.epidemic
+    tols = []
+    real = nlds.epidemic.H_mu
+
+    def recording(*args, **kwargs):
+        tols.append(kwargs.get("tol"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nlds.epidemic, "H_mu", recording)
+    cfg_dict = {"domain": BASE["domain"], "grid": BASE["grid"],
+                "epidemic": {"kernel": GAUSS, "d": 1.0, "r": "1", "m": "1",
+                             "b": "1", "beta_d": "0.5", "beta_i": "1"},
+                "solver": {"tol": 1e-6}}
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "out"
+    assert run(["r0", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert tols == [1e-6]
+
+
 def test_unconverged_nodal_bound_exits_two(tmp_path):
     # exp(-700 x^2) reaches 1e-304 at the ends: the nodal solve there
     # overflows, and s_e must not be read off the unconverged value

@@ -250,6 +250,25 @@ def test_report_samples_the_parameters_once(monkeypatch):
     assert rep.converged
 
 
+def test_report_discretises_the_kernel_once(monkeypatch):
+    import nlds.assembly
+    import nlds.epidemic
+    import nlds.reduce
+    calls = []
+    real = nlds.assembly.kernel_quadrature
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (nlds.assembly, nlds.reduce, nlds.epidemic):
+        monkeypatch.setattr(module, "kernel_quadrature", counting)
+    g = build_grid(-1, 1, 40)
+    rep = compute_r0_report(make_params(d=2.0, m="1 + x^2"), g)
+    assert len(calls) == 1
+    assert rep.converged
+
+
 def test_sampled_parameters_give_identical_results():
     g = build_grid(-1, 1, 40)
     params = make_params(d=2.0, r="1 + 0.5*x", m="1 + x^2",
