@@ -16,6 +16,7 @@ spectral routines.
 
 from __future__ import annotations
 
+import mmap
 import struct
 from dataclasses import dataclass, field
 
@@ -25,6 +26,12 @@ from .errors import ValidationGateError
 from .grid import Grid
 from .model import DispersalSystem, KernelSpec, validate
 
+# Each P of block_matrix gets an anonymous map of its own, unmapped when P is
+# freed, so that P leaves no hole in malloc's heap.  On Linux the one mmap
+# call faults all of its pages in.
+_OWN_MAP = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | mmap.MAP_POPULATE}
+            if hasattr(mmap, "MAP_POPULATE") else {})
+
 
 def kernel_quadrature(raw: np.ndarray, grid: Grid
                       ) -> tuple[np.ndarray, np.ndarray]:
@@ -32,9 +39,8 @@ def kernel_quadrature(raw: np.ndarray, grid: Grid
     chi(x_a) = sum_b k(x_b, x_a) w_b of the raw kernel samples (n, n).
 
     Both use the grid weights, so w^T (K - diag chi) = 0 to rounding.
-    K is raw scaled in place, so pass samples made for this call: a
-    fresh n x n product left a heap hole that raised the peak resident
-    memory of an r0 or spectrum job by 2 MB at n = 512.
+    K is raw scaled in place, so that no second n x n array is made:
+    pass samples made for this call.
     """
     chi = raw.T @ grid.weights
     return np.multiply(raw, grid.weights[None, :], out=raw), chi
@@ -101,7 +107,8 @@ def block_matrix(F: np.ndarray, transfer, d) -> np.ndarray:
     block (i, j) is diag(F[:, i, j]), and block (i, i) gains d_i K_i for
     each transfer matrix K_i (n, n) of the leading len(transfer) species."""
     n, k = F.shape[0], F.shape[1]
-    P = np.zeros((k * n, k * n))
+    P = np.frombuffer(mmap.mmap(-1, 8 * (k * n) ** 2, **_OWN_MAP)).reshape(
+        k * n, k * n)
     for i in range(k):
         for j in range(k):
             np.fill_diagonal(P[i * n:(i + 1) * n, j * n:(j + 1) * n],

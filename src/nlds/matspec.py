@@ -141,8 +141,9 @@ def metzler_bound(A: np.ndarray, tol: float = 1e-12,
             on_hi = not converged   # rho is no estimate without that
             break
         u, last = y, value
-    del solve   # free its buffers before |A| is allocated: lower peak memory
-    err = (m + 2) * EPS * (np.abs(A) @ u) / u
+    del solve   # free its buffers; |A| u of a large A goes by 128-row blocks
+    err = (m + 2) * EPS * (np.abs(A) @ u if m <= 128 else np.concatenate(
+        [np.abs(A[i:i + 128]) @ u for i in range(0, m, 128)])) / u
     return PerronResult(hi if on_hi else value, u, iters, res, converged,
                         (float((q - err).min()), float((q + err).max())))
 
