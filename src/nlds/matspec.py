@@ -16,6 +16,14 @@ factors only the Schur complement on the diffusing block.  No pivoting
 across the blocks is needed: hi > s(A) makes hi I - A a nonsingular
 M-matrix, so every nodal pivot block hi I - A22(x_a) and the Schur
 complement are nonsingular M-matrices as well.
+
+The largest bound of a stack of nodal matrices (max_nodal_bound, the
+essential bound) is screened first: one batched eig supplies a test
+vector per node, and nodes whose Collatz-Wielandt bracket at that vector
+lies below another node's bracket are certified below the maximum
+without an iteration.  eig gives only the test vectors; the brackets are
+the evidence, and the value comes from the Noda iteration on the nodes
+that remain.
 """
 
 from __future__ import annotations
@@ -84,7 +92,8 @@ def metzler_bound(A: np.ndarray, tol: float = 1e-12,
 
     From u = 1, each step solves (hi I - A) y = u, with hi = max q and
     q = (A u) / u, and sets u = y / max y.  Stops when
-    hi - min q <= tol * c, c = 1 + max(0, -min diag A), or when both the
+    hi - min q <= tol * c, c = 1 + max(0, -min diag A, max A 1), so the
+    scale follows the magnitude of A either way, or when both the
     residual ||A u - rho u||_inf at the Rayleigh quotient rho and the
     last change of rho are that small, which (numerically) reducible
     input reaches with its quotients apart.  The value is rho, or hi if
@@ -108,7 +117,7 @@ def metzler_bound(A: np.ndarray, tol: float = 1e-12,
     if m == 1:
         a = float(A[0, 0])
         return PerronResult(a, np.ones(1), 0, 0.0, True, (a, a))
-    scale = tol * (1.0 + max(0.0, -float(np.min(np.diag(A)))))
+    c = 1.0 + max(0.0, -float(np.min(np.diag(A))))
     solve = (_static_elimination(A, *split)
              if split is not None and split[0] * split[1] < m
              else _dense_solver(A))
@@ -119,6 +128,8 @@ def metzler_bound(A: np.ndarray, tol: float = 1e-12,
         v = A @ u
         q = v / u
         lo, hi = float(q.min()), float(q.max())
+        if iters == 0:   # u = 1, so hi = max A 1
+            scale = tol * max(c, 1.0 + hi)
         value = float(u @ v) / float(u @ u)
         res = float(np.abs(v - value * u).max())
         if hi - lo <= scale or (res <= scale and abs(value - last) <= scale):
@@ -141,11 +152,24 @@ def metzler_bound(A: np.ndarray, tol: float = 1e-12,
             on_hi = not converged   # rho is no estimate without that
             break
         u, last = y, value
-    del solve   # free its buffers; |A| u of a large A goes by 128-row blocks
-    err = (m + 2) * EPS * (np.abs(A) @ u if m <= 128 else np.concatenate(
-        [np.abs(A[i:i + 128]) @ u for i in range(0, m, 128)])) / u
+    del solve   # free its buffers before the bracket
+    lo, up = _cw_bracket(A, u, q)
     return PerronResult(hi if on_hi else value, u, iters, res, converged,
-                        (float((q - err).min()), float((q + err).max())))
+                        (float(lo), float(up)))
+
+
+def _cw_bracket(A: np.ndarray, u: np.ndarray, q: np.ndarray):
+    """Collatz-Wielandt bracket (min q, max q) of a Metzler A at a
+    positive u, q = (A u) / u, widened by the rounding bound
+    (m + 2) eps (|A| u) / u of A u.  Works over the last axis: a stack
+    (..., m, m) with u and q (..., m) gives one bracket per matrix.
+    |A| u goes by 128-row blocks, so a large A gets no operator-sized
+    copy."""
+    m = A.shape[-1]
+    abs_au = np.concatenate([np.abs(A[..., i:i + 128, :]) @ u[..., None]
+                             for i in range(0, m, 128)], -2)[..., 0]
+    err = (m + 2) * EPS * abs_au / u
+    return (q - err).min(-1), (q + err).max(-1)
 
 
 def _dense_solver(A: np.ndarray):
@@ -232,10 +256,58 @@ def nodal_bounds(stack) -> np.ndarray:
     """Spectral bounds s(A_a) of a stack (n, l, l) of Metzler matrices,
     one per node; an empty block (l = 0) gives -inf.
 
-    Raises NonConvergenceError if any nodal iteration fails to converge.
+    Raises NonConvergenceError, naming the node, if any nodal iteration
+    fails to converge.
     """
-    return np.array([_converged_bound(m)
-                     for m in np.asarray(stack, dtype=float)])
+    A = np.asarray(stack, dtype=float)
+    return np.array([_nodal_bound(A, a) for a in range(len(A))])
+
+
+def _nodal_bound(stack: np.ndarray, a: int) -> float:
+    """Converged metzler_bound(stack[a]).value; the error names node a."""
+    r = metzler_bound(stack[a])
+    if not r.converged:
+        raise NonConvergenceError(
+            f"Perron iteration did not converge at node {a}", r.value,
+            r.residual)
+    return r.value
+
+
+def max_nodal_bound(stack) -> float:
+    """float(np.max(nodal_bounds(stack))), iterating only on the nodes
+    that can hold the maximum.
+
+    Screen: one batched eig gives each node a test vector v_a, the real
+    part of its rightmost eigenvector scaled to max 1 and raised to at
+    least eps (eig returns (1, 0) for [[0.5, 1e-300], [1e-300, 0]]).
+    eig supplies nothing else: the evidence is the Collatz-Wielandt
+    bracket [lo_a, hi_a] of A_a at v_a, which holds at any positive
+    vector, widened for rounding as in metzler_bound; every node gets
+    (-inf, inf) if eig fails.  A node with
+    hi_a + 4 scale < max_b lo_b, scale = tol c of metzler_bound taken
+    over the whole stack, is certified below the maximum and dropped,
+    even if its own iteration would not converge.  Every other node
+    gets metzler_bound, so the value is the one nodal_bounds gives;
+    raises NonConvergenceError if one of them fails to converge.
+    """
+    A = np.asarray(stack, dtype=float)
+    n = len(A)
+    if 0 in A.shape:   # no node, or empty blocks: nothing to screen
+        return float(np.max(nodal_bounds(A)))
+    with np.errstate(all="ignore"):   # a NaN or inf bracket drops nothing
+        try:
+            w, V = np.linalg.eig(A)
+        except np.linalg.LinAlgError:   # no test vectors: refine every node
+            lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+        else:
+            v = V[np.arange(n), :, w.real.argmax(-1)].real
+            v = np.fmax(v / v[np.arange(n), np.abs(v).argmax(-1)][:, None],
+                        EPS)   # positive, so the bracket holds
+            lo, hi = _cw_bracket(A, v, (A @ v[..., None])[..., 0] / v)
+        c = 1.0 + max(0.0, -float(np.diagonal(A, 0, -2, -1).min()),
+                      float(A.sum(-1).max()))
+        keep = ~(hi + 4e-12 * c < lo.max())   # 4 tol c, tol = 1e-12
+    return float(np.max([_nodal_bound(A, a) for a in np.flatnonzero(keep)]))
 
 
 def schur_reduce_stack(A, l1: int, lam: float, rhs=None):

@@ -27,8 +27,8 @@ from .errors import (ClassificationError, GridConsistencyError,
                      InvalidParametersError, ResolventDomainError)
 from .grid import Grid
 from .matspec import (CoopMatrix, NearSingularWarning, _converged_bound,
-                      metzler_bound, nodal_bounds, perron_bound,
-                      schur_reduce_stack)
+                      max_nodal_bound, metzler_bound, nodal_bounds,
+                      perron_bound, schur_reduce_stack)
 from .model import DispersalSystem, KernelSpec, Mode
 
 EPS_LADDER = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -123,15 +123,19 @@ def reduced_tilde_M(sys: DispersalSystem, grid: Grid,
 
 def kappa_and_eta22(sys: DispersalSystem, grid: Grid) -> tuple[float, float]:
     """(max_a s(M(x_a)), max_a s(M22(x_a))); the second is -inf when
-    every species diffuses (empty trailing block)."""
+    every species diffuses (empty trailing block).
+
+    Both are max_nodal_bound: a batched eig gives each node a test
+    vector, the Collatz-Wielandt brackets at those vectors rule out the
+    nodes below the maximum, and Noda runs on the rest."""
     Ms = sys.coefficients.sample(grid)
-    return float(np.max(nodal_bounds(Ms))), static_block_bound(Ms, sys.l1)
+    return max_nodal_bound(Ms), static_block_bound(Ms, sys.l1)
 
 
 def static_block_bound(Ms: np.ndarray, l1: int) -> float:
     """eta22 = max_a s(M22(x_a)) of the nodal matrices Ms (n, l, l);
     -inf when the trailing block is empty."""
-    return float(np.max(nodal_bounds(Ms[:, l1:, l1:])))
+    return max_nodal_bound(Ms[:, l1:, l1:])
 
 
 def tilde_B(sys: DispersalSystem, grid: Grid, weights: SystemWeights,

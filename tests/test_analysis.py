@@ -10,7 +10,9 @@ from nlds.assembly import assemble_operator, pointwise_A
 from nlds.errors import InvalidParametersError, ResolventDomainError
 from nlds.grid import build_grid
 from nlds.model import CoefField, DispersalSystem, KernelSpec
-from nlds.opspec import compute_spectral_report, spectral_bound
+from nlds.matspec import nodal_bounds
+from nlds.opspec import (compute_spectral_report, essential_bound,
+                         spectral_bound)
 
 GAUSS = "exp(-(x-y)^2)"
 
@@ -237,3 +239,18 @@ def test_probe_eliminates_the_static_species(monkeypatch):
     assert pr.ds_abs <= pr.sandwich_bound + 1e-12
     shifted = perturbation_probe(CASE_A, g, 0.0, seed=0, diagonal_shift=0.37)
     assert shifted.ds == pytest.approx(0.37, abs=1e-12)
+
+
+def test_essential_bound_iterates_only_near_the_maximum(monkeypatch):
+    # H peaks at x = 0, between the two middle nodes of the grid
+    A = pointwise_A(CASE_A, build_grid(-1, 1, 512))
+    expected = float(np.max(nodal_bounds(A.matrices)))
+    orders = []
+    real = nlds.matspec.metzler_bound
+
+    def counting(M, *args, **kwargs):
+        orders.append(len(M))
+        return real(M, *args, **kwargs)
+    monkeypatch.setattr(nlds.matspec, "metzler_bound", counting)
+    assert essential_bound(A) == expected
+    assert 0 < len(orders) <= 4

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -6,12 +7,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
+import nlds.matspec
 from nlds.assembly import assemble_operator
 from nlds.errors import NonConvergenceError, ResolventDomainError
 from nlds.grid import build_grid
 from nlds.matspec import (CoopMatrix, is_irreducible, large_shift_limit_check,
-                          metzler_bound, nodal_bounds, perron_bound,
-                          schur_reduce, schur_reduce_stack)
+                          max_nodal_bound, metzler_bound, nodal_bounds,
+                          perron_bound, schur_reduce, schur_reduce_stack)
 from nlds.model import CoefField, DispersalSystem, KernelSpec
 
 
@@ -379,3 +381,95 @@ def test_schur_reduce_stack_with_right_hand_sides():
                                    rtol=1e-12)
         np.testing.assert_allclose(f[:, 1:], m[:1, 1:] @ inv @ b,
                                    rtol=1e-12)
+
+
+def test_metzler_bound_stop_scale_follows_positive_magnitude():
+    # with c = 1 + max(0, -min diag A) alone, the bracket of 1e4 A
+    # settled at a width of 4e-11 against tol c = 1e-12 and 100 steps ran
+    a = np.random.default_rng(0).uniform(0.0, 1.0, size=(3, 3))
+    s = max(np.linalg.eigvals(a).real)
+    for scale in (1e4, 1e5):
+        r = metzler_bound(scale * a)
+        assert r.converged and r.iterations < 10
+        assert r.value == pytest.approx(scale * s, rel=1e-13)
+
+
+def test_nodal_bounds_name_the_failing_node():
+    with pytest.raises(NonConvergenceError, match="at node 1"):
+        nodal_bounds(np.stack([np.ones((2, 2)), WEAK]))
+
+
+@st.composite
+def metzler_stacks(draw):
+    """Stacks (N, l, l) of Metzler matrices: sparse (often reducible)
+    patterns, nodes repeated for ties, one power-of-ten scale."""
+    l = draw(st.integers(0, 4))
+    k = draw(st.integers(1, 8))
+    off = draw(hnp.arrays(float, (k, l, l), elements=st.floats(0.0, 1.0)))
+    pattern = draw(hnp.arrays(bool, (k, l, l)))
+    diag = draw(hnp.arrays(float, (k, l), elements=st.floats(-1.0, 1.0)))
+    nodes = draw(hnp.arrays(np.intp, st.integers(1, 64),
+                            elements=st.integers(0, k - 1)))
+    base = off * pattern
+    base[:, np.arange(l), np.arange(l)] = diag
+    return base[nodes] * 10.0 ** draw(st.integers(-8, 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(metzler_stacks())
+def test_max_nodal_bound_is_the_largest_nodal_bound(stack):
+    try:
+        bounds = nodal_bounds(stack)
+    except NonConvergenceError:
+        assume(False)
+    assert max_nodal_bound(stack) == float(np.max(bounds))
+
+
+def counted_metzler_bound(monkeypatch) -> list:
+    """Route nlds.matspec.metzler_bound through a wrapper that records
+    the order of each matrix it is called on."""
+    orders = []
+    real = nlds.matspec.metzler_bound
+
+    def counting(A, *args, **kwargs):
+        orders.append(len(A))
+        return real(A, *args, **kwargs)
+    monkeypatch.setattr(nlds.matspec, "metzler_bound", counting)
+    return orders
+
+
+TOP = [[9.0, 1.0], [1.0, 9.0]]   # s = 10, Perron vector (1, 1)
+
+
+def test_max_nodal_bound_prunes_only_below_the_maximum(monkeypatch):
+    orders = counted_metzler_bound(monkeypatch)
+    # WEAK's own iteration fails, but its bracket is below 10
+    assert max_nodal_bound(np.array([WEAK, TOP])) == 10.0
+    assert len(orders) == 1
+    with pytest.raises(NonConvergenceError):
+        nodal_bounds(np.array([WEAK, TOP]))
+    # a node that can hold the maximum is refined, and its failure raises
+    with pytest.raises(NonConvergenceError, match="at node 0"):
+        max_nodal_bound(np.array([WEAK, [[0.2, 0.1], [0.1, 0.2]]]))
+
+
+def test_max_nodal_bound_on_a_subnormal_coupling_warns_nothing():
+    sub = np.array([[[0.5, 5e-324], [5e-324, 0.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergenceError):
+            max_nodal_bound(sub)
+        assert max_nodal_bound(np.concatenate((sub, [TOP]))) == 10.0
+
+
+def test_max_nodal_bound_refines_every_node_without_eig(monkeypatch):
+    rng = np.random.default_rng(7)
+    stack = np.array([rand_cooperative(rng, 3) for _ in range(6)])
+    expected = float(np.max(nodal_bounds(stack)))
+
+    def fail(a):
+        raise np.linalg.LinAlgError("eig refused")
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    orders = counted_metzler_bound(monkeypatch)
+    assert max_nodal_bound(stack) == expected
+    assert orders == [3] * 6
