@@ -277,18 +277,17 @@ def max_nodal_bound(stack) -> float:
     """float(np.max(nodal_bounds(stack))), iterating only on the nodes
     that can hold the maximum.
 
-    Screen: one batched eig gives each node a test vector v_a, the real
-    part of its rightmost eigenvector scaled to max 1 and raised to at
-    least eps (eig returns (1, 0) for [[0.5, 1e-300], [1e-300, 0]]).
-    eig supplies nothing else: the evidence is the Collatz-Wielandt
-    bracket [lo_a, hi_a] of A_a at v_a, which holds at any positive
-    vector, widened for rounding as in metzler_bound; every node gets
-    (-inf, inf) if eig fails.  A node with
-    hi_a + 4 scale < max_b lo_b, scale = tol c of metzler_bound taken
-    over the whole stack, is certified below the maximum and dropped,
-    even if its own iteration would not converge.  Every other node
-    gets metzler_bound, so the value is the one nodal_bounds gives;
-    raises NonConvergenceError if one of them fails to converge.
+    One batched eig gives each node a test vector v_a, and nothing else:
+    the real part of its rightmost eigenvector, scaled to max 1 and
+    raised to at least eps (eig returns (1, 0) for
+    [[0.5, 1e-300], [1e-300, 0]]).  The evidence is the
+    Collatz-Wielandt bracket [lo_a, hi_a] of A_a at v_a, valid at any
+    positive vector and widened for rounding as in metzler_bound; if
+    eig fails, every bracket is (-inf, inf).  A node with
+    hi_a + 4 tol c < max_b lo_b (tol c: metzler_bound's stop scale over
+    the whole stack) is certified below the maximum and dropped, even if
+    its own iteration would not converge.  The others run metzler_bound,
+    and a failure among them raises NonConvergenceError.
     """
     A = np.asarray(stack, dtype=float)
     n = len(A)

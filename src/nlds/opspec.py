@@ -99,10 +99,10 @@ def essential_bound(A: PointwiseA) -> float:
     """Largest nodal spectral bound max_a s(A(x_a)); for these operators
     this is the essential spectral bound of the assembled operator.
 
-    Nodes whose Collatz-Wielandt bracket, at a test vector from one
-    batched eig, lies below another node's are certified below the
-    maximum and skipped; the value is the Noda bound of the nodes left
-    (max_nodal_bound)."""
+    Nodes whose Collatz-Wielandt bracket lies below another node's are
+    certified below the maximum and skipped; one batched eig supplies
+    only the test vectors of those brackets, and the value is the Noda
+    bound of the nodes left (max_nodal_bound)."""
     return max_nodal_bound(A.matrices)
 
 

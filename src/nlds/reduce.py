@@ -125,9 +125,9 @@ def kappa_and_eta22(sys: DispersalSystem, grid: Grid) -> tuple[float, float]:
     """(max_a s(M(x_a)), max_a s(M22(x_a))); the second is -inf when
     every species diffuses (empty trailing block).
 
-    Both are max_nodal_bound: a batched eig gives each node a test
-    vector, the Collatz-Wielandt brackets at those vectors rule out the
-    nodes below the maximum, and Noda runs on the rest."""
+    Both are max_nodal_bound: a batched eig gives only a test vector
+    per node, the Collatz-Wielandt brackets at those vectors rule out
+    the nodes below the maximum, and Noda runs on the rest."""
     Ms = sys.coefficients.sample(grid)
     return max_nodal_bound(Ms), static_block_bound(Ms, sys.l1)
 

@@ -2,6 +2,8 @@ from contextlib import contextmanager
 
 import pytest
 
+import nlds.matspec
+
 ACCEPTANCE_RESULTS: list[tuple[int, str, bool]] = []
 
 
@@ -20,6 +22,20 @@ def criterion():
         ACCEPTANCE_RESULTS.append((num, description, True))
 
     return _criterion
+
+
+@pytest.fixture
+def metzler_bound_orders(monkeypatch) -> list:
+    """The order of each matrix that nlds.matspec.metzler_bound is
+    called on during the test."""
+    orders = []
+    real = nlds.matspec.metzler_bound
+
+    def counting(A, *args, **kwargs):
+        orders.append(len(A))
+        return real(A, *args, **kwargs)
+    monkeypatch.setattr(nlds.matspec, "metzler_bound", counting)
+    return orders
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -241,16 +241,11 @@ def test_probe_eliminates_the_static_species(monkeypatch):
     assert shifted.ds == pytest.approx(0.37, abs=1e-12)
 
 
-def test_essential_bound_iterates_only_near_the_maximum(monkeypatch):
+def test_essential_bound_iterates_only_near_the_maximum(
+        metzler_bound_orders):
     # H peaks at x = 0, between the two middle nodes of the grid
     A = pointwise_A(CASE_A, build_grid(-1, 1, 512))
     expected = float(np.max(nodal_bounds(A.matrices)))
-    orders = []
-    real = nlds.matspec.metzler_bound
-
-    def counting(M, *args, **kwargs):
-        orders.append(len(M))
-        return real(M, *args, **kwargs)
-    monkeypatch.setattr(nlds.matspec, "metzler_bound", counting)
+    del metzler_bound_orders[:]
     assert essential_bound(A) == expected
-    assert 0 < len(orders) <= 4
+    assert 0 < len(metzler_bound_orders) <= 4

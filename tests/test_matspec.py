@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
-import nlds.matspec
 from nlds.assembly import assemble_operator
 from nlds.errors import NonConvergenceError, ResolventDomainError
 from nlds.grid import build_grid
@@ -425,27 +424,13 @@ def test_max_nodal_bound_is_the_largest_nodal_bound(stack):
     assert max_nodal_bound(stack) == float(np.max(bounds))
 
 
-def counted_metzler_bound(monkeypatch) -> list:
-    """Route nlds.matspec.metzler_bound through a wrapper that records
-    the order of each matrix it is called on."""
-    orders = []
-    real = nlds.matspec.metzler_bound
-
-    def counting(A, *args, **kwargs):
-        orders.append(len(A))
-        return real(A, *args, **kwargs)
-    monkeypatch.setattr(nlds.matspec, "metzler_bound", counting)
-    return orders
-
-
 TOP = [[9.0, 1.0], [1.0, 9.0]]   # s = 10, Perron vector (1, 1)
 
 
-def test_max_nodal_bound_prunes_only_below_the_maximum(monkeypatch):
-    orders = counted_metzler_bound(monkeypatch)
+def test_max_nodal_bound_prunes_only_below_the_maximum(metzler_bound_orders):
     # WEAK's own iteration fails, but its bracket is below 10
     assert max_nodal_bound(np.array([WEAK, TOP])) == 10.0
-    assert len(orders) == 1
+    assert metzler_bound_orders == [2]
     with pytest.raises(NonConvergenceError):
         nodal_bounds(np.array([WEAK, TOP]))
     # a node that can hold the maximum is refined, and its failure raises
@@ -462,7 +447,8 @@ def test_max_nodal_bound_on_a_subnormal_coupling_warns_nothing():
         assert max_nodal_bound(np.concatenate((sub, [TOP]))) == 10.0
 
 
-def test_max_nodal_bound_refines_every_node_without_eig(monkeypatch):
+def test_max_nodal_bound_refines_every_node_without_eig(
+        monkeypatch, metzler_bound_orders):
     rng = np.random.default_rng(7)
     stack = np.array([rand_cooperative(rng, 3) for _ in range(6)])
     expected = float(np.max(nodal_bounds(stack)))
@@ -470,6 +456,6 @@ def test_max_nodal_bound_refines_every_node_without_eig(monkeypatch):
     def fail(a):
         raise np.linalg.LinAlgError("eig refused")
     monkeypatch.setattr(np.linalg, "eig", fail)
-    orders = counted_metzler_bound(monkeypatch)
+    del metzler_bound_orders[:]
     assert max_nodal_bound(stack) == expected
-    assert orders == [3] * 6
+    assert metzler_bound_orders == [3] * 6
