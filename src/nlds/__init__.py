@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 from .grid import Grid, build_grid, integrate
 from .model import (CoefField, DispersalSystem, KernelSpec, Mode,
                     ValidationReport, validate)
-from .assembly import (AssembledOperator, PointwiseA, assemble_operator,
-                       compute_chi, pointwise_A)
+from .assembly import (AssembledOperator, assemble_operator, compute_chi,
+                       pointwise_A)
 from .matspec import (CoopMatrix, is_irreducible, large_shift_limit_check,
                       perron_bound, schur_reduce)
 from .opspec import (SpectralReport, compute_spectral_report, dense_spectrum,
@@ -33,8 +33,7 @@ __all__ = [
     "Grid", "build_grid", "integrate",
     "CoefField", "DispersalSystem", "KernelSpec", "Mode",
     "ValidationReport", "validate",
-    "AssembledOperator", "PointwiseA", "assemble_operator", "compute_chi",
-    "pointwise_A",
+    "AssembledOperator", "assemble_operator", "compute_chi", "pointwise_A",
     "CoopMatrix", "is_irreducible", "large_shift_limit_check", "perron_bound",
     "schur_reduce",
     "SpectralReport", "compute_spectral_report", "dense_spectrum",

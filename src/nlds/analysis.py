@@ -49,7 +49,7 @@ class SpectralField:
 
 def spectral_field(sys: DispersalSystem, grid: Grid,
                    fields: SampledFields | None = None) -> SpectralField:
-    A = pointwise_A(sys, grid, fields=fields).matrices
+    A = pointwise_A(sys, grid, fields=fields)
     H = nodal_bounds(A)
     eta = float(np.max(H))
     h = nodal_bounds(schur_reduce_stack(A, sys.l1, eta))
@@ -103,6 +103,8 @@ def integrability_diagnostic(field_on, grids: list[Grid],
     answer, and the evidence (quadrature sums, their growth ratios, the
     order fitted on the FIT_WINDOW nodes nearest the maximum) ships with
     it.  Distances to the supremum at or below FLOOR count as poles.
+    A grid with no node of the region away from the maximum has no
+    quadrature sum to compare and raises InvalidParametersError.
     """
     alpha, beta = region
     data = []
@@ -125,6 +127,10 @@ def integrability_diagnostic(field_on, grids: list[Grid],
     for g, Hs in data:
         dist = eta_hat - Hs
         mask = (g.points >= alpha) & (g.points <= beta) & (dist > FLOOR)
+        if not mask.any():
+            raise InvalidParametersError(
+                f"region [{alpha:g}, {beta:g}] holds no node away from "
+                f"the maximum on the refinement grid of n = {g.n}")
         integrals.append((g.n, float(np.sum(g.weights[mask] / dist[mask]))))
     ratios = tuple(b / a for (_, a), (_, b) in zip(integrals, integrals[1:]))
 
@@ -164,33 +170,33 @@ def integrability_diagnostic(field_on, grids: list[Grid],
 
 # --- generalized eigenproblem on the diffusing block ---------------------
 
-def assemble_reduced_operator(sys: DispersalSystem, grid: Grid,
-                              lam: float, fields=None) -> np.ndarray:
-    """(l1 n) x (l1 n) matrix of the reduced problem at parameter lam.
+def assemble_reduced_operator(sys: DispersalSystem, grid: Grid, lam: float,
+                              fields: SampledFields) -> np.ndarray:
+    """(l1 n) x (l1 n) matrix of the reduced problem at parameter lam,
+    from the system's samples fields on grid.
 
     Nodal Schur reductions of the diffusion-included matrices A(x_a)
     (leading block M11 - diag(d_i chi_i)) plus the pure kernel-transfer
     blocks d_i K_i: the departure rates already live inside A's leading
     block, so the transfer blocks must not subtract them again.
     """
-    if fields is None:
-        fields = sample_fields(sys, grid)
     eta22 = static_block_bound(fields.M, sys.l1)
     if not lam > eta22:
         raise ResolventDomainError(
             f"lambda = {lam:.6g} is not above the static-block bound "
             f"{eta22:.6g}")
-    A = pointwise_A(sys, grid, fields=fields).matrices
+    A = pointwise_A(sys, grid, fields=fields)
     F = schur_reduce_stack(A, sys.l1, lam)
     return block_matrix(F, fields.transfer, sys.d)
 
 
-def generalized_eigen_residual(sys: DispersalSystem, grid: Grid,
-                               lam: float, tol: float = 1e-10,
-                               fields: SampledFields | None = None) -> float:
-    """s(T_lam) - lam: zero exactly when lam solves the reduced
-    generalized eigenproblem, which certified spectral bounds do."""
-    T = assemble_reduced_operator(sys, grid, lam, fields=fields)
+def generalized_eigen_residual(sys: DispersalSystem, grid: Grid, lam: float,
+                               fields: SampledFields,
+                               tol: float = 1e-10) -> float:
+    """s(T_lam) - lam for the reduced operator T_lam of the samples
+    fields: zero exactly when lam solves the reduced generalized
+    eigenproblem, which certified spectral bounds do."""
+    T = assemble_reduced_operator(sys, grid, lam, fields)
     return spectral_bound(T, tol=tol).value - lam
 
 
@@ -280,10 +286,9 @@ def sweep(sys: DispersalSystem, grid: Grid, t_schedule,
         if mode == "large-d-degen":
             d = base_d.copy()
             d[:sys.l1] *= t
-        scaled = sys.with_d(d)
-        P = assemble_operator(scaled, grid, force=True, fields=fields)
+        P = assemble_operator(sys.with_d(d), grid, force=True, fields=fields)
         r = spectral_bound(P, tol=tol, max_iterations=max_iterations)
-        s_e = essential_bound(pointwise_A(scaled, grid, fields=fields))
+        s_e = essential_bound(P.nodal)
         rows.append(SweepRow(t=t, s=r.value, s_e=s_e, gap=r.value - s_e,
                              reference=reference,
                              deviation=abs(r.value - reference),

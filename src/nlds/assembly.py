@@ -73,9 +73,17 @@ def sample_fields(sys: DispersalSystem, grid: Grid) -> SampledFields:
 
 @dataclass(frozen=True)
 class AssembledOperator:
-    """Dense (l n) x (l n) discretization of the dispersal operator."""
+    """Dense (l n) x (l n) discretization of the dispersal operator,
+    with the nodal field it is built from.
+
+    nodal (n, l, l) holds A(x_a) = M(x_a) - diag(d_i chi_i(x_a), i
+    diffusing), as pointwise_A gives it; matrix is block_matrix of nodal
+    plus the transfer blocks d_i K_i.  The largest nodal spectral bound
+    is the essential spectral bound of matrix.
+    """
 
     matrix: np.ndarray = field(repr=False)
+    nodal: np.ndarray = field(repr=False)
     grid: Grid
     system: DispersalSystem
 
@@ -97,9 +105,9 @@ def assemble_operator(sys: DispersalSystem, grid: Grid, force: bool = False,
             raise ValidationGateError(report)
     if fields is None:
         fields = sample_fields(sys, grid)
-    P = block_matrix(pointwise_A(sys, grid, fields=fields).matrices,
-                     fields.transfer, sys.d)
-    return AssembledOperator(matrix=P, grid=grid, system=sys)
+    A = pointwise_A(sys, grid, fields=fields)
+    return AssembledOperator(matrix=block_matrix(A, fields.transfer, sys.d),
+                             nodal=A, grid=grid, system=sys)
 
 
 def block_matrix(F: np.ndarray, transfer, d) -> np.ndarray:
@@ -118,25 +126,16 @@ def block_matrix(F: np.ndarray, transfer, d) -> np.ndarray:
     return P
 
 
-@dataclass(frozen=True)
-class PointwiseA:
-    """Nodal matrices A(x_a) = M(x_a) - diag(d_i chi_i(x_a), i diffusing).
-
-    Their spectral bounds trace out the essential spectrum of the
-    assembled operator.
-    """
-
-    matrices: np.ndarray  # (n, l, l)
-
-
 def pointwise_A(sys: DispersalSystem, grid: Grid,
-                fields: SampledFields | None = None) -> PointwiseA:
+                fields: SampledFields | None = None) -> np.ndarray:
+    """Nodal matrices A(x_a) = M(x_a) - diag(d_i chi_i(x_a), i diffusing)
+    as an (n, l, l) stack; AssembledOperator.nodal of the same system."""
     if fields is None:
         fields = sample_fields(sys, grid)
     A = fields.M.copy()
     for i in range(sys.l1):
         A[:, i, i] -= float(sys.d[i]) * fields.chi[i]
-    return PointwiseA(matrices=A)
+    return A
 
 
 # --- binary dump -------------------------------------------------------

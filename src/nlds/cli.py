@@ -28,8 +28,7 @@ from . import __version__
 from .analysis import (generalized_eigen_residual, integrability_diagnostic,
                        perturbation_probe, refinement_grids, spectral_field,
                        sweep, write_csv)
-from .assembly import (assemble_operator, dump_matrix, pointwise_A,
-                       sample_fields)
+from .assembly import assemble_operator, dump_matrix, sample_fields
 from .epidemic import VSIParams, compute_r0_report
 from .errors import (CertificateInconsistencyError, ConfigError,
                      GridConsistencyError, NldsError, NonConvergenceError,
@@ -247,9 +246,7 @@ def cmd_validate(cfg, args, report, outdir) -> int:
 def cmd_spectrum(cfg, args, report, outdir) -> int:
     system, g = validated_objects(cfg, args, report)
     opts = solver_opts(cfg)
-    fields = sample_fields(system, g)
-    P = assemble_operator(system, g, force=True, fields=fields)
-    sr = compute_spectral_report(P, pointwise_A(system, g, fields=fields),
+    sr = compute_spectral_report(assemble_operator(system, g, force=True),
                                  **opts)
     d = sr.to_dict()
     d["tol"] = opts["tol"]
@@ -286,7 +283,8 @@ def cmd_diagnose(cfg, args, report, outdir) -> int:
     opts = solver_opts(cfg)
     region = tuple(cfg.get("diagnose", {}).get("region",
                                                [system.domain[0], system.domain[1]]))
-    n_list = cfg.get("grid", {}).get("refinements", [g.n // 4, g.n // 2, g.n])
+    n_list = cfg.get("grid", {}).get(
+        "refinements", [k for k in (g.n // 4, g.n // 2, g.n) if k >= 1])
     grids = refinement_grids(system.domain[0], system.domain[1], n_list)
     fields = sample_fields(system, g)
     by_n = {}   # grid size -> SpectralField, so the run grid's is reused
@@ -300,8 +298,7 @@ def cmd_diagnose(cfg, args, report, outdir) -> int:
     diag = integrability_diagnostic(lambda gg: field_of(gg).H, grids, region)
     report["diagnose"] = {"integrability": diag.to_dict()}
     P = assemble_operator(system, g, force=True, fields=fields)
-    sr = compute_spectral_report(P, pointwise_A(system, g, fields=fields),
-                                 **opts)
+    sr = compute_spectral_report(P, **opts)
     report["diagnose"]["spectral"] = sr.to_dict()
     field = field_of(g)
     report["diagnose"]["field"] = {
@@ -311,8 +308,8 @@ def cmd_diagnose(cfg, args, report, outdir) -> int:
     }
     if (system.l1 < system.l and sr.gap > 0
             and isinstance(sr.certificate, Exists)):
-        resid = generalized_eigen_residual(system, g, sr.s, tol=opts["tol"],
-                                           fields=fields)
+        resid = generalized_eigen_residual(system, g, sr.s, fields,
+                                           tol=opts["tol"])
         report["diagnose"]["generalized_eigen_residual"] = resid
     return EXIT_OK if sr.converged else EXIT_NONCONVERGENCE
 

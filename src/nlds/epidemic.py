@@ -12,6 +12,11 @@ R0 itself comes from Noda steps on the n x n cell-compartment matrix G,
 which is formed only when its first product G 1 (one order-n solve)
 does not already settle the value.
 
+sample_params evaluates the rates and the kernel's quadrature on one
+grid, and every routine here reads that SampledVSI; compute_r0_report
+is the one place that samples, so R0, its limits and the sign check
+all come from the same discretized model.
+
 The diffusion limits mirror the threshold dichotomy of the reduce
 module: as d grows, R0 tends either to the root of the mixing balance
 Q(mu) (when Q stays positive approaching the direct-route maximum) or
@@ -66,6 +71,11 @@ class VSIParams:
 
 @dataclass(frozen=True)
 class SampledVSI:
+    """The model on one grid, as every routine below reads it: the
+    virion diffusion rate, the nodal rates and the kernel's quadrature."""
+
+    grid: Grid
+    d: float
     r: np.ndarray
     m: np.ndarray
     b: np.ndarray
@@ -93,26 +103,22 @@ def sample_params(params: VSIParams, grid: Grid) -> SampledVSI:
     if params.d < 0:
         raise InvalidParametersError(f"d must be nonnegative, got {params.d}")
     K, chi = kernel_quadrature(params.kernel.sample(grid), grid)
-    return SampledVSI(r=r, m=m, b=b, beta_d=bd, beta_i=bi,
-                      transfer=K, chi=chi,
+    return SampledVSI(grid=grid, d=params.d, r=r, m=m, b=b, beta_d=bd,
+                      beta_i=bi, transfer=K, chi=chi,
                       outside_positivity=bool(np.min(bi) == 0.0))
 
 
-def _operator(sv: SampledVSI, d: float, t: float,
-              species: int = 2) -> np.ndarray:
+def _operator(sv: SampledVSI, t: float, species: int = 2) -> np.ndarray:
     """B + t F over the stacked (V, I) nodal vector; B11 if species = 1."""
-    M = np.array([[-sv.m - d * sv.chi, sv.r],
+    M = np.array([[-sv.m - sv.d * sv.chi, sv.r],
                   [t * sv.beta_i, t * sv.beta_d - sv.b]]).transpose(2, 0, 1)
-    return block_matrix(M[:, :species, :species], (sv.transfer,), (d,))
+    return block_matrix(M[:, :species, :species], (sv.transfer,), (sv.d,))
 
 
-def assemble_epidemic(params: VSIParams, grid: Grid,
-                      sampled: SampledVSI | None = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
+def assemble_epidemic(sv: SampledVSI) -> tuple[np.ndarray, np.ndarray]:
     """Transition matrix B and infection matrix F, each of order 2n."""
-    sv = sampled if sampled is not None else sample_params(params, grid)
-    B = _operator(sv, params.d, 0.0)
-    return B, _operator(sv, params.d, 1.0) - B
+    B = _operator(sv, 0.0)
+    return B, _operator(sv, 1.0) - B
 
 
 @dataclass(frozen=True)
@@ -125,9 +131,8 @@ class R0Result:
     bracket: tuple[float, float]
 
 
-def r0(params: VSIParams, grid: Grid, tol: float = 1e-10,
-       max_iterations: int = MAX_ITERATIONS,
-       sampled: SampledVSI | None = None) -> R0Result:
+def r0(sv: SampledVSI, tol: float = 1e-10,
+       max_iterations: int = MAX_ITERATIONS) -> R0Result:
     """Spectral radius of the next-generation operator, with its bracket.
 
     B is block upper triangular with cell block -diag(b), so the nonzero
@@ -153,9 +158,8 @@ def r0(params: VSIParams, grid: Grid, tol: float = 1e-10,
     max_a ((B11^T w)_a + (n + 2) eps (|B11|^T w)_a) / w_a < 0, which is
     -m plus rounding since w^T (K - diag chi) = 0.
     """
-    sv = sampled if sampled is not None else sample_params(params, grid)
-    B11 = _operator(sv, params.d, 0.0, species=1)
-    w, absA, gamma_n = grid.weights, np.abs(B11), (grid.n + 2) * EPS
+    B11 = _operator(sv, 0.0, species=1)
+    w, absA, gamma_n = sv.grid.weights, np.abs(B11), (sv.grid.n + 2) * EPS
     sb = float(np.max((w @ B11 + gamma_n * (w @ absA)) / w))
     if sb >= 0:
         raise InvalidParametersError(
@@ -184,37 +188,30 @@ def r0(params: VSIParams, grid: Grid, tol: float = 1e-10,
                     bracket=(res.bracket[0] - eta, res.bracket[1] + eta))
 
 
-def H_mu(params: VSIParams, grid: Grid, mu: float,
-         tol: float = 1e-10, sampled: SampledVSI | None = None) -> float:
+def H_mu(sv: SampledVSI, mu: float, tol: float = 1e-10) -> float:
     """Spectral bound of B + F/mu, zero at mu = R0, by Noda steps that
     eliminate the static cells; raises NonConvergenceError if unconverged."""
     if mu <= 0:
         raise InvalidParametersError(f"mu must be positive, got {mu}")
-    sv = sampled if sampled is not None else sample_params(params, grid)
-    return _converged_bound(_operator(sv, params.d, 1.0 / mu), tol=tol,
-                            split=(1, grid.n))
+    return _converged_bound(_operator(sv, 1.0 / mu), tol=tol,
+                            split=(1, sv.grid.n))
 
 
-def hat_r0(params: VSIParams, grid: Grid,
-           sampled: SampledVSI | None = None) -> float:
+def hat_r0(sv: SampledVSI) -> float:
     """Direct-route maximum max_x beta_d(x)/b(x)."""
-    sv = sampled if sampled is not None else sample_params(params, grid)
     return float(np.max(sv.beta_d / sv.b))
 
 
-def r0_at_zero_diffusion(params: VSIParams, grid: Grid,
-                         sampled: SampledVSI | None = None) -> float:
+def r0_at_zero_diffusion(sv: SampledVSI) -> float:
     """Closed form of the zero-diffusion limit:
-    max_x (beta_d/b + beta_i r / (b m))."""
-    sv = sampled if sampled is not None else sample_params(params, grid)
+    max_x (beta_d/b + beta_i r / (b m)); sv.d plays no part."""
     return float(np.max(sv.beta_d / sv.b + sv.beta_i * sv.r / (sv.b * sv.m)))
 
 
-def q_of_mu(params: VSIParams, grid: Grid, weight_samples, mu: float,
-            sampled: SampledVSI | None = None) -> float:
-    """Mixing balance Q(mu) = integral [-m + r beta_i / (mu b - beta_d)] p;
+def q_of_mu(sv: SampledVSI, weight_samples, mu: float) -> float:
+    """Mixing balance Q(mu) = integral [-m + r beta_i / (mu b - beta_d)] p
+    for the kernel's Perron weight p (weight_samples, on sv.grid);
     defined for mu above the direct-route maximum."""
-    sv = sampled if sampled is not None else sample_params(params, grid)
     den = mu * sv.b - sv.beta_d
     if np.min(den) <= 0:
         raise ResolventDomainError(
@@ -222,7 +219,7 @@ def q_of_mu(params: VSIParams, grid: Grid, weight_samples, mu: float,
             f"{np.max(sv.beta_d / sv.b):.6g}")
     p = np.asarray(weight_samples, dtype=float)
     integrand = -sv.m + sv.r * sv.beta_i / den
-    return float((integrand * p) @ grid.weights)
+    return float((integrand * p) @ sv.grid.weights)
 
 
 @dataclass(frozen=True)
@@ -254,20 +251,16 @@ class BoundaryCase:
 LimitClassification = RootCase | BoundaryCase
 
 
-def r0_large_d_limit(params: VSIParams, grid: Grid, weight_samples=None,
-                     sampled: SampledVSI | None = None) -> LimitClassification:
+def r0_large_d_limit(sv: SampledVSI, weight_samples) -> LimitClassification:
     """Classify the large-diffusion limit of R0 with the shared ladder
     policy: root case when Q clears LIMIT_MARGIN on every rung, boundary
     case otherwise; in the root case the root is found by bisecting the
-    decreasing Q."""
-    sv = sampled if sampled is not None else sample_params(params, grid)
-    if weight_samples is None:
-        weight_samples = _sampled_perron_weight(sv.transfer, sv.chi,
-                                                grid).samples
-    hat = hat_r0(params, grid, sampled=sv)
+    decreasing Q.  weight_samples is the kernel's Perron weight on
+    sv.grid; sv.d plays no part."""
+    hat = hat_r0(sv)
 
     def q(mu: float) -> float:
-        return q_of_mu(params, grid, weight_samples, mu, sampled=sv)
+        return q_of_mu(sv, weight_samples, mu)
 
     above, ladder = ladder_classify(lambda eps: q(hat + eps), 0.0,
                                     LIMIT_MARGIN)
@@ -310,16 +303,15 @@ def compute_r0_report(params: VSIParams, grid: Grid, tol: float = 1e-10,
     """R0, its diffusion limits and the sign check H(R0), from one
     sampling of the parameters."""
     sv = sample_params(params, grid)
-    res = r0(params, grid, tol=tol, max_iterations=max_iterations,
-             sampled=sv)
+    res = r0(sv, tol=tol, max_iterations=max_iterations)
     weight = _sampled_perron_weight(sv.transfer, sv.chi, grid).samples
-    limit = r0_large_d_limit(params, grid, weight, sampled=sv)
-    hat = hat_r0(params, grid, sampled=sv)
+    limit = r0_large_d_limit(sv, weight)
+    hat = hat_r0(sv)
     q_samples = tuple((hat + eps, q) for eps, q in limit.ladder)
     return R0Report(
         r0=res.value, bracket=res.bracket, hat_r0=hat,
         tilde_r0=limit.tilde_r0 if isinstance(limit, RootCase) else None,
-        limit=limit, r0_at_zero=r0_at_zero_diffusion(params, grid, sampled=sv),
+        limit=limit, r0_at_zero=r0_at_zero_diffusion(sv),
         q_samples=q_samples,
-        sign_residual=H_mu(params, grid, res.value, tol=tol, sampled=sv),
+        sign_residual=H_mu(sv, res.value, tol=tol),
         converged=res.converged, outside_positivity=res.outside_positivity)

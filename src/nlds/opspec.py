@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import AssembledOperator, PointwiseA
+from .assembly import AssembledOperator
 from .errors import CertificateInconsistencyError, SizeCapError
 from .matspec import (MAX_ITERATIONS, PerronResult, max_nodal_bound,
                       metzler_bound)
@@ -95,15 +95,16 @@ def spectral_bound(P, tol: float = 1e-10,
     return metzler_bound(_mat(P), tol=tol, max_iterations=max_iterations)
 
 
-def essential_bound(A: PointwiseA) -> float:
-    """Largest nodal spectral bound max_a s(A(x_a)); for these operators
-    this is the essential spectral bound of the assembled operator.
+def essential_bound(A: np.ndarray) -> float:
+    """Largest nodal spectral bound max_a s(A(x_a)) of the stack A
+    (n, l, l); on AssembledOperator.nodal this is the essential spectral
+    bound of the assembled operator.
 
     Nodes whose Collatz-Wielandt bracket lies below another node's are
     certified below the maximum and skipped; one batched eig supplies
     only the test vectors of those brackets, and the value is the Noda
     bound of the nodes left (max_nodal_bound)."""
-    return max_nodal_bound(A.matrices)
+    return max_nodal_bound(A)
 
 
 def principal_certificate(P, r: PerronResult, s_e: float,
@@ -181,14 +182,15 @@ def growth_rate(P, horizon: float, u0=None) -> float:
     return float(np.expm1(rate * dt) / dt)
 
 
-def compute_spectral_report(P, pointwise: PointwiseA, tol: float = 1e-10,
+def compute_spectral_report(P: AssembledOperator, tol: float = 1e-10,
                             gap_tol: float | None = None,
                             max_iterations: int = MAX_ITERATIONS
                             ) -> SpectralReport:
-    """One-stop spectral bound + essential bound + certificate, from a
-    single solve at min(tol, 1e-13)."""
+    """One-stop spectral bound + essential bound + certificate of the
+    assembled operator, from a single solve at min(tol, 1e-13); the
+    essential bound is that of P's own nodal field P.nodal."""
     r = spectral_bound(P, tol=min(tol, 1e-13), max_iterations=max_iterations)
-    s_e = essential_bound(pointwise)
+    s_e = essential_bound(P.nodal)
     cert = (principal_certificate(P, r, s_e, gap_tol=gap_tol) if r.converged
             else NoCertificate("spectral bound iteration did not converge"))
     return SpectralReport(s=r.value, s_e=s_e, gap=r.value - s_e,

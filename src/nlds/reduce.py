@@ -298,10 +298,9 @@ class ReducedQuantities:
 
 
 def reduced_quantities(sys: DispersalSystem, grid: Grid,
-                       weights: SystemWeights | None = None
-                       ) -> ReducedQuantities:
-    if weights is None:
-        weights = weights_for_system(sys, grid)
+                       weights: SystemWeights) -> ReducedQuantities:
+    """Every reduced quantity of the system on grid, averaged against
+    weights (weights_for_system of the same system and grid)."""
     tilde_M = reduced_tilde_M(sys, grid, weights)
     kappa, eta22 = kappa_and_eta22(sys, grid)
     kappa_tilde = perron_bound(tilde_M)

@@ -18,10 +18,10 @@ import pytest
 from nlds.analysis import (generalized_eigen_residual,
                            integrability_diagnostic, perturbation_probe,
                            refinement_grids, spectral_field, sweep)
-from nlds.assembly import assemble_operator, pointwise_A, sample_fields
+from nlds.assembly import assemble_operator, sample_fields
 from nlds.cli import run
 from nlds.epidemic import (BoundaryCase, RootCase, VSIParams, H_mu, r0,
-                           r0_large_d_limit)
+                           r0_large_d_limit, sample_params)
 from nlds.grid import build_grid
 from nlds.matspec import (is_irreducible, large_shift_limit_check,
                           metzler_bound, perron_bound, schur_reduce)
@@ -74,8 +74,7 @@ def case_a_reports(grid200):
     for t in (1.0, 10.0, 1e4):
         scaled = CASE_A_SYS.with_d((t, 0.0))
         P = assemble_operator(scaled, grid200, force=True, fields=fields)
-        out[t] = compute_spectral_report(P, pointwise_A(scaled, grid200,
-                                                        fields=fields))
+        out[t] = compute_spectral_report(P)
     return out
 
 
@@ -205,7 +204,7 @@ def test_07_growth_rate_consistency(criterion, grid200, case_a_reports):
         for system, rep in runs:
             P = assemble_operator(system, grid200, force=True)
             if rep is None:
-                rep = compute_spectral_report(P, pointwise_A(system, grid200))
+                rep = compute_spectral_report(P)
             assert isinstance(rep.certificate, Exists)
             rate = growth_rate(P, horizon=200.0 / rep.gap)
             assert abs(rate - rep.s) <= 1e-3, (system.d, rate, rep.s)
@@ -232,7 +231,8 @@ def test_09_reduced_problem_residual(criterion, grid200, case_a_reports):
             if not isinstance(rep.certificate, Exists):
                 continue
             resid = generalized_eigen_residual(
-                CASE_A_SYS.with_d((t, 0.0)), grid200, rep.s)
+                CASE_A_SYS.with_d((t, 0.0)), grid200, rep.s,
+                sample_fields(CASE_A_SYS, grid200))
             assert abs(resid) <= 1e-6, (t, resid)
             checked += 1
         assert checked >= 3
@@ -273,21 +273,24 @@ def test_12_reproduction_ratio(criterion, grid200):
         base = VSIParams.from_text(GAUSS, 1.0, "1", "1", "1", "0.5", "1")
         for d in (0.0, 1.0, 100.0):
             params = VSIParams.from_text(GAUSS, d, "1", "1", "1", "0.5", "1")
-            res = r0(params, grid200)
+            res = r0(sample_params(params, grid200))
             assert res.converged
             assert abs(res.value - 1.5) <= 1e-6, (d, res.value)
-            assert abs(H_mu(params, grid200, res.value)) <= 1e-8
-        limit = r0_large_d_limit(base, grid200)
+            assert abs(H_mu(sample_params(params, grid200),
+                            res.value)) <= 1e-8
+        limit = r0_large_d_limit(sample_params(base, grid200),
+                                 perron_weight(base.kernel, grid200).samples)
         assert isinstance(limit, RootCase)
         assert abs(limit.tilde_r0 - 1.5) <= 1e-8
         heavy = VSIParams.from_text(GAUSS, 1e4, "1", "100", "1", "0.5", "1")
-        limit = r0_large_d_limit(heavy, grid200)
+        limit = r0_large_d_limit(sample_params(heavy, grid200),
+                                 perron_weight(heavy.kernel, grid200).samples)
         assert isinstance(limit, BoundaryCase)
         assert limit.hat_r0 == 0.5
         values = []
         for d in (1.0, 10.0, 1e3, 1e4):
             p = VSIParams.from_text(GAUSS, d, "1", "100", "1", "0.5", "1")
-            values.append(r0(p, grid200).value)
+            values.append(r0(sample_params(p, grid200)).value)
         # constant coefficients collapse R0(d) to the closed form
         # beta_d/b + beta_i r/(b m) = 0.51 for every d
         for v in values:

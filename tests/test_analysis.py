@@ -6,7 +6,7 @@ from nlds.analysis import (assemble_reduced_operator,
                            generalized_eigen_residual,
                            integrability_diagnostic, perturbation_probe,
                            refinement_grids, spectral_field, sweep)
-from nlds.assembly import assemble_operator, pointwise_A
+from nlds.assembly import assemble_operator, pointwise_A, sample_fields
 from nlds.errors import InvalidParametersError, ResolventDomainError
 from nlds.grid import build_grid
 from nlds.model import CoefField, DispersalSystem, KernelSpec
@@ -88,8 +88,9 @@ def test_integrability_on_system_field():
 def test_residual_zero_at_certified_value():
     g = build_grid(-1, 1, 80)
     P = assemble_operator(CASE_A, g)
-    rep = compute_spectral_report(P, pointwise_A(CASE_A, g))
-    resid = generalized_eigen_residual(CASE_A, g, rep.s)
+    rep = compute_spectral_report(P)
+    resid = generalized_eigen_residual(CASE_A, g, rep.s,
+                                       sample_fields(CASE_A, g))
     assert abs(resid) <= 1e-9
 
 
@@ -101,7 +102,7 @@ def test_residual_full_diffusion_limit():
     g = build_grid(-1, 1, 30)
     s = spectral_bound(assemble_operator(sys, g)).value
     for lam in (s, s + 0.5, s - 0.3):
-        resid = generalized_eigen_residual(sys, g, lam)
+        resid = generalized_eigen_residual(sys, g, lam, sample_fields(sys, g))
         assert resid == pytest.approx(s - lam, abs=1e-9)
 
 
@@ -111,14 +112,14 @@ def test_reduced_operator_without_static_block_is_the_operator():
     sys = make_system([["-x^2", "1"], ["0.5", "-1 + 0.3*x"]], (1.0, 0.5), 2,
                       [GAUSS, "exp(-2*(x-y)^2)"])
     g = build_grid(-1, 1, 30)
-    T = assemble_reduced_operator(sys, g, 0.7)
+    T = assemble_reduced_operator(sys, g, 0.7, sample_fields(sys, g))
     assert np.array_equal(T, assemble_operator(sys, g).matrix)
 
 
 def test_residual_domain_error():
     g = build_grid(-1, 1, 20)
     with pytest.raises(ResolventDomainError):
-        generalized_eigen_residual(CASE_A, g, -2.0)
+        generalized_eigen_residual(CASE_A, g, -2.0, sample_fields(CASE_A, g))
 
 
 # --- sweeps -----------------------------------------------------------------
@@ -151,6 +152,20 @@ def test_large_d_degen_sweep_references_fixed_point():
     assert table.rows[-1].deviation < 1e-2
     # only the diffusing entries scale: the system stays degenerate
     assert all(r.gap > 0 for r in table.rows)
+
+
+@pytest.mark.parametrize("system, mode", [(CASE_B, "large-d-degen"),
+                                          (CASE_A, "small-d")])
+def test_sweep_rows_carry_the_essential_bound_at_their_diffusion(system,
+                                                                 mode):
+    g = build_grid(-1, 1, 24)
+    ts = [0.1, 1.0, 10.0]
+    table = sweep(system, g, ts, mode=mode)
+    for t, row in zip(ts, table.rows):
+        scale = np.where(np.arange(system.l) < system.l1, t,
+                         t if mode == "small-d" else 1.0)
+        d = tuple(np.asarray(system.d) * scale)
+        assert row.s_e == essential_bound(pointwise_A(system.with_d(d), g))
 
 
 def test_sweep_mode_validation():
@@ -245,7 +260,7 @@ def test_essential_bound_iterates_only_near_the_maximum(
         metzler_bound_orders):
     # H peaks at x = 0, between the two middle nodes of the grid
     A = pointwise_A(CASE_A, build_grid(-1, 1, 512))
-    expected = float(np.max(nodal_bounds(A.matrices)))
+    expected = float(np.max(nodal_bounds(A)))
     del metzler_bound_orders[:]
     assert essential_bound(A) == expected
     assert 0 < len(metzler_bound_orders) <= 4

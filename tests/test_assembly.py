@@ -129,7 +129,7 @@ def test_pointwise_A_scalar_formula():
     sys = make_system([["x"]], d=(1.0,), l1=1, kernels=["1"])
     g = build_grid(-1, 1, 8)
     A = pointwise_A(sys, g)
-    assert np.allclose(A.matrices[:, 0, 0], g.points - 2.0, atol=1e-13)
+    assert np.allclose(A[:, 0, 0], g.points - 2.0, atol=1e-13)
 
 
 def test_pointwise_A_zero_diffusion():
@@ -137,7 +137,7 @@ def test_pointwise_A_zero_diffusion():
                       kernels=[GAUSS])
     g = build_grid(-1, 1, 8)
     A = pointwise_A(sys, g)
-    assert np.allclose(A.matrices, sys.coefficients.sample(g), atol=0)
+    assert np.allclose(A, sys.coefficients.sample(g), atol=0)
 
 
 def test_pointwise_A_degenerate_row_untouched():
@@ -145,7 +145,7 @@ def test_pointwise_A_degenerate_row_untouched():
                       kernels=[GAUSS])
     g = build_grid(-1, 1, 12)
     A = pointwise_A(sys, g)
-    assert np.allclose(A.matrices[:, 1, 1], -g.points ** 2, atol=0)
+    assert np.allclose(A[:, 1, 1], -g.points ** 2, atol=0)
 
 
 def test_binary_dump_round_trip(tmp_path):

@@ -285,6 +285,40 @@ def test_diagnose_honours_gap_tol(tmp_path):
     assert "generalized_eigen_residual" not in diag
 
 
+@pytest.mark.parametrize("n, region, coarse", [
+    (16, [0.01, 0.02], 4),   # between the nodes of the n = 4 grid
+    (40, [2.0, 3.0], 10),    # outside the domain
+])
+def test_diagnose_region_without_nodes_is_an_input_error(tmp_path, n, region,
+                                                         coarse):
+    cfg_dict = json.loads(json.dumps(BASE))
+    cfg_dict["grid"]["n"] = n
+    cfg_dict["diagnose"] = {"region": region}
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "out"
+    assert run(["diagnose", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    err = read_report(out)["error"]
+    assert err["kind"] == "InvalidParametersError"
+    assert f"grid of n = {coarse}" in err["message"]
+
+
+def test_diagnose_default_refinements_skip_empty_grids(tmp_path, monkeypatch):
+    sizes = []
+    real = cli.refinement_grids
+
+    def recording(a, b, n_list):
+        sizes.extend(n_list)
+        return real(a, b, n_list)
+
+    monkeypatch.setattr(cli, "refinement_grids", recording)
+    cfg_dict = json.loads(json.dumps(BASE))
+    cfg_dict["grid"]["n"] = 3
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "out"
+    assert run(["diagnose", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert sizes == [1, 3]
+
+
 @pytest.mark.parametrize("error, code", [
     (NonConvergenceError("no convergence", 0.0, 1.0), 2),
     (CertificateInconsistencyError("negative eigenvector"), 2),

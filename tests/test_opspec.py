@@ -70,7 +70,7 @@ def test_certificate_exists_with_positive_vector():
     sys = make_system([["1 - x^2"]], d=(0.5,), l1=1, kernels=[GAUSS])
     g = build_grid(-1, 1, 60)
     P = assemble_operator(sys, g)
-    rep = compute_spectral_report(P, pointwise_A(sys, g))
+    rep = compute_spectral_report(P)
     assert isinstance(rep.certificate, Exists)
     assert np.min(rep.certificate.eigenvector) > 0
     # dense oracle confirms the rightmost eigenvalue is isolated
@@ -83,7 +83,7 @@ def test_certificate_constant_coefficient():
     sys = make_system([["0.75"]], d=(1.0,), l1=1, kernels=[GAUSS])
     g = build_grid(-1, 1, 40)
     P = assemble_operator(sys, g)
-    rep = compute_spectral_report(P, pointwise_A(sys, g))
+    rep = compute_spectral_report(P)
     assert isinstance(rep.certificate, Exists)
     assert rep.s == pytest.approx(0.75, abs=1e-10)
     u = rep.certificate.eigenvector
@@ -95,7 +95,7 @@ def test_no_certificate_without_gap():
     sys = make_system([["1 - x^2"]], d=(0.0,), l1=1, kernels=[GAUSS])
     g = build_grid(-1, 1, 30)
     P = assemble_operator(sys, g, force=True)
-    rep = compute_spectral_report(P, pointwise_A(sys, g))
+    rep = compute_spectral_report(P)
     assert isinstance(rep.certificate, NoCertificate)
     assert "gap" in rep.certificate.reason
 
@@ -126,7 +126,7 @@ def test_growth_rate_matches_bound_on_certified_system():
     sys = make_system([["1 - x^2"]], d=(0.5,), l1=1, kernels=[GAUSS])
     g = build_grid(-1, 1, 40)
     P = assemble_operator(sys, g)
-    rep = compute_spectral_report(P, pointwise_A(sys, g))
+    rep = compute_spectral_report(P)
     assert isinstance(rep.certificate, Exists)
     rate = growth_rate(P, horizon=200.0 / rep.gap)
     assert abs(rate - rep.s) <= 1e-3
@@ -168,7 +168,7 @@ def test_certified_value_strictly_separated():
                       l1=1, kernels=[GAUSS])
     g = build_grid(-1, 1, 40)
     P = assemble_operator(sys, g)
-    rep = compute_spectral_report(P, pointwise_A(sys, g))
+    rep = compute_spectral_report(P)
     assert isinstance(rep.certificate, Exists)
     vals = dense_spectrum(P)
     second = vals[1].real
@@ -192,7 +192,7 @@ def test_report_solves_once_on_the_operator(monkeypatch):
     sys = make_system(CASE_B, d=(1.0, 0.0), l1=1, kernels=[GAUSS])
     g = build_grid(-1, 1, 40)
     P = assemble_operator(sys, g)
-    rep = compute_spectral_report(P, pointwise_A(sys, g))
+    rep = compute_spectral_report(P)
     assert isinstance(rep.certificate, Exists)
     assert orders.count(P.size) == 1
     assert rep.to_dict()["bracket"] == list(rep.bracket)
@@ -206,14 +206,14 @@ def test_certified_bracket_at_order_1024(coeffs):
     for d in (0.5, 0.8, 1.25, 2.0):
         sys = make_system(coeffs, d=(d, 0.0), l1=1, kernels=[GAUSS])
         P = assemble_operator(sys, g)
-        rep = compute_spectral_report(P, pointwise_A(sys, g))
+        rep = compute_spectral_report(P)
         top = float(np.linalg.eigvalsh(P.matrix)[-1])
         assert abs(rep.s - top) <= 1e-12, d
         assert rep.bracket[0] <= top <= rep.bracket[1], d
         assert isinstance(rep.certificate, Exists), d
     sys = make_system(coeffs, d=(0.0, 0.0), l1=1, kernels=[GAUSS])
     P = assemble_operator(sys, g, force=True)
-    rep = compute_spectral_report(P, pointwise_A(sys, g))
+    rep = compute_spectral_report(P)
     assert rep.converged
     assert isinstance(rep.certificate, NoCertificate)
 
@@ -317,7 +317,7 @@ def test_spectral_bound_of_random_systems(case):
     assert np.min(r.vector) > 0.0
     s_e = essential_bound(pointwise_A(sys, g))
     assert r.value >= s_e - 1e-10 * c
-    rep = compute_spectral_report(P, pointwise_A(sys, g))
+    rep = compute_spectral_report(P)
     assert (rep.s, rep.bracket) == (r.value, r.bracket)
     if isinstance(rep.certificate, Exists):
         assert np.min(rep.certificate.eigenvector) > 0.0

@@ -236,7 +236,7 @@ def test_reduced_quantities_bundle():
     sys = make_system([["-1 - 0.2*x^2", "1"], ["1", "-1"]], d=(1.0, 0.0),
                       l1=1, kernels=[GAUSS])
     g = build_grid(-1, 1, 100)
-    rq = reduced_quantities(sys, g)
+    rq = reduced_quantities(sys, g, weights_for_system(sys, g))
     assert rq.kappa == pytest.approx(perron_bound([[-1, 1], [1, -1]]), abs=1e-3)
     assert rq.kappa_tilde <= rq.kappa + 1e-9
     assert rq.eta22 == pytest.approx(-1.0, abs=1e-12)
