@@ -18,19 +18,16 @@ UNSET_BY_DESIGN = {
 
 def optional_parameters():
     """(module, function, parameter, position) of every parameter with a
-    default in src/nlds; position is None for keyword-only parameters and
-    does not count self or cls."""
+    default in src/nlds; position is None for keyword-only parameters."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             a = node.args
             positional = a.posonlyargs + a.args
-            skip = int(positional[:1] != []
-                       and positional[0].arg in ("self", "cls"))
             first = len(positional) - len(a.defaults)
             for i in range(first, len(positional)):
-                yield path.stem, node.name, positional[i].arg, i - skip
+                yield path.stem, node.name, positional[i].arg, i
             for arg, default in zip(a.kwonlyargs, a.kw_defaults):
                 if default is not None:
                     yield path.stem, node.name, arg.arg, None
