@@ -10,16 +10,13 @@ virus/cell infection model.
 
 __version__ = "0.1.0"
 
-from .grid import Grid, build_grid, integrate
+from .grid import Grid, build_grid
 from .model import (CoefField, DispersalSystem, KernelSpec, Mode,
                     ValidationReport, validate)
-from .assembly import (AssembledOperator, assemble_operator, compute_chi,
-                       pointwise_A)
-from .matspec import (CoopMatrix, is_irreducible, large_shift_limit_check,
-                      perron_bound, schur_reduce)
+from .assembly import AssembledOperator, assemble_operator, pointwise_A
+from .matspec import is_irreducible, perron_bound
 from .opspec import (SpectralReport, compute_spectral_report, dense_spectrum,
-                     essential_bound, growth_rate, principal_certificate,
-                     spectral_bound)
+                     essential_bound, principal_certificate, spectral_bound)
 from .reduce import (CaseA, CaseB, ReducedQuantities, classify_threshold,
                      perron_weight, reduced_quantities, reduced_tilde_M,
                      tilde_B, weights_for_system)
@@ -30,14 +27,13 @@ from .epidemic import (BoundaryCase, R0Report, RootCase, VSIParams,
                        compute_r0_report, q_of_mu, r0, r0_large_d_limit)
 
 __all__ = [
-    "Grid", "build_grid", "integrate",
+    "Grid", "build_grid",
     "CoefField", "DispersalSystem", "KernelSpec", "Mode",
     "ValidationReport", "validate",
-    "AssembledOperator", "assemble_operator", "compute_chi", "pointwise_A",
-    "CoopMatrix", "is_irreducible", "large_shift_limit_check", "perron_bound",
-    "schur_reduce",
+    "AssembledOperator", "assemble_operator", "pointwise_A",
+    "is_irreducible", "perron_bound",
     "SpectralReport", "compute_spectral_report", "dense_spectrum",
-    "essential_bound", "growth_rate", "principal_certificate", "spectral_bound",
+    "essential_bound", "principal_certificate", "spectral_bound",
     "CaseA", "CaseB", "ReducedQuantities", "classify_threshold",
     "perron_weight", "reduced_quantities", "reduced_tilde_M", "tilde_B",
     "weights_for_system",

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ValidationGateError
 from .grid import Grid
-from .model import DispersalSystem, KernelSpec, validate
+from .model import DispersalSystem, validate
 
 # Each P of block_matrix gets an anonymous map of its own, unmapped when P is
 # freed, so that P leaves no hole in malloc's heap.  On Linux the one mmap
@@ -44,14 +44,6 @@ def kernel_quadrature(raw: np.ndarray, grid: Grid
     """
     chi = raw.T @ grid.weights
     return np.multiply(raw, grid.weights[None, :], out=raw), chi
-
-
-def compute_chi(kernel: KernelSpec, grid: Grid) -> np.ndarray:
-    """Departure rates chi(x_a) = sum_b k(x_b, x_a) w_b.
-
-    The first kernel argument is the integration variable.
-    """
-    return kernel_quadrature(kernel.sample(grid), grid)[1]
 
 
 @dataclass(frozen=True)

@@ -115,12 +115,6 @@ def _operator(sv: SampledVSI, t: float, species: int = 2) -> np.ndarray:
     return block_matrix(M[:, :species, :species], (sv.transfer,), (sv.d,))
 
 
-def assemble_epidemic(sv: SampledVSI) -> tuple[np.ndarray, np.ndarray]:
-    """Transition matrix B and infection matrix F, each of order 2n."""
-    B = _operator(sv, 0.0)
-    return B, _operator(sv, 1.0) - B
-
-
 @dataclass(frozen=True)
 class R0Result:
     value: float

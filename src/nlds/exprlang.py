@@ -296,47 +296,3 @@ def _eval(node, env):
                       "negative base with non-integer exponent")
         return np.power(args[0], args[1])
     raise TypeError(f"not an expression node: {node!r}")
-
-
-# --- canonical printer -------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
-
-
-def _print(node) -> tuple[str, int]:
-    if isinstance(node, Num):
-        return format(node.value, ".17g"), _PREC["atom"]
-    if isinstance(node, (Var, Const)):
-        return node.name, _PREC["atom"]
-    if isinstance(node, Neg):
-        s, p = _print(node.operand)
-        if p < _PREC["neg"]:
-            s = f"({s})"
-        return f"-{s}", _PREC["neg"]
-    if isinstance(node, Call):
-        parts = [_print(a)[0] for a in node.args]
-        return f"{node.func}({', '.join(parts)})", _PREC["atom"]
-    # Bin
-    lp = _PREC[node.op]
-    ls, lprec = _print(node.left)
-    rs, rprec = _print(node.right)
-    if node.op == "^":
-        # right-associative; parenthesize a left operand of equal or
-        # lower precedence (including unary minus)
-        if lprec <= lp:
-            ls = f"({ls})"
-        if rprec < lp:
-            rs = f"({rs})"
-    else:
-        if lprec < lp:
-            ls = f"({ls})"
-        # left-associative: a right operand of equal precedence must keep
-        # its parens or the reparse would rebuild a left-leaning tree
-        if rprec <= lp:
-            rs = f"({rs})"
-    return f"{ls} {node.op} {rs}", lp
-
-
-def to_text(node: Expr) -> str:
-    """Canonical textual form; parse(to_text(e)) == e."""
-    return _print(node)[0]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, InvalidDomainError
+from .errors import InvalidDomainError
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,3 @@ def build_grid(a: float, b: float, n: int) -> Grid:
     weights.setflags(write=False)
     return Grid(a=float(a), b=float(b), n=int(n), points=points, weights=weights)
 
-
-def integrate(samples, grid: Grid) -> float:
-    """Midpoint-rule integral of nodal samples over the grid's interval."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != (grid.n,):
-        raise DimensionError(
-            f"expected {grid.n} samples, got shape {samples.shape}")
-    return float(samples @ grid.weights)

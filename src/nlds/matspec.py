@@ -29,48 +29,15 @@ that remain.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergenceError, ResolventDomainError
+from .errors import InvalidParametersError, NonConvergenceError
 
 TOL_ZERO = 1e-13  # entries below this count as structural zeros
 MAX_ITERATIONS = 100  # Noda steps (dense LU solves) per bound
 EPS = float(np.finfo(float).eps)
-
-
-class IllConditionedWarning(UserWarning):
-    """Resolvent solve with estimated condition number above 1e14."""
-
-
-class NearSingularWarning(UserWarning):
-    """Resolvent parameter within rounding distance of a pole."""
-
-
-@dataclass(frozen=True)
-class CoopMatrix:
-    """Square matrix with nonnegative off-diagonal entries."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"need a square matrix, got shape {a.shape}")
-        off = a - np.diag(np.diag(a))
-        if np.min(off) < -TOL_ZERO:
-            i, j = np.unravel_index(np.argmin(off), off.shape)
-            raise ValueError(
-                f"not cooperative: entry ({i},{j}) = {a[i, j]:.6g} < 0")
-        object.__setattr__(self, "entries", a)
-
-
-def _as_matrix(C) -> np.ndarray:
-    if isinstance(C, CoopMatrix):
-        return C.entries
-    return CoopMatrix(np.asarray(C, dtype=float)).entries
 
 
 @dataclass(frozen=True)
@@ -231,9 +198,20 @@ def _converged_bound(A: np.ndarray, tol: float = 1e-12,
 def perron_bound(C) -> float:
     """Spectral bound s(C) of a cooperative matrix.
 
-    Raises NonConvergenceError if the iteration budget is exhausted.
+    Raises InvalidParametersError unless C is square with no
+    off-diagonal entry below -TOL_ZERO, and NonConvergenceError if the
+    iteration budget is exhausted.
     """
-    return _converged_bound(_as_matrix(C))
+    a = np.asarray(C, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidParametersError(
+            f"need a square matrix, got shape {a.shape}")
+    off = a - np.diag(np.diag(a))
+    if np.min(off) < -TOL_ZERO:
+        i, j = np.unravel_index(np.argmin(off), off.shape)
+        raise InvalidParametersError(
+            f"not cooperative: entry ({i},{j}) = {a[i, j]:.6g} < 0")
+    return _converged_bound(a)
 
 
 def is_irreducible(C) -> bool | np.ndarray:
@@ -243,7 +221,7 @@ def is_irreducible(C) -> bool | np.ndarray:
     Squaring the reflexive adjacency ceil(log2(m - 1)) times marks every
     pair joined by a path of length at most m - 1.
     """
-    a = np.asarray(C.entries if isinstance(C, CoopMatrix) else C, dtype=float)
+    a = np.asarray(C, dtype=float)
     m = a.shape[-1]
     reach = (a > TOL_ZERO) | np.eye(m, dtype=bool)
     for _ in range(max(m - 2, 0).bit_length()):
@@ -311,7 +289,15 @@ def max_nodal_bound(stack) -> float:
 
 def schur_reduce_stack(A, l1: int, lam: float, rhs=None):
     """A11 + A12 (lam I - A22)^{-1} A21 for every matrix of a stack
-    (..., l, l), without checks; A itself when l1 = l.
+    (..., l, l); A itself when l1 = l.
+
+    lam > s(A22) at every node is not checked here; each caller holds it:
+    _static_elimination solves at Noda's upper quotient hi >= s(A), and
+    every A22(x_a) is a principal block of A; spectral_field reduces at
+    eta = max_a s(A(x_a)), which is at least s(A22(x_a)) at every node;
+    assemble_reduced_operator raises ResolventDomainError unless lam is
+    above eta22 = max_a s(M22(x_a)); classify_threshold evaluates tilde_B
+    only at eta22 + eps, eps > 0.
 
     With rhs (..., l - l1, k), returns (F, X) instead: the trailing
     solve X = (lam I - A22)^{-1} [A21 | rhs] and F = [A11 | 0] + A12 X,
@@ -329,53 +315,3 @@ def schur_reduce_stack(A, l1: int, lam: float, rhs=None):
     F = A[..., :l1, l1:] @ X
     F[..., :l1] += A[..., :l1, :l1]
     return F, X
-
-
-def schur_reduce(C, l1: int, gamma: float) -> CoopMatrix:
-    """Eliminate the trailing block at resolvent parameter gamma:
-    C11 + C12 (gamma I - C22)^{-1} C21, an l1 x l1 cooperative matrix.
-
-    Requires gamma > s(C22) so the resolvent is entrywise nonnegative:
-    raises ResolventDomainError if not, and NonConvergenceError if the
-    bound of C22 did not converge and gamma is not above its bracket.
-    """
-    a = _as_matrix(C)
-    m = a.shape[0]
-    if not 0 < l1 <= m:
-        raise ValueError(f"block split l1={l1} out of range for order {m}")
-    if l1 == m:
-        return CoopMatrix(a.copy())
-    c22 = a[l1:, l1:]
-    r = metzler_bound(c22)
-    if not (r.converged or gamma > r.bracket[1]):
-        raise NonConvergenceError(
-            f"trailing block bound did not converge and its bracket "
-            f"[{r.bracket[0]:.6g}, {r.bracket[1]:.6g}] does not decide "
-            f"whether {gamma:.6g} is above it", r.value, r.residual)
-    if not gamma > r.value:
-        raise ResolventDomainError(
-            f"resolvent parameter {gamma:.6g} is not above the trailing "
-            f"block bound {r.value:.6g}")
-    cond = np.linalg.cond(gamma * np.eye(m - l1) - c22, 1)
-    if cond > 1e14:
-        warnings.warn(f"resolvent solve condition estimate {cond:.3g}",
-                      IllConditionedWarning, stacklevel=2)
-    return CoopMatrix(schur_reduce_stack(a, l1, gamma))
-
-
-def large_shift_limit_check(C, l1: int, mu_schedule) -> list[float]:
-    """Spectral bounds of C - diag(mu, ..., mu, 0, ..., 0) along a
-    positive increasing schedule of shifts applied to the first l1 rows.
-
-    The values decrease toward s(C22); the caller asserts convergence.
-    """
-    a = _as_matrix(C)
-    mus = [float(m) for m in mu_schedule]
-    if any(m < 0 for m in mus) or any(m2 <= m1 for m1, m2 in zip(mus, mus[1:])):
-        raise ValueError("shift schedule must be nonnegative and increasing")
-    out = []
-    for mu in mus:
-        shift = np.zeros(a.shape[0])
-        shift[:l1] = mu
-        out.append(_converged_bound(a - np.diag(shift)))
-    return out

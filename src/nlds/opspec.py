@@ -1,6 +1,6 @@
 """Spectral routines for the assembled operator: spectral bound,
-essential spectral bound, principal-eigenpair certification, a dense
-eigensolver oracle, and a time-stepping growth-rate cross-check.
+essential spectral bound, principal-eigenpair certification and a
+dense eigensolver oracle.
 
 The Noda path (spectral_bound, bracketed by Collatz-Wielandt bounds)
 and the dense oracle (dense_spectrum, LAPACK's QR eigensolver) are kept
@@ -145,41 +145,6 @@ def dense_spectrum(P) -> np.ndarray:
     vals = np.linalg.eigvals(M)
     order = np.lexsort((-vals.imag, -vals.real))
     return vals[order]
-
-
-def growth_rate(P, horizon: float, u0=None) -> float:
-    """Asymptotic growth rate of the positive semigroup generated by the
-    operator, measured by explicit Euler time stepping.
-
-    The step 1/(2c) keeps I + dt P nonnegative, so iterates stay
-    positive.  The measured log-slope over [T/2, T] equals
-    ln(1 + dt s)/dt once transients decay; the return value inverts that
-    compounding exactly, leaving only the transient error.
-    """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    M = _mat(P)
-    m = M.shape[0]
-    c = 1.0 + max(0.0, -float(np.min(np.diag(M))))
-    dt = 1.0 / (2.0 * c)
-    u = np.ones(m) if u0 is None else np.asarray(u0, dtype=float).copy()
-    n_half = max(1, int(np.ceil(0.5 * horizon / dt)))
-
-    def advance(u, steps):
-        log_scale = 0.0
-        for _ in range(steps):
-            u = u + dt * (M @ u)
-            nrm = float(np.max(np.abs(u)))
-            u /= nrm
-            log_scale += np.log(nrm)
-        return u, log_scale
-
-    u, _ = advance(u, n_half)
-    u, log2 = advance(u, n_half)
-    # log2 is ln||u(T)|| - ln||u(T/2)|| (each advance renormalizes to
-    # unit max norm, so only the accumulated scale survives)
-    rate = log2 / (n_half * dt)
-    return float(np.expm1(rate * dt) / dt)
 
 
 def compute_spectral_report(P: AssembledOperator, tol: float = 1e-10,

@@ -17,17 +17,15 @@ explicit margin and reports the ladder.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import kernel_quadrature
 from .errors import (ClassificationError, GridConsistencyError,
-                     InvalidParametersError, ResolventDomainError)
+                     InvalidParametersError)
 from .grid import Grid
-from .matspec import (CoopMatrix, NearSingularWarning, _converged_bound,
-                      max_nodal_bound, metzler_bound, nodal_bounds,
+from .matspec import (_converged_bound, max_nodal_bound, metzler_bound,
                       perron_bound, schur_reduce_stack)
 from .model import DispersalSystem, KernelSpec, Mode
 
@@ -115,10 +113,9 @@ def p_weighted_mean(F: np.ndarray, weights: SystemWeights,
 
 
 def reduced_tilde_M(sys: DispersalSystem, grid: Grid,
-                    weights: SystemWeights) -> CoopMatrix:
+                    weights: SystemWeights) -> np.ndarray:
     """Column-weighted averages m~_ij = integral m_ij(x) p_j(x) dx."""
-    return CoopMatrix(p_weighted_mean(sys.coefficients.sample(grid),
-                                      weights, grid))
+    return p_weighted_mean(sys.coefficients.sample(grid), weights, grid)
 
 
 def kappa_and_eta22(sys: DispersalSystem, grid: Grid) -> tuple[float, float]:
@@ -138,29 +135,17 @@ def static_block_bound(Ms: np.ndarray, l1: int) -> float:
     return max_nodal_bound(Ms[:, l1:, l1:])
 
 
-def tilde_B(sys: DispersalSystem, grid: Grid, weights: SystemWeights,
-            gamma: float) -> CoopMatrix:
-    """Average of the nodal Schur reductions of M(x) at parameter gamma,
-    weighted by the diffusing species' profiles.
+def tilde_B(Ms: np.ndarray, l1: int, gamma: float, weights: SystemWeights,
+            grid: Grid) -> np.ndarray:
+    """B~_gamma: the nodal Schur reductions of the coefficient matrices
+    Ms (n, l, l) onto the first l1 species at parameter gamma, averaged
+    against the diffusing species' profiles.
 
     Built from the raw coefficient blocks (no diffusion subtraction).
-    Requires gamma above the static-block bound at every node.
+    gamma must lie above eta22 = static_block_bound(Ms, l1), which is
+    not checked here.
     """
-    Ms = sys.coefficients.sample(grid)
-    l1 = sys.l1
-    if sys.l1 < sys.l:
-        poles = nodal_bounds(Ms[:, l1:, l1:])
-        if not gamma > float(np.max(poles)):
-            raise ResolventDomainError(
-                f"gamma = {gamma:.6g} is not above the static-block bound "
-                f"{np.max(poles):.6g}")
-        closest = float(np.min(np.abs(gamma - poles)))
-        if closest < 1e-12:
-            warnings.warn(
-                f"gamma within {closest:.3g} of a nodal resolvent pole",
-                NearSingularWarning, stacklevel=2)
-    return CoopMatrix(p_weighted_mean(schur_reduce_stack(Ms, l1, gamma),
-                                      weights, grid))
+    return p_weighted_mean(schur_reduce_stack(Ms, l1, gamma), weights, grid)
 
 
 # --- threshold classification -------------------------------------------
@@ -248,6 +233,8 @@ def classify_threshold(sys: DispersalSystem, grid: Grid,
 
     Case A needs s(B~) above eta22 + 1e-4 max(1, |eta22|) on every rung
     of the ladder; its fixed point gamma* is then bisected to BISECT_TOL.
+    B~ is only evaluated above eta22: at eta22 + eps on the ladder and
+    above eta22 + 1e-6 while bracketing the fixed point.
     """
     if sys.mode is not Mode.PARTIALLY_DEGENERATE or sys.l1 == sys.l:
         raise InvalidParametersError(
@@ -258,8 +245,7 @@ def classify_threshold(sys: DispersalSystem, grid: Grid,
     eta22 = static_block_bound(Ms, l1)
 
     def s_tilde(gamma: float) -> float:
-        b = p_weighted_mean(schur_reduce_stack(Ms, l1, gamma), weights, grid)
-        return _converged_bound(b)
+        return _converged_bound(tilde_B(Ms, l1, gamma, weights, grid))
 
     above, ladder = ladder_classify(lambda eps: s_tilde(eta22 + eps),
                                     eta22, 1e-4 * max(1.0, abs(eta22)))
@@ -279,7 +265,7 @@ class ReducedQuantities:
     diffusion-limit statement, plus the threshold outcome when the
     system is partially degenerate."""
 
-    tilde_M: CoopMatrix
+    tilde_M: np.ndarray
     kappa: float          # max_x s(M(x)): the zero-diffusion limit
     kappa_tilde: float    # s(tilde_M): the full-diffusion limit
     eta22: float          # max_x s(M22(x)): the static-block bound
@@ -288,7 +274,7 @@ class ReducedQuantities:
 
     def to_dict(self) -> dict:
         return {
-            "tilde_M": [[float(v) for v in row] for row in self.tilde_M.entries],
+            "tilde_M": [[float(v) for v in row] for row in self.tilde_M],
             "kappa": self.kappa,
             "kappa_tilde": self.kappa_tilde,
             "eta22": self.eta22,

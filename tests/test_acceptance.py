@@ -23,13 +23,14 @@ from nlds.cli import run
 from nlds.epidemic import (BoundaryCase, RootCase, VSIParams, H_mu, r0,
                            r0_large_d_limit, sample_params)
 from nlds.grid import build_grid
-from nlds.matspec import (is_irreducible, large_shift_limit_check,
-                          metzler_bound, perron_bound, schur_reduce)
+from nlds.matspec import (is_irreducible, metzler_bound, perron_bound,
+                          schur_reduce_stack)
 from nlds.model import CoefField, DispersalSystem, KernelSpec, validate
 from nlds.opspec import (Exists, compute_spectral_report, dense_spectrum,
-                         growth_rate, spectral_bound)
+                         spectral_bound)
 from nlds.reduce import classify_threshold, CaseA, CaseB, perron_weight, \
     weights_for_system
+from oracles import growth_rate, large_shift_bounds
 
 GAUSS = "exp(-(x-y)^2)"
 
@@ -339,13 +340,13 @@ def test_14_matrix_lemma_suite(criterion):
             s_full = perron_bound(a)
             s22 = metzler_bound(a[l1:, l1:]).value
             assert s_full > s22                              # (i) strict
-            fp = perron_bound(schur_reduce(a, l1, s_full))
+            fp = perron_bound(schur_reduce_stack(a, l1, s_full))
             assert abs(fp - s_full) <= 1e-10                 # (ii) identity
-            vals = large_shift_limit_check(a, l1, [1.0, 10.0, 100.0, 1000.0])
+            vals = large_shift_bounds(a, l1, [1.0, 10.0, 100.0, 1000.0])
             assert all(b < a2 for a2, b in zip(vals, vals[1:]))
             assert abs(vals[-1] - s22) <= 1e-2               # (iii) limit
             gamma = s22 + float(rng.uniform(0.05, 2.0))
-            assert is_irreducible(schur_reduce(a, l1, gamma))  # (iv)
+            assert is_irreducible(schur_reduce_stack(a, l1, gamma))  # (iv)
 
 
 DET_CONFIGS = {

@@ -1,18 +1,20 @@
 """Checks on the package's public surface and on its optional parameters."""
 
 import ast
+import re
 from pathlib import Path
 
 import nlds
 
 SRC = Path(nlds.__file__).resolve().parent
-CALLERS = (SRC.parent, SRC.parent.parent / "perfbench")   # src/, perfbench/
+ROOT = SRC.parent.parent
+CALLERS = (SRC.parent, ROOT / "perfbench")   # src/, perfbench/
 
-# (module, function, parameter) -> why no caller in src/ or perfbench/ sets it
-UNSET_BY_DESIGN = {
-    ("opspec", "growth_rate", "u0"):
-        "start vector of the time-stepping cross-check against the Noda "
-        "bound; the reference run starts from the ones vector",
+# (module, name) -> why nothing in src/ or perfbench/ refers to it
+UNREFERENCED_BY_DESIGN = {
+    ("assembly", "load_matrix"):
+        "reads the operator.bin that the oracle command writes through "
+        "dump_matrix, so the file format stays one module's decision",
 }
 
 
@@ -59,7 +61,45 @@ def test_every_optional_parameter_is_set_by_some_caller():
     calls = calls_by_name()
     unset = [(mod, fn, arg) for mod, fn, arg, pos in optional_parameters()
              if not any(sets(c, arg, pos) for c in calls.get(fn, ()))]
-    assert sorted(unset) == sorted(UNSET_BY_DESIGN)
+    assert unset == []
+
+
+def public_definitions():
+    """(module, name) of every public top-level function and class in
+    src/nlds."""
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not stmt.name.startswith("_")):
+                yield path.stem, stmt.name
+
+
+def referenced_names() -> set:
+    """Names used in src/ and perfbench/, plus the functions that
+    pyproject.toml's entry points name.  nlds/__init__.py and a
+    definition's uses of its own name do not count."""
+    names = set()
+    for root in CALLERS:
+        for path in root.rglob("*.py"):
+            if path == SRC / "__init__.py":
+                continue
+            for stmt in ast.parse(path.read_text()).body:
+                used = {getattr(node, "id", None) or getattr(node, "attr", None)
+                        for node in ast.walk(stmt)
+                        if isinstance(node, (ast.Name, ast.Attribute))}
+                used.discard(getattr(stmt, "name", None))
+                names |= used
+    entry_points = re.findall(r"nlds\.\w+:(\w+)",
+                              (ROOT / "pyproject.toml").read_text())
+    return names | set(entry_points)
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    used = referenced_names()
+    unused = [(mod, name) for mod, name in public_definitions()
+              if name not in used]
+    assert sorted(unused) == sorted(UNREFERENCED_BY_DESIGN)
 
 
 def test_every_public_name_resolves():

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nlds.assembly import (assemble_operator, compute_chi, dump_matrix,
-                           kernel_quadrature, load_matrix, pointwise_A,
-                           sample_fields)
+from nlds.assembly import (assemble_operator, dump_matrix, kernel_quadrature,
+                           load_matrix, pointwise_A, sample_fields)
 from nlds.errors import ValidationGateError
 from nlds.grid import build_grid
 from nlds.model import CoefField, DispersalSystem, KernelSpec
@@ -22,14 +21,14 @@ def make_system(coeffs, d, l1, kernels):
 
 def test_chi_constant_kernel():
     g = build_grid(-1, 1, 50)
-    chi = compute_chi(KernelSpec.from_text("1"), g)
+    chi = kernel_quadrature(KernelSpec.from_text("1").sample(g), g)[1]
     assert np.allclose(chi, 2.0, atol=1e-13, rtol=0)
 
 
 def test_chi_gaussian_against_quadrature_oracle():
     # integral of exp(-(y-0)^2) over (-1,1) = sqrt(pi) erf(1)
     g = build_grid(-1, 1, 201)  # odd: one node exactly at x = 0
-    chi = compute_chi(KernelSpec.from_text(GAUSS), g)
+    chi = kernel_quadrature(KernelSpec.from_text(GAUSS).sample(g), g)[1]
     mid = 100
     assert g.points[mid] == 0.0
     assert chi[mid] == pytest.approx(math.sqrt(math.pi) * math.erf(1.0), abs=1e-4)
@@ -38,7 +37,7 @@ def test_chi_gaussian_against_quadrature_oracle():
 def test_chi_symmetric_kernel_equals_outflow():
     g = build_grid(-1, 1, 40)
     raw = KernelSpec.from_text(GAUSS).sample(g)
-    chi = compute_chi(KernelSpec.from_text(GAUSS), g)
+    chi = kernel_quadrature(KernelSpec.from_text(GAUSS).sample(g), g)[1]
     out_mass = raw @ g.weights
     # identical sums up to accumulation order inside the matvec
     assert np.allclose(chi, out_mass, rtol=1e-14, atol=0)

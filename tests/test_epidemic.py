@@ -8,15 +8,16 @@ from test_opspec import rightmost_with_error
 
 import nlds.matspec
 from nlds.epidemic import (BoundaryCase, RootCase, VSIParams,
-                           assemble_epidemic, compute_r0_report, H_mu,
-                           hat_r0, q_of_mu, r0, r0_at_zero_diffusion,
-                           r0_large_d_limit, sample_params)
+                           compute_r0_report, H_mu, hat_r0, q_of_mu, r0,
+                           r0_at_zero_diffusion, r0_large_d_limit,
+                           sample_params)
 from nlds.errors import (InvalidParametersError, NonConvergenceError,
                          ResolventDomainError)
 from nlds.grid import build_grid
-from nlds.matspec import metzler_bound, schur_reduce_stack
+from nlds.matspec import metzler_bound
 from nlds.opspec import dense_spectrum
-from nlds.reduce import SystemWeights, p_weighted_mean, perron_weight
+from nlds.reduce import SystemWeights, perron_weight, tilde_B
+from oracles import assemble_epidemic
 
 GAUSS = "exp(-(x-y)^2)"
 
@@ -392,7 +393,7 @@ def test_H_mu_of_random_vsi_models(case):
         M = np.empty((g.n, 2, 2))
         M[:, 0, 0], M[:, 0, 1] = -sv.m, sv.r
         M[:, 1, 0], M[:, 1, 1] = sv.beta_i / mu, sv.beta_d / mu - sv.b
-        tilde_B0 = p_weighted_mean(schur_reduce_stack(M, 1, 0.0), weights, g)
+        tilde_B0 = tilde_B(M, 1, 0.0, weights, g)
         # mu b - beta_d loses accuracy by the factor mu b / (mu b - beta_d)
         den = mu * sv.b - sv.beta_d
         scale = (sv.m + sv.r * sv.beta_i * mu * sv.b / den ** 2) * p

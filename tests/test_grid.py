@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nlds.errors import DimensionError, InvalidDomainError
-from nlds.grid import build_grid, integrate
+from nlds.errors import InvalidDomainError
+from nlds.grid import build_grid
 
 
 def test_four_cell_midpoints():
@@ -37,14 +37,8 @@ def test_invalid_domain(a, b, n):
 def test_integrate_constant_and_odd():
     for n in (7, 50, 201):
         g = build_grid(-1, 1, n)
-        assert integrate(np.ones(n), g) == pytest.approx(2.0, abs=1e-14)
-        assert integrate(g.points, g) == pytest.approx(0.0, abs=1e-13)
-
-
-def test_integrate_length_mismatch():
-    g = build_grid(-1, 1, 10)
-    with pytest.raises(DimensionError):
-        integrate(np.ones(9), g)
+        assert np.ones(n) @ g.weights == pytest.approx(2.0, abs=1e-14)
+        assert g.points @ g.weights == pytest.approx(0.0, abs=1e-13)
 
 
 @pytest.mark.parametrize("f,exact", [
@@ -55,7 +49,7 @@ def test_midpoint_second_order(f, exact):
     errs = []
     for n in (50, 100, 200):
         g = build_grid(-1, 1, n)
-        errs.append(abs(integrate(f(g.points), g) - exact))
+        errs.append(abs(f(g.points) @ g.weights - exact))
     for e1, e2 in zip(errs, errs[1:]):
         assert 3.5 <= e1 / e2 <= 4.5
 
@@ -64,6 +58,6 @@ def test_integrate_linear():
     g = build_grid(-1, 1, 64)
     f = np.sin(g.points)
     h = np.exp(g.points)
-    lhs = integrate(2.5 * f - 1.25 * h, g)
-    rhs = 2.5 * integrate(f, g) - 1.25 * integrate(h, g)
+    lhs = (2.5 * f - 1.25 * h) @ g.weights
+    rhs = 2.5 * (f @ g.weights) - 1.25 * (h @ g.weights)
     assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(rhs))

@@ -8,12 +8,12 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from nlds.assembly import assemble_operator
-from nlds.errors import NonConvergenceError, ResolventDomainError
+from nlds.errors import InvalidParametersError, NonConvergenceError
 from nlds.grid import build_grid
-from nlds.matspec import (CoopMatrix, is_irreducible, large_shift_limit_check,
-                          max_nodal_bound, metzler_bound, nodal_bounds,
-                          perron_bound, schur_reduce, schur_reduce_stack)
+from nlds.matspec import (is_irreducible, max_nodal_bound, metzler_bound,
+                          nodal_bounds, perron_bound, schur_reduce_stack)
 from nlds.model import CoefField, DispersalSystem, KernelSpec
+from oracles import large_shift_bounds
 
 
 def rand_cooperative(rng, l, irreducible=True):
@@ -42,8 +42,10 @@ def test_characteristic_root_example():
 
 
 def test_cooperativity_enforced():
-    with pytest.raises(ValueError, match="not cooperative"):
-        CoopMatrix(np.array([[1.0, -0.5], [0.0, 1.0]]))
+    with pytest.raises(InvalidParametersError, match="not cooperative"):
+        perron_bound(np.array([[1.0, -0.5], [0.0, 1.0]]))
+    with pytest.raises(InvalidParametersError, match="square"):
+        perron_bound(np.ones((2, 3)))
 
 
 def test_shift_covariance():
@@ -86,24 +88,19 @@ def test_irreducible_examples():
 
 def test_schur_closed_form():
     # [[a,b],[c,e]] with l1=1 reduces to a + b c / (gamma - e)
-    assert schur_reduce([[0, 1], [1, 0]], 1, 2.0).entries[0, 0] == pytest.approx(0.5)
+    assert schur_reduce_stack([[0, 1], [1, 0]], 1, 2.0)[0, 0] == pytest.approx(0.5)
 
 
 def test_schur_fixed_point_identity():
     c = [[0, 1], [1, 0]]
     h = perron_bound(c)
-    reduced = schur_reduce(c, 1, h)
-    assert reduced.entries[0, 0] == pytest.approx(h, abs=1e-10)
+    reduced = schur_reduce_stack(c, 1, h)
+    assert reduced[0, 0] == pytest.approx(h, abs=1e-10)
 
 
 def test_schur_monotone_in_gamma():
     c = [[0, 1], [1, 0]]
-    assert schur_reduce(c, 1, 2.0).entries[0, 0] > schur_reduce(c, 1, 4.0).entries[0, 0]
-
-
-def test_schur_domain_error():
-    with pytest.raises(ResolventDomainError):
-        schur_reduce([[0, 1], [1, 0]], 1, -0.5)
+    assert schur_reduce_stack(c, 1, 2.0)[0, 0] > schur_reduce_stack(c, 1, 4.0)[0, 0]
 
 
 def test_schur_preserves_irreducibility():
@@ -116,7 +113,7 @@ def test_schur_preserves_irreducibility():
             continue
         s22 = metzler_bound(c[l1:, l1:]).value
         gamma = s22 + float(rng.uniform(0.1, 2.0))
-        assert is_irreducible(schur_reduce(c, l1, gamma))
+        assert is_irreducible(schur_reduce_stack(c, l1, gamma))
 
 
 def test_fixed_point_identity_random():
@@ -126,13 +123,13 @@ def test_fixed_point_identity_random():
         l1 = int(rng.integers(1, l))
         c = rand_cooperative(rng, l)
         h = perron_bound(c)
-        assert perron_bound(schur_reduce(c, l1, h)) == pytest.approx(h, abs=1e-10)
+        assert perron_bound(schur_reduce_stack(c, l1, h)) == pytest.approx(h, abs=1e-10)
 
 
 def test_large_shift_exact_small_case():
     # C = [[0,1],[1,0]]: s(C - diag(mu, 0)) = (-mu + sqrt(mu^2 + 4))/2
     c = [[0, 1], [1, 0]]
-    vals = large_shift_limit_check(c, 1, [1.0, 10.0, 100.0, 1000.0])
+    vals = large_shift_bounds(c, 1, [1.0, 10.0, 100.0, 1000.0])
     for mu, v in zip([1.0, 10.0, 100.0, 1000.0], vals):
         assert v == pytest.approx((-mu + math.sqrt(mu * mu + 4)) / 2, abs=1e-10)
     assert abs(vals[-1] - 0.0) <= 1e-2          # near s(C22) = 0 at mu = 1e3
@@ -141,13 +138,8 @@ def test_large_shift_exact_small_case():
 
 def test_large_shift_zero_allowed():
     c = [[0, 1], [1, 0]]
-    (v,) = large_shift_limit_check(c, 1, [0.0])
+    (v,) = large_shift_bounds(c, 1, [0.0])
     assert v == pytest.approx(perron_bound(c), abs=1e-10)
-
-
-def test_large_shift_schedule_validation():
-    with pytest.raises(ValueError):
-        large_shift_limit_check([[0, 1], [1, 0]], 1, [1.0, 0.5])
 
 
 def test_metzler_bound_defective_dominant():
@@ -300,7 +292,7 @@ def test_schur_reduce_stack_matches_schur_reduce(case):
     reduced = schur_reduce_stack(stack, l1, gamma)
     assert reduced.shape == (len(stack), l1, l1)
     for m, r in zip(stack, reduced):
-        one = schur_reduce(m, l1, gamma).entries
+        one = schur_reduce_stack(m, l1, gamma)
         scale = 1.0 + np.abs(one).max()
         np.testing.assert_allclose(r, one, rtol=0, atol=1e-13 * scale)
         # and the textbook formula, through an explicit inverse
@@ -352,18 +344,6 @@ def test_metzler_bound_reports_hi_at_the_rounding_floor():
     assert not r.converged
     assert r.value == 0.5
     assert r.bracket[0] <= 0.5 <= r.bracket[1]
-
-
-def test_unconverged_bounds_raise():
-    # s(C22) = 0.5 > gamma: the parent returned [[-1.667]] here
-    c = [[0.0, 1.0, 1.0], [1.0, 0.5, 1e-300], [1.0, 1e-300, 0.0]]
-    with pytest.raises(NonConvergenceError):
-        schur_reduce(c, 1, 0.3)
-    # above the bracket the resolvent domain is decided all the same
-    assert schur_reduce(c, 1, 0.75).entries[0, 0] == pytest.approx(
-        1 / 0.75 + 1 / 0.25, abs=1e-12)
-    with pytest.raises(NonConvergenceError):
-        large_shift_limit_check(WEAK, 1, [0.0])
 
 
 def test_schur_reduce_stack_with_right_hand_sides():

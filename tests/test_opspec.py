@@ -8,8 +8,8 @@ from nlds.grid import build_grid
 from nlds.matspec import metzler_bound
 from nlds.model import CoefField, DispersalSystem, KernelSpec
 from nlds.opspec import (Exists, NoCertificate, compute_spectral_report,
-                         dense_spectrum, essential_bound, growth_rate,
-                         principal_certificate, spectral_bound)
+                         dense_spectrum, essential_bound, spectral_bound)
+from oracles import growth_rate
 
 GAUSS = "exp(-(x-y)^2)"
 

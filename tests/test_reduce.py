@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from nlds.errors import (ClassificationError, InvalidParametersError,
-                         ResolventDomainError)
+from nlds.errors import ClassificationError, InvalidParametersError
 from nlds.grid import build_grid
 from nlds.matspec import is_irreducible, perron_bound
 from nlds.model import CoefField, DispersalSystem, KernelSpec
-from nlds.reduce import (CaseA, CaseB, bracket_and_bisect,
+from nlds.reduce import (EPS_LADDER, CaseA, CaseB, bracket_and_bisect,
                          classify_threshold, kappa_and_eta22, ladder_classify,
                          perron_weight, reduced_quantities, reduced_tilde_M,
-                         tilde_B, weights_for_system)
+                         static_block_bound, tilde_B, weights_for_system)
 
 GAUSS = "exp(-(x-y)^2)"
 
@@ -63,7 +62,7 @@ def test_averaged_matrix_constant_field():
     g = build_grid(-1, 1, 60)
     w = weights_for_system(sys, g)
     tm = reduced_tilde_M(sys, g, w)
-    assert np.allclose(tm.entries, [[-1, 1], [1, -1]], atol=1e-12)
+    assert np.allclose(tm, [[-1, 1], [1, -1]], atol=1e-12)
 
 
 def test_averaged_matrix_quadratic_field():
@@ -72,7 +71,7 @@ def test_averaged_matrix_quadratic_field():
     g = build_grid(-1, 1, 200)
     w = weights_for_system(sys, g)
     tm = reduced_tilde_M(sys, g, w)
-    assert np.allclose(tm.entries, [[-1 / 3, 1], [1, -1 / 3]], atol=1e-4)
+    assert np.allclose(tm, [[-1 / 3, 1], [1, -1 / 3]], atol=1e-4)
     assert perron_bound(tm) == pytest.approx(2 / 3, abs=1e-4)
 
 
@@ -104,9 +103,10 @@ def test_tilde_B_swap_closed_form():
                       kernels=[GAUSS])
     g = build_grid(-1, 1, 50)
     w = weights_for_system(sys, g)
+    Ms = sys.coefficients.sample(g)
     for gamma in (0.5, 2.0, 4.0):
-        b = tilde_B(sys, g, w, gamma)
-        assert b.entries[0, 0] == pytest.approx(1.0 / gamma, abs=1e-12)
+        b = tilde_B(Ms, sys.l1, gamma, w, g)
+        assert b[0, 0] == pytest.approx(1.0 / gamma, abs=1e-12)
 
 
 def test_tilde_B_constant_closed_form():
@@ -114,9 +114,10 @@ def test_tilde_B_constant_closed_form():
                       kernels=[GAUSS])
     g = build_grid(-1, 1, 50)
     w = weights_for_system(sys, g)
+    Ms = sys.coefficients.sample(g)
     for gamma in (-0.5, 0.0, 1.0):
-        b = tilde_B(sys, g, w, gamma)
-        assert b.entries[0, 0] == pytest.approx(-1 + 1 / (gamma + 1), abs=1e-12)
+        b = tilde_B(Ms, sys.l1, gamma, w, g)
+        assert b[0, 0] == pytest.approx(-1 + 1 / (gamma + 1), abs=1e-12)
 
 
 def test_tilde_B_case_b_limit_value():
@@ -126,17 +127,8 @@ def test_tilde_B_case_b_limit_value():
                       d=(1.0, 0.0), l1=1, kernels=[GAUSS])
     g = build_grid(-1, 1, 400)
     w = weights_for_system(sys, g)
-    b = tilde_B(sys, g, w, 0.05)
-    assert b.entries[0, 0] == pytest.approx(-1.98, abs=0.02)
-
-
-def test_tilde_B_domain_error():
-    sys = make_system([["-1", "1"], ["1", "-1"]], d=(1.0, 0.0), l1=1,
-                      kernels=[GAUSS])
-    g = build_grid(-1, 1, 20)
-    w = weights_for_system(sys, g)
-    with pytest.raises(ResolventDomainError):
-        tilde_B(sys, g, w, -1.0)
+    b = tilde_B(sys.coefficients.sample(g), sys.l1, 0.05, w, g)
+    assert b[0, 0] == pytest.approx(-1.98, abs=0.02)
 
 
 def test_tilde_B_monotone_and_irreducible():
@@ -145,9 +137,10 @@ def test_tilde_B_monotone_and_irreducible():
                       d=(1.0, 1.0, 0.0), l1=2, kernels=[GAUSS, GAUSS])
     g = build_grid(-1, 1, 30)
     w = weights_for_system(sys, g)
+    Ms = sys.coefficients.sample(g)
     vals = []
     for gamma in (-1.0, -0.5, 0.0, 1.0, 2.0):
-        b = tilde_B(sys, g, w, gamma)
+        b = tilde_B(Ms, sys.l1, gamma, w, g)
         assert is_irreducible(b)
         vals.append(perron_bound(b))
     assert all(b2 <= b1 + 1e-10 for b1, b2 in zip(vals, vals[1:]))
@@ -209,8 +202,25 @@ def test_classify_fixed_point_post_check():
     w = weights_for_system(sys, g)
     outcome = classify_threshold(sys, g, w)
     assert isinstance(outcome, CaseA)
-    fp = perron_bound(tilde_B(sys, g, w, outcome.gamma_star))
+    fp = perron_bound(tilde_B(sys.coefficients.sample(g), sys.l1,
+                              outcome.gamma_star, w, g))
     assert abs(fp - outcome.gamma_star) <= 1e-9
+
+
+def test_ladder_rungs_are_the_bounds_of_tilde_B():
+    # the CASE_A and CASE_B systems of the acceptance suite
+    for coeffs in ([["-1 - 0.2*x^2", "1"], ["1", "-1"]],
+                   [["-2", "0.1"], ["0.1", "-abs(x)^0.5"]]):
+        sys = make_system(coeffs, d=(1.0, 0.0), l1=1, kernels=[GAUSS])
+        g = build_grid(-1, 1, 100)
+        w = weights_for_system(sys, g)
+        Ms = sys.coefficients.sample(g)
+        eta22 = static_block_bound(Ms, sys.l1)
+        ladder = classify_threshold(sys, g, w).ladder
+        assert [eps for eps, _ in ladder] == list(EPS_LADDER)
+        assert [v for _, v in ladder] == [
+            perron_bound(tilde_B(Ms, sys.l1, eta22 + eps, w, g))
+            for eps in EPS_LADDER]
 
 
 def test_classify_requires_partially_degenerate():
