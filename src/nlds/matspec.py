@@ -4,31 +4,24 @@ shared Perron engine used on matrices of any size.
 A cooperative matrix has nonnegative off-diagonal entries, so its
 rightmost eigenvalue s is real (Perron root) and, for every positive
 vector u, min_i (A u)_i / u_i <= s <= max_i (A u)_i / u_i
-(Collatz-Wielandt).  The engine below is Noda's inverse iteration: it
-shifts by the upper quotient, which keeps the resolvent nonnegative and
-the iterate positive, converges quadratically on irreducible input and
-reports the quotient bracket as the evidence for s.
+(Collatz-Wielandt).  The engine is Noda's inverse iteration: it shifts
+by the upper quotient, which keeps the resolvent nonnegative and the
+iterate positive, converges quadratically on irreducible input and
+reports the quotient bracket as the evidence for s.  There is one Noda
+loop, over a stack (N, m, m) with per-matrix stop rules: metzler_bound
+runs it on a stack of one, nodal_bounds on the nodal matrices.  On a
+partially degenerate operator each step eliminates the static species
+node by node and factors only the Schur complement on the diffusing
+block (_static_elimination).
 
-On a partially degenerate operator (species-major, with its trailing
-species static so that their rows and columns are zero off the nodal
-pattern) each step eliminates the static species node by node and
-factors only the Schur complement on the diffusing block.  No pivoting
-across the blocks is needed: hi > s(A) makes hi I - A a nonsingular
-M-matrix, so every nodal pivot block hi I - A22(x_a) and the Schur
-complement are nonsingular M-matrices as well.
-
-The largest bound of a stack of nodal matrices (max_nodal_bound, the
-essential bound) is screened first: one batched eig supplies a test
-vector per node, and nodes whose Collatz-Wielandt bracket at that vector
-lies below another node's bracket are certified below the maximum
-without an iteration.  eig gives only the test vectors; the brackets are
-the evidence, and the value comes from the Noda iteration on the nodes
-that remain.
+The largest bound of a stack (max_nodal_bound, the essential bound) is
+screened first: Collatz-Wielandt brackets at the eigenvectors of one
+batched eig certify most nodes below the maximum, and metzler_bound
+runs on the nodes that remain.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +48,8 @@ class PerronResult:
 def metzler_bound(A: np.ndarray, tol: float = 1e-12,
                   max_iterations: int = MAX_ITERATIONS,
                   split: tuple[int, int] | None = None) -> PerronResult:
-    """Spectral bound of a Metzler matrix by Noda's inverse iteration.
+    """Spectral bound of a Metzler matrix by Noda's inverse iteration,
+    run as _noda on the stack of one.
 
     From u = 1, each step solves (hi I - A) y = u, with hi = max q and
     q = (A u) / u, and sets u = y / max y.  Stops when
@@ -77,52 +71,84 @@ def metzler_bound(A: np.ndarray, tol: float = 1e-12,
     the stop rule, the value and the bracket always use the whole A.
     """
     A = np.asarray(A, dtype=float)
-    m = A.shape[0]
-    if m == 0:
-        return PerronResult(-np.inf, np.zeros(0), 0, 0.0, True,
-                            (-np.inf, -np.inf))
-    if m == 1:
-        a = float(A[0, 0])
-        return PerronResult(a, np.ones(1), 0, 0.0, True, (a, a))
-    c = 1.0 + max(0.0, -float(np.min(np.diag(A))))
-    solve = (_static_elimination(A, *split)
+    if len(A) <= 1:   # an empty matrix gives -inf
+        a = float(A[0, 0]) if len(A) else -np.inf
+        return PerronResult(a, np.ones(len(A)), 0, 0.0, True, (a, a))
+    r = _noda(A[None], tol, max_iterations, split)
+    return PerronResult(float(r.value[0]), r.vector[0], int(r.iterations[0]),
+                        float(r.residual[0]), bool(r.converged[0]),
+                        (float(r.bracket[0][0]), float(r.bracket[1][0])))
+
+
+def _noda(A: np.ndarray, tol: float, max_iterations: int,
+          split: tuple[int, int] | None) -> PerronResult:
+    """metzler_bound's iteration on each matrix of a stack (N, m, m),
+    m >= 1, each with its own stop scale and rules; a PerronResult of
+    arrays, one entry per matrix.  The matrices still iterating share
+    each step's matmul and solve.  A singular shift fails a batched
+    solve, which is then retried matrix by matrix.  split is
+    metzler_bound's, on a stack of one."""
+    N, m = A.shape[0], A.shape[-1]
+    c = 1.0 + np.fmax(0.0, -np.diagonal(A, 0, -2, -1).min(-1))
+    solve = (_static_elimination(A[0], *split)
              if split is not None and split[0] * split[1] < m
              else _dense_solver(A))
-    u = np.ones(m)
-    converged = on_hi = False
-    iters, last = 0, np.inf
+    value, res, iters = np.empty(N), np.empty(N), np.zeros(N, int)
+    converged, U, Q = np.zeros(N, bool), np.empty((N, m)), np.empty((N, m))
+    act, it = np.arange(N), 0   # the matrices still iterating; their state:
+    Aa, u, last = A, np.ones((N, m)), np.full(N, np.inf)
+
+    def retire(out, conv, on_hi):   # the matrices out stop here
+        a = act[out]
+        value[a] = np.where(on_hi[out], hi[out], rho[out])
+        res[a], iters[a], converged[a] = r[out], it, conv[out]
+        U[a], Q[a] = u[out], q[out]
+        return ~out
+
     while True:
-        v = A @ u
+        v = (Aa @ u[..., None])[..., 0]
         q = v / u
-        lo, hi = float(q.min()), float(q.max())
-        if iters == 0:   # u = 1, so hi = max A 1
-            scale = tol * max(c, 1.0 + hi)
-        value = float(u @ v) / float(u @ u)
-        res = float(np.abs(v - value * u).max())
-        if hi - lo <= scale or (res <= scale and abs(value - last) <= scale):
-            converged = True
-            break
-        if iters == max_iterations:
-            break
-        iters += 1
+        hi = q.max(-1)
+        if it == 0:   # u = 1, so hi = max A 1
+            scale = tol * np.fmax(c, 1.0 + hi)
+        rho = ((u[:, None] @ v[..., None])[:, 0, 0]
+               / (u[:, None] @ u[..., None])[:, 0, 0])
+        r = np.abs(v - rho[:, None] * u).max(-1)
+        done = ((hi - q.min(-1) <= scale)
+                | ((r <= scale) & (abs(rho - last) <= scale)))
+        if it == max_iterations or done.any():
+            keep = retire(done | (it == max_iterations), done,
+                          np.zeros_like(done))
+            if not keep.any():
+                break
+            act, Aa, u, q, hi, rho, r, scale, last = (
+                x[keep] for x in (act, Aa, u, q, hi, rho, r, scale, last))
+        it += 1
+        singular = np.zeros(len(act), bool)   # hi is an eigenvalue, so s
         try:
-            y = solve(hi, u)
-        except np.linalg.LinAlgError:   # hi is an eigenvalue, so s(A)
-            converged = on_hi = True
-            break
-        top = float(y[np.abs(y).argmax()])   # inf or nan if any entry is
-        finite = math.isfinite(top)
-        if finite:
-            y /= top
-        if not (finite and y.min() > 0.0):   # hi is within rounding of s(A)
-            converged = res <= scale
-            on_hi = not converged   # rho is no estimate without that
-            break
-        u, last = y, value
+            y = solve(Aa, hi, u)
+        except np.linalg.LinAlgError:   # for which matrix?
+            y, singular[:] = np.full_like(u, np.nan), len(act) == 1
+            for i in np.flatnonzero(~singular):
+                try:
+                    y[i] = solve(Aa[i:i + 1], hi[i:i + 1], u[i:i + 1])[0]
+                except np.linalg.LinAlgError:
+                    singular[i] = True
+        # top is inf or nan if any entry of its row is
+        top = y[np.arange(len(y)), np.abs(y).argmax(-1)]
+        finite = np.isfinite(top)
+        np.divide(y, top[:, None], out=y, where=finite[:, None])
+        ok = finite & (y.min(-1) > 0.0)
+        if not ok.all():   # singular, or hi is within rounding of s(A)
+            conv = singular | (r <= scale)
+            keep = retire(~ok, conv, singular | ~conv)   # rho is no estimate
+            if not keep.any():
+                break
+            act, Aa, y, rho, scale = (
+                x[keep] for x in (act, Aa, y, rho, scale))
+        u, last = y, rho
     del solve   # free its buffers before the bracket
-    lo, up = _cw_bracket(A, u, q)
-    return PerronResult(hi if on_hi else value, u, iters, res, converged,
-                        (float(lo), float(up)))
+    return PerronResult(value, U, iters, res, converged, _cw_bracket(A, U, Q))
 
 
 def _cw_bracket(A: np.ndarray, u: np.ndarray, q: np.ndarray):
@@ -140,28 +166,34 @@ def _cw_bracket(A: np.ndarray, u: np.ndarray, q: np.ndarray):
 
 
 def _dense_solver(A: np.ndarray):
-    """(hi, u) -> (hi I - A)^{-1} u by one dense LU, formed in one
-    reused buffer."""
+    """(B, hi, u) -> (hi I - B)^{-1} u for a stack B of at most len(A)
+    matrices, one dense LU per matrix, formed in one reused buffer."""
     shifted = np.empty_like(A)
-    m = A.shape[0]
 
-    def solve(hi: float, u: np.ndarray) -> np.ndarray:
-        np.negative(A, out=shifted)
-        shifted.flat[::m + 1] += hi
-        return np.linalg.solve(shifted, u)
+    def solve(B, hi, u):
+        S = shifted[:len(B)]
+        np.negative(B, out=S)
+        S.reshape(len(B), -1)[:, ::B.shape[-1] + 1] += hi[:, None]
+        if len(S) == 1:   # one matrix, one plain LU
+            return np.linalg.solve(S[0], u[0])[None]
+        return np.linalg.solve(S, u[..., None])[..., 0]
     return solve
 
 
 def _static_elimination(A: np.ndarray, l1: int, n: int):
-    """(hi, u) -> (hi I - A)^{-1} u for a species-major A whose species
-    from l1 on are static, by block Gaussian elimination.
+    """(B, hi, u) -> (hi I - A)^{-1} u, on the stack of one B = A[None],
+    for a species-major A whose species from l1 on are static, by block
+    Gaussian elimination.
 
     At each node a, X_a = (hi I - A22(x_a))^{-1} [A21(x_a) | u2_a] comes
     from one batched schur_reduce_stack call, whose result carries
     A12 X_a.  Then y1 solves the order-(l1 n) Schur complement
     (hi I - A11 - blockdiag A12 X) y1 = u1 + A12 (hi I - A22)^{-1} u2 by
-    one dense LU, and y2_a = X_a [y1_a; 1].  A singular block raises
-    LinAlgError, as the dense solve would.
+    one dense LU, and y2_a = X_a [y1_a; 1].  No pivoting across the
+    blocks is needed: hi > s(A) makes hi I - A a nonsingular M-matrix, so
+    every nodal pivot block and the Schur complement are nonsingular
+    M-matrices as well.  A singular block raises LinAlgError, as the
+    dense solve would.
     """
     k = l1 * n
     node = np.arange(A.shape[0]).reshape(-1, n).T   # node[a, i]: row of (i, x_a)
@@ -171,7 +203,8 @@ def _static_elimination(A: np.ndarray, l1: int, n: int):
     schur = np.empty((k, k))
     ones = np.ones((n, 1, 1))
 
-    def solve(hi: float, u: np.ndarray) -> np.ndarray:
+    def solve(B, hi, u):   # B = A[None]
+        hi, u = float(hi[0]), u[0]
         G, X = schur_reduce_stack(nodal, l1, hi,
                                   rhs=u[k:].reshape(-1, n).T[..., None])
         np.negative(A[:k, :k], out=schur)
@@ -179,7 +212,7 @@ def _static_elimination(A: np.ndarray, l1: int, n: int):
         schur[rows, cols] -= G[..., :l1]
         y1 = np.linalg.solve(schur, u[:k] + G[..., l1].T.ravel())
         y2 = X @ np.concatenate((y1.reshape(l1, n).T[..., None], ones), 1)
-        return np.concatenate((y1, y2[..., 0].T.ravel()))
+        return np.concatenate((y1, y2[..., 0].T.ravel()))[None]
     return solve
 
 
@@ -198,20 +231,28 @@ def _converged_bound(A: np.ndarray, tol: float = 1e-12,
 def perron_bound(C) -> float:
     """Spectral bound s(C) of a cooperative matrix.
 
-    Raises InvalidParametersError unless C is square with no
-    off-diagonal entry below -TOL_ZERO, and NonConvergenceError if the
-    iteration budget is exhausted.
+    Raises InvalidParametersError unless C is square and cooperative
+    (_cooperative), and NonConvergenceError if the iteration budget is
+    exhausted.
     """
     a = np.asarray(C, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidParametersError(
             f"need a square matrix, got shape {a.shape}")
-    off = a - np.diag(np.diag(a))
-    if np.min(off) < -TOL_ZERO:
-        i, j = np.unravel_index(np.argmin(off), off.shape)
+    return _converged_bound(_cooperative(a))
+
+
+def _cooperative(a: np.ndarray) -> np.ndarray:
+    """a, a matrix or a stack (N, m, m), unless an off-diagonal entry is
+    below -TOL_ZERO; then raises InvalidParametersError naming the
+    entry, and its node in a stack."""
+    off = np.where(np.eye(a.shape[-1], dtype=bool), 0.0, a)
+    if off.size and off.min() < -TOL_ZERO:
+        *node, i, j = np.unravel_index(off.argmin(), off.shape)
         raise InvalidParametersError(
-            f"not cooperative: entry ({i},{j}) = {a[i, j]:.6g} < 0")
-    return _converged_bound(a)
+            f"not cooperative: entry ({i},{j}) = {a[(*node, i, j)]:.6g} < 0"
+            + "".join(f" at node {x}" for x in node))
+    return a
 
 
 def is_irreducible(C) -> bool | np.ndarray:
@@ -232,23 +273,23 @@ def is_irreducible(C) -> bool | np.ndarray:
 
 def nodal_bounds(stack) -> np.ndarray:
     """Spectral bounds s(A_a) of a stack (n, l, l) of Metzler matrices,
-    one per node; an empty block (l = 0) gives -inf.
-
-    Raises NonConvergenceError, naming the node, if any nodal iteration
-    fails to converge.
-    """
-    A = np.asarray(stack, dtype=float)
-    return np.array([_nodal_bound(A, a) for a in range(len(A))])
-
-
-def _nodal_bound(stack: np.ndarray, a: int) -> float:
-    """Converged metzler_bound(stack[a]).value; the error names node a."""
-    r = metzler_bound(stack[a])
-    if not r.converged:
-        raise NonConvergenceError(
-            f"Perron iteration did not converge at node {a}", r.value,
-            r.residual)
+    one per node, by one Noda loop over the stack; an empty block
+    (l = 0) gives -inf.  Raises InvalidParametersError unless the stack
+    is cooperative, and NonConvergenceError if an iteration does not
+    converge, naming the (first) node."""
+    A = _cooperative(np.asarray(stack, dtype=float))
+    if A.shape[-1] == 0:
+        return np.full(len(A), -np.inf)
+    r = _noda(A, 1e-12, MAX_ITERATIONS, None)
+    bad = np.flatnonzero(~r.converged)
+    if len(bad):
+        raise _not_converged(bad[0], r.value[bad[0]], r.residual[bad[0]])
     return r.value
+
+
+def _not_converged(a, value, residual) -> NonConvergenceError:
+    return NonConvergenceError(
+        f"Perron iteration did not converge at node {a}", value, residual)
 
 
 def max_nodal_bound(stack) -> float:
@@ -264,10 +305,10 @@ def max_nodal_bound(stack) -> float:
     eig fails, every bracket is (-inf, inf).  A node with
     hi_a + 4 tol c < max_b lo_b (tol c: metzler_bound's stop scale over
     the whole stack) is certified below the maximum and dropped, even if
-    its own iteration would not converge.  The others run metzler_bound,
-    and a failure among them raises NonConvergenceError.
+    its own iteration would not converge.  The others run metzler_bound
+    one by one, and raise nodal_bounds' errors.
     """
-    A = np.asarray(stack, dtype=float)
+    A = _cooperative(np.asarray(stack, dtype=float))
     n = len(A)
     if 0 in A.shape:   # no node, or empty blocks: nothing to screen
         return float(np.max(nodal_bounds(A)))
@@ -284,7 +325,13 @@ def max_nodal_bound(stack) -> float:
         c = 1.0 + max(0.0, -float(np.diagonal(A, 0, -2, -1).min()),
                       float(A.sum(-1).max()))
         keep = ~(hi + 4e-12 * c < lo.max())   # 4 tol c, tol = 1e-12
-    return float(np.max([_nodal_bound(A, a) for a in np.flatnonzero(keep)]))
+    values = []
+    for a in np.flatnonzero(keep):
+        r = metzler_bound(A[a])
+        if not r.converged:
+            raise _not_converged(a, r.value, r.residual)
+        values.append(r.value)
+    return float(np.max(values))
 
 
 def schur_reduce_stack(A, l1: int, lam: float, rhs=None):

@@ -449,16 +449,22 @@ def test_max_iterations_caps_the_probe(tmp_path):
 
 
 def test_non_cooperative_force_runs_report_their_error(tmp_path):
-    # under --force the reduced quantities meet a negative coupling: the
-    # nodal bound at node 0 does not converge, and s(M~) refuses M~
+    # under --force every command meets the negative coupling as an input
+    # error: the nodal stack is checked, and s(M~) refuses M~
     one = json.loads(json.dumps(BASE))
     one["system"]["coefficients"] = [["-1 - 0.2*x^2", "-1"], ["1", "-1"]]
     both = json.loads(json.dumps(one))
     both["system"].update(l1=2, d=[1.0, 1.0], kernels=[GAUSS, GAUSS])
     both["sweep"] = {"mode": "large-d-nondegen", "t_schedule": [1.0]}
     for name, cfg_dict, command, code, kind, message in [
-            ("l1", one, "reduce", 2, "NonConvergenceError", "at node 0"),
-            ("l2", both, "reduce", 2, "NonConvergenceError", "at node 0"),
+            ("l1", one, "spectrum", 3, "InvalidParametersError",
+             "not cooperative"),
+            ("l1", one, "diagnose", 3, "InvalidParametersError",
+             "not cooperative"),
+            ("l1", one, "reduce", 3, "InvalidParametersError",
+             "not cooperative"),
+            ("l2", both, "reduce", 3, "InvalidParametersError",
+             "not cooperative"),
             ("l2", both, "sweep", 3, "InvalidParametersError",
              "not cooperative")]:
         cfg = write_config(tmp_path, cfg_dict, f"{name}.json")

@@ -10,8 +10,9 @@ from scipy.sparse.csgraph import connected_components
 from nlds.assembly import assemble_operator
 from nlds.errors import InvalidParametersError, NonConvergenceError
 from nlds.grid import build_grid
-from nlds.matspec import (is_irreducible, max_nodal_bound, metzler_bound,
-                          nodal_bounds, perron_bound, schur_reduce_stack)
+from nlds.matspec import (MAX_ITERATIONS, _noda, is_irreducible,
+                          max_nodal_bound, metzler_bound, nodal_bounds,
+                          perron_bound, schur_reduce_stack)
 from nlds.model import CoefField, DispersalSystem, KernelSpec
 from oracles import large_shift_bounds
 
@@ -301,14 +302,6 @@ def test_schur_reduce_stack_matches_schur_reduce(case):
         np.testing.assert_allclose(r, textbook, rtol=0, atol=1e-9 * scale)
 
 
-def test_nodal_bounds_are_the_per_matrix_bounds():
-    rng = np.random.default_rng(5)
-    stack = np.array([rand_cooperative(rng, 3) for _ in range(6)])
-    assert list(nodal_bounds(stack)) == [metzler_bound(m).value
-                                         for m in stack]
-    assert list(nodal_bounds(stack[:, 3:, 3:])) == [-np.inf] * 6
-
-
 def test_metzler_bound_flags_an_overflowing_solve():
     # the coupling is so weak that the first solve of hi I - A overflows
     a = np.array([[0.5, 1e-300], [1e-300, 0.0]])
@@ -378,6 +371,14 @@ def test_nodal_bounds_name_the_failing_node():
         nodal_bounds(np.stack([np.ones((2, 2)), WEAK]))
 
 
+def test_non_cooperative_stacks_are_input_errors():
+    stack = np.array([TOP, [[1.0, -0.5], [0.0, 1.0]]])
+    for bound in (nodal_bounds, max_nodal_bound):
+        with pytest.raises(InvalidParametersError,
+                           match=r"not cooperative: entry \(0,1\) .* at node 1"):
+            bound(stack)
+
+
 @st.composite
 def metzler_stacks(draw):
     """Stacks (N, l, l) of Metzler matrices: sparse (often reducible)
@@ -392,6 +393,41 @@ def metzler_stacks(draw):
     base = off * pattern
     base[:, np.arange(l), np.arange(l)] = diag
     return base[nodes] * 10.0 ** draw(st.integers(-8, 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(metzler_stacks())
+def test_nodal_bounds_are_the_per_matrix_bounds(stack):
+    # the stacked loop keeps each matrix's own iteration, bit for bit
+    if stack.shape[-1] == 0:
+        assert list(nodal_bounds(stack)) == [-np.inf] * len(stack)
+        return
+    r = _noda(stack, 1e-12, MAX_ITERATIONS, None)
+    for a, m in enumerate(stack):
+        one = metzler_bound(m)
+        assert ((r.value[a], r.converged[a], r.iterations[a])
+                == (one.value, one.converged, one.iterations))
+        if r.converged[a]:   # err is inf at an exactly defective root
+            with np.errstate(divide="ignore"):
+                s, err = eigvals_oracle(m)
+            assert r.bracket[0][a] - err <= s <= r.bracket[1][a] + err
+
+
+def test_nodal_bounds_fixed_stacks():
+    # 1 I - A is singular on the first step: that node stops at hi, and
+    # its failed solve does not fail the stack's batched solve
+    singular = [[1.0, 0.0], [0.0, 0.0]]
+    assert list(nodal_bounds(np.array([singular, TOP]))) == [1.0, 10.0]
+    iterating = np.array([[-2.0, 0.1], [0.1, -0.5]])
+    assert list(nodal_bounds(np.array([singular, TOP, iterating]))) \
+        == [1.0, 10.0, metzler_bound(iterating).value]
+    assert list(nodal_bounds(np.zeros((6, 0, 0)))) == [-np.inf] * 6
+
+
+def test_nodal_bounds_make_no_per_node_call(metzler_bound_orders):
+    field = CoefField.from_text([["-2", "0.1"], ["0.1", "-abs(x)^0.5"]])
+    H = nodal_bounds(field.sample(build_grid(-1, 1, 512)))   # CASE_B
+    assert H.shape == (512,) and metzler_bound_orders == []
 
 
 @settings(max_examples=200, deadline=None)
@@ -424,6 +460,8 @@ def test_max_nodal_bound_on_a_subnormal_coupling_warns_nothing():
         warnings.simplefilter("error")
         with pytest.raises(NonConvergenceError):
             max_nodal_bound(sub)
+        with pytest.raises(NonConvergenceError):
+            nodal_bounds(sub)
         assert max_nodal_bound(np.concatenate((sub, [TOP]))) == 10.0
 
 
