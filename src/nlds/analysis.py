@@ -266,11 +266,13 @@ def sweep(sys: DispersalSystem, grid: Grid, t_schedule,
         if sys.mode is not Mode.NON_DEGENERATE:
             raise InvalidParametersError(
                 "large-d-nondegen needs every species diffusing")
-        reference = perron_bound(
-            reduced_tilde_M(sys, grid, weights_for_system(sys, grid)))
+        weights = weights_for_system(sys, grid, max_iterations)
+        reference = perron_bound(reduced_tilde_M(sys, grid, weights),
+                                 max_iterations)
         ref_name = "kappa_tilde"
     elif mode == "large-d-degen":
-        outcome = classify_threshold(sys, grid, weights_for_system(sys, grid))
+        weights = weights_for_system(sys, grid, max_iterations)
+        outcome = classify_threshold(sys, grid, weights, max_iterations)
         if isinstance(outcome, CaseA):
             reference, ref_name = outcome.gamma_star, "gamma_star"
         else:

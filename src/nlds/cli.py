@@ -256,8 +256,9 @@ def cmd_spectrum(cfg, args, report, outdir) -> int:
 
 def cmd_reduce(cfg, args, report, outdir) -> int:
     system, g = validated_objects(cfg, args, report)
-    weights = weights_for_system(system, g)
-    rq = reduced_quantities(system, g, weights)
+    budget = solver_opts(cfg)["max_iterations"]
+    weights = weights_for_system(system, g, budget)
+    rq = reduced_quantities(system, g, weights, budget)
     report["reduced"] = rq.to_dict()
     write_csv(outdir / "weights.csv", ["species", "x", "weight"],
               ((i + 1, x, p) for i, wgt in enumerate(weights.weights)

@@ -31,6 +31,7 @@ from .errors import InvalidParametersError, NonConvergenceError
 TOL_ZERO = 1e-13  # entries below this count as structural zeros
 MAX_ITERATIONS = 100  # Noda steps (dense LU solves) per bound
 EPS = float(np.finfo(float).eps)
+ETA = float(np.finfo(float).smallest_subnormal)
 
 
 @dataclass(frozen=True)
@@ -47,12 +48,13 @@ class PerronResult:
 
 def metzler_bound(A: np.ndarray, tol: float = 1e-12,
                   max_iterations: int = MAX_ITERATIONS,
-                  split: tuple[int, int] | None = None) -> PerronResult:
+                  split: tuple[int, int] | None = None,
+                  start: np.ndarray | None = None) -> PerronResult:
     """Spectral bound of a Metzler matrix by Noda's inverse iteration,
     run as _noda on the stack of one.
 
-    From u = 1, each step solves (hi I - A) y = u, with hi = max q and
-    q = (A u) / u, and sets u = y / max y.  Stops when
+    From u = start > 0 (default 1), each step solves (hi I - A) y = u,
+    with hi = max q and q = (A u) / u, and sets u = y / max y.  Stops when
     hi - min q <= tol * c, c = 1 + max(0, -min diag A, max A 1), so the
     scale follows the magnitude of A either way, or when both the
     residual ||A u - rho u||_inf at the Rayleigh quotient rho and the
@@ -74,29 +76,33 @@ def metzler_bound(A: np.ndarray, tol: float = 1e-12,
     if len(A) <= 1:   # an empty matrix gives -inf
         a = float(A[0, 0]) if len(A) else -np.inf
         return PerronResult(a, np.ones(len(A)), 0, 0.0, True, (a, a))
-    r = _noda(A[None], tol, max_iterations, split)
+    r = _noda(A[None], tol, max_iterations, split,
+              None if start is None else start[None])
     return PerronResult(float(r.value[0]), r.vector[0], int(r.iterations[0]),
                         float(r.residual[0]), bool(r.converged[0]),
                         (float(r.bracket[0][0]), float(r.bracket[1][0])))
 
 
 def _noda(A: np.ndarray, tol: float, max_iterations: int,
-          split: tuple[int, int] | None) -> PerronResult:
+          split: tuple[int, int] | None,
+          u0: np.ndarray | None = None) -> PerronResult:
     """metzler_bound's iteration on each matrix of a stack (N, m, m),
     m >= 1, each with its own stop scale and rules; a PerronResult of
     arrays, one entry per matrix.  The matrices still iterating share
     each step's matmul and solve.  A singular shift fails a batched
-    solve, which is then retried matrix by matrix.  split is
-    metzler_bound's, on a stack of one."""
+    solve, which is then retried matrix by matrix.  split and the start
+    u0 (N, m) are metzler_bound's; max A 1 is one more product with u0."""
     N, m = A.shape[0], A.shape[-1]
     c = 1.0 + np.fmax(0.0, -np.diagonal(A, 0, -2, -1).min(-1))
+    if u0 is not None:
+        c = np.fmax(c, 1.0 + (A @ np.ones((N, m, 1))).max((-2, -1)))
     solve = (_static_elimination(A[0], *split)
              if split is not None and split[0] * split[1] < m
              else _dense_solver(A))
     value, res, iters = np.empty(N), np.empty(N), np.zeros(N, int)
     converged, U, Q = np.zeros(N, bool), np.empty((N, m)), np.empty((N, m))
     act, it = np.arange(N), 0   # the matrices still iterating; their state:
-    Aa, u, last = A, np.ones((N, m)), np.full(N, np.inf)
+    Aa, u, last = A, np.ones((N, m)) if u0 is None else u0, np.full(N, np.inf)
 
     def retire(out, conv, on_hi):   # the matrices out stop here
         a = act[out]
@@ -109,8 +115,8 @@ def _noda(A: np.ndarray, tol: float, max_iterations: int,
         v = (Aa @ u[..., None])[..., 0]
         q = v / u
         hi = q.max(-1)
-        if it == 0:   # u = 1, so hi = max A 1
-            scale = tol * np.fmax(c, 1.0 + hi)
+        if it == 0:   # with u = 1, hi = max A 1
+            scale = tol * (c if u0 is not None else np.fmax(c, 1.0 + hi))
         rho = ((u[:, None] @ v[..., None])[:, 0, 0]
                / (u[:, None] @ u[..., None])[:, 0, 0])
         r = np.abs(v - rho[:, None] * u).max(-1)
@@ -154,14 +160,14 @@ def _noda(A: np.ndarray, tol: float, max_iterations: int,
 def _cw_bracket(A: np.ndarray, u: np.ndarray, q: np.ndarray):
     """Collatz-Wielandt bracket (min q, max q) of a Metzler A at a
     positive u, q = (A u) / u, widened by the rounding bound
-    (m + 2) eps (|A| u) / u of A u.  Works over the last axis: a stack
-    (..., m, m) with u and q (..., m) gives one bracket per matrix.
-    |A| u goes by 128-row blocks, so a large A gets no operator-sized
-    copy."""
+    (m + 2) (eps |A| u + eta) / u of A u, eta the smallest subnormal.
+    Works over the last axis: a stack (..., m, m) with u and q (..., m)
+    gives one bracket per matrix.  |A| u goes by 128-row blocks, so a
+    large A gets no operator-sized copy."""
     m = A.shape[-1]
     abs_au = np.concatenate([np.abs(A[..., i:i + 128, :]) @ u[..., None]
                              for i in range(0, m, 128)], -2)[..., 0]
-    err = (m + 2) * EPS * abs_au / u
+    err = ((m + 2) * EPS * abs_au + (m + 2) * ETA) / u
     return (q - err).min(-1), (q + err).max(-1)
 
 
@@ -228,18 +234,18 @@ def _converged_bound(A: np.ndarray, tol: float = 1e-12,
     return r.value
 
 
-def perron_bound(C) -> float:
+def perron_bound(C, max_iterations: int = MAX_ITERATIONS) -> float:
     """Spectral bound s(C) of a cooperative matrix.
 
     Raises InvalidParametersError unless C is square and cooperative
-    (_cooperative), and NonConvergenceError if the iteration budget is
-    exhausted.
+    (_cooperative), and NonConvergenceError if the iteration budget
+    max_iterations is exhausted.
     """
     a = np.asarray(C, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidParametersError(
             f"need a square matrix, got shape {a.shape}")
-    return _converged_bound(_cooperative(a))
+    return _converged_bound(_cooperative(a), max_iterations=max_iterations)
 
 
 def _cooperative(a: np.ndarray) -> np.ndarray:

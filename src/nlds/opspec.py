@@ -4,7 +4,9 @@ dense eigensolver oracle.
 
 The Noda path (spectral_bound, bracketed by Collatz-Wielandt bounds)
 and the dense oracle (dense_spectrum, LAPACK's QR eigensolver) are kept
-independent; the oracle is the source of truth in disputes.  Existence
+independent; the oracle is the source of truth in disputes.  From
+n = 4 COARSE_N cells on, Noda starts from the eigenvector on COARSE_N
+cells (u = 1 if that fails); the evidence is the fine bracket.  Existence
 of a principal eigenpair is certified from a spectral gap, with the
 eigenvector of the same single solve: when s - s_e exceeds the gap
 tolerance the rightmost eigenvalue is isolated and carries a strictly
@@ -20,12 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import AssembledOperator
-from .errors import CertificateInconsistencyError, SizeCapError
-from .matspec import (MAX_ITERATIONS, PerronResult, max_nodal_bound,
+from .assembly import AssembledOperator, assemble_operator
+from .errors import CertificateInconsistencyError, NldsError, SizeCapError
+from .grid import build_grid
+from .matspec import (EPS, MAX_ITERATIONS, PerronResult, max_nodal_bound,
                       metzler_bound)
 
 DENSE_SIZE_CAP = 600
+COARSE_N = 64   # cells of the grid whose eigenvector starts a fine solve
 
 
 def _mat(P) -> np.ndarray:
@@ -87,12 +91,28 @@ def spectral_bound(P, tol: float = 1e-10,
     columns nodal.  sigma stays above s(P), so sigma I - P is a
     nonsingular M-matrix and the elimination needs no pivoting across
     blocks.  Raw arrays and fully diffusing systems take one dense LU
-    per step; both give the same bracket on the whole matrix.
+    per step; both give the same bracket on the whole matrix.  From
+    n = 4 COARSE_N cells on, Noda starts from the eigenvector of the
+    system on COARSE_N cells, interpolated by species, scaled to max 1
+    and floored at eps; from u = 1 if that solve raises or does not
+    converge.  iterations counts the fine steps.
     """
-    if isinstance(P, AssembledOperator):
-        return metzler_bound(P.matrix, tol=tol, max_iterations=max_iterations,
-                             split=(P.system.l1, P.grid.n))
-    return metzler_bound(_mat(P), tol=tol, max_iterations=max_iterations)
+    if not isinstance(P, AssembledOperator):
+        return metzler_bound(_mat(P), tol=tol, max_iterations=max_iterations)
+    g, sys, start = P.grid, P.system, None
+    if g.n >= 4 * COARSE_N:
+        cg = build_grid(g.a, g.b, COARSE_N)
+        try:
+            r = metzler_bound(assemble_operator(sys, cg, force=True).matrix,
+                              tol=tol, max_iterations=max_iterations,
+                              split=(sys.l1, COARSE_N))
+            u = np.concatenate([np.interp(g.points, cg.points, w)
+                                for w in r.vector.reshape(-1, COARSE_N)])
+            start = np.fmax(u / u.max(), EPS) if r.converged else None
+        except (NldsError, np.linalg.LinAlgError):
+            pass   # start from u = 1
+    return metzler_bound(P.matrix, tol=tol, max_iterations=max_iterations,
+                         split=(sys.l1, g.n), start=start)
 
 
 def essential_bound(A: np.ndarray) -> float:

@@ -23,10 +23,10 @@ import numpy as np
 
 from .assembly import kernel_quadrature
 from .errors import (ClassificationError, GridConsistencyError,
-                     InvalidParametersError)
+                     InvalidParametersError, NonConvergenceError)
 from .grid import Grid
-from .matspec import (_converged_bound, max_nodal_bound, metzler_bound,
-                      perron_bound, schur_reduce_stack)
+from .matspec import (MAX_ITERATIONS, _converged_bound, max_nodal_bound,
+                      metzler_bound, perron_bound, schur_reduce_stack)
 from .model import DispersalSystem, KernelSpec, Mode
 
 EPS_LADDER = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -43,13 +43,12 @@ class PerronWeight:
     samples: np.ndarray
     eigenvalue_dev: float    # |lambda - 1|; exactly 1 in the continuum
     residual: float          # ||K p - chi p||_inf
-    iterations: int
-    converged: bool
 
 
-def perron_weight(kernel: KernelSpec, grid: Grid) -> PerronWeight:
+def perron_weight(kernel: KernelSpec, grid: Grid,
+                  max_iterations: int = MAX_ITERATIONS) -> PerronWeight:
     """Perron vector of diag(chi)^{-1} K by Noda iteration to PERRON_TOL,
-    normalized to unit mass.
+    normalized to unit mass; NonConvergenceError after max_iterations.
 
     The weighted node masses w_a chi(x_a) form an exact discrete left
     eigenvector at eigenvalue one, so the converged eigenvalue must sit
@@ -57,15 +56,18 @@ def perron_weight(kernel: KernelSpec, grid: Grid) -> PerronWeight:
     inconsistent grid and raises.
     """
     K, chi = kernel_quadrature(kernel.sample(grid), grid)
-    return _sampled_perron_weight(K, chi, grid)
+    return _sampled_perron_weight(K, chi, grid, max_iterations)
 
 
-def _sampled_perron_weight(K: np.ndarray, chi: np.ndarray,
-                           grid: Grid) -> PerronWeight:
+def _sampled_perron_weight(K: np.ndarray, chi: np.ndarray, grid: Grid,
+                           max_iterations: int = MAX_ITERATIONS) -> PerronWeight:
     """perron_weight from the kernel's quadrature (K, chi)."""
     if np.min(chi) <= 0:
         raise InvalidParametersError("kernel has a node with zero departure rate")
-    r = metzler_bound(K / chi[:, None], tol=PERRON_TOL)
+    r = metzler_bound(K / chi[:, None], tol=PERRON_TOL,
+                      max_iterations=max_iterations)
+    if not r.converged:
+        raise NonConvergenceError("weight did not converge", r.value, r.residual)
     p = r.vector.copy()
     if np.min(p) <= 0:
         raise GridConsistencyError(
@@ -77,8 +79,7 @@ def _sampled_perron_weight(K: np.ndarray, chi: np.ndarray,
             f"refine the grid")
     p /= float(p @ grid.weights)
     residual = float(np.max(np.abs(K @ p - chi * p)))
-    return PerronWeight(samples=p, eigenvalue_dev=dev, residual=residual,
-                        iterations=r.iterations, converged=r.converged)
+    return PerronWeight(samples=p, eigenvalue_dev=dev, residual=residual)
 
 
 @dataclass(frozen=True)
@@ -90,17 +91,12 @@ class SystemWeights:
     uniform_fallback: tuple  # l bools
 
 
-def weights_for_system(sys: DispersalSystem, grid: Grid) -> SystemWeights:
-    ws, fallback = [], []
-    uniform = np.full(grid.n, 1.0 / (grid.b - grid.a))
-    for i in range(sys.l):
-        if i < sys.l1:
-            ws.append(perron_weight(sys.kernels[i], grid).samples)
-            fallback.append(False)
-        else:
-            ws.append(uniform.copy())
-            fallback.append(True)
-    return SystemWeights(weights=tuple(ws), uniform_fallback=tuple(fallback))
+def weights_for_system(sys: DispersalSystem, grid: Grid,
+                       max_iterations: int = MAX_ITERATIONS) -> SystemWeights:
+    fallback = tuple(i >= sys.l1 for i in range(sys.l))
+    ws = [perron_weight(k, grid, max_iterations).samples for k in sys.kernels]
+    ws += [np.full(grid.n, 1.0 / (grid.b - grid.a)) for _ in sys.d[sys.l1:]]
+    return SystemWeights(weights=tuple(ws), uniform_fallback=fallback)
 
 
 def p_weighted_mean(F: np.ndarray, weights: SystemWeights,
@@ -227,7 +223,9 @@ def bracket_and_bisect(f, base: float, tol: float) -> float | None:
 
 
 def classify_threshold(sys: DispersalSystem, grid: Grid,
-                       weights: SystemWeights) -> ThresholdOutcome:
+                       weights: SystemWeights,
+                       max_iterations: int = MAX_ITERATIONS
+                       ) -> ThresholdOutcome:
     """Decide between the fixed-point and collapse outcomes of the
     large-diffusion limit for a partially degenerate system.
 
@@ -245,7 +243,8 @@ def classify_threshold(sys: DispersalSystem, grid: Grid,
     eta22 = static_block_bound(Ms, l1)
 
     def s_tilde(gamma: float) -> float:
-        return _converged_bound(tilde_B(Ms, l1, gamma, weights, grid))
+        return _converged_bound(tilde_B(Ms, l1, gamma, weights, grid),
+                                max_iterations=max_iterations)
 
     above, ladder = ladder_classify(lambda eps: s_tilde(eta22 + eps),
                                     eta22, 1e-4 * max(1.0, abs(eta22)))
@@ -284,15 +283,17 @@ class ReducedQuantities:
 
 
 def reduced_quantities(sys: DispersalSystem, grid: Grid,
-                       weights: SystemWeights) -> ReducedQuantities:
+                       weights: SystemWeights,
+                       max_iterations: int = MAX_ITERATIONS
+                       ) -> ReducedQuantities:
     """Every reduced quantity of the system on grid, averaged against
     weights (weights_for_system of the same system and grid)."""
     tilde_M = reduced_tilde_M(sys, grid, weights)
     kappa, eta22 = kappa_and_eta22(sys, grid)
-    kappa_tilde = perron_bound(tilde_M)
+    kappa_tilde = perron_bound(tilde_M, max_iterations)
     threshold = None
     if sys.mode is Mode.PARTIALLY_DEGENERATE and sys.l1 < sys.l and any(sys.d):
-        threshold = classify_threshold(sys, grid, weights)
+        threshold = classify_threshold(sys, grid, weights, max_iterations)
     return ReducedQuantities(tilde_M=tilde_M, kappa=kappa,
                              kappa_tilde=kappa_tilde, eta22=eta22,
                              threshold=threshold,

@@ -272,6 +272,24 @@ def test_max_iterations_caps_the_sweep(tmp_path):
     assert not any(r["converged"] for r in read_report(out)["sweep"]["rows"])
 
 
+@pytest.mark.parametrize("command", ["reduce", "sweep"])
+def test_max_iterations_caps_the_reduced_quantities(tmp_path, command):
+    # the drift makes the Perron weight take 5 steps at n = 40; a
+    # symmetric kernel's weight, and CASE_A's 1 x 1 B~, take none
+    cfg_dict = json.loads(json.dumps(BASE))
+    cfg_dict["system"]["kernels"] = ["exp(-(x-y-0.1)^2)"]
+    cfg_dict["sweep"] = {"mode": "large-d-degen", "t_schedule": [1.0]}
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    cfg_dict["solver"] = {"max_iterations": 1}
+    cfg = write_config(tmp_path, cfg_dict)
+    assert run([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    error = read_report(out)["error"]
+    assert error["kind"] == "NonConvergenceError"
+    assert "weight did not converge" in error["message"]
+
+
 def test_diagnose_honours_gap_tol(tmp_path):
     cfg_dict = json.loads(json.dumps(BASE))
     cfg_dict["grid"]["refinements"] = [20, 40]

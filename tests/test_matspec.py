@@ -247,6 +247,39 @@ def test_metzler_bound_jordan_block_bracket():
     assert_perron_evidence(a, metzler_bound(a), 0.0, 1e-4)
 
 
+def test_metzler_bound_jordan_block_bracket_at_an_underflowing_root():
+    # at the last iterate u = (1, 1.8e-12), (A u)_2 = -2.2e-313 u_2 and its
+    # rounding bound both underflow to 0; the widening's eta term keeps s
+    # in the bracket, which read (0, 1.8e-12) without it
+    s = -2.2e-313
+    r = metzler_bound(np.array([[s, 1.0], [0.0, s]]))
+    assert r.converged
+    assert r.bracket[0] <= s <= r.bracket[1]
+    assert r.bracket[1] - r.bracket[0] < 1e-11
+
+
+def test_metzler_bound_stop_scale_ignores_the_start():
+    # max A 1 = 100 fixes the stop scale at 101 tol; at v the quotients
+    # (1 + 2.5e-11, 1 / (1 + 2.5e-11)) are 5e-11 = 50 tol apart, so the
+    # iteration stops at v, where max q(v) = 1 would have asked for 2 tol
+    a = np.array([[0.0, 100.0], [0.01, 0.0]])
+    v = np.array([1.0, 0.01 * (1.0 + 2.5e-11)])
+    q = a @ v / v
+    assert 2e-12 < q.max() - q.min() <= 101e-12
+    r = metzler_bound(a, start=v)
+    assert (r.iterations, r.converged) == (0, True)
+    assert np.array_equal(r.vector, v)
+    assert r.bracket[0] <= 1.0 <= r.bracket[1]
+    # an explicit start of 1 is the default run, bit for bit
+    for b in (a, rand_cooperative(np.random.default_rng(7), 12)):
+        one, default = metzler_bound(b, start=np.ones(len(b))), metzler_bound(b)
+        assert np.array_equal(one.vector, default.vector)
+        assert ((one.value, one.iterations, one.residual, one.converged,
+                 one.bracket) == (default.value, default.iterations,
+                                  default.residual, default.converged,
+                                  default.bracket))
+
+
 def test_metzler_bound_block_diagonal_operator():
     # no dispersal: the operator splits into one 2 x 2 block per node
     sys = DispersalSystem(

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import nlds.opspec
 from nlds.assembly import assemble_operator, pointwise_A
-from nlds.errors import SizeCapError
+from nlds.errors import InvalidParametersError, SizeCapError
 from nlds.grid import build_grid
 from nlds.matspec import metzler_bound
 from nlds.model import CoefField, DispersalSystem, KernelSpec
-from nlds.opspec import (Exists, NoCertificate, compute_spectral_report,
-                         dense_spectrum, essential_bound, spectral_bound)
+from nlds.opspec import (COARSE_N, Exists, NoCertificate,
+                         compute_spectral_report, dense_spectrum,
+                         essential_bound, spectral_bound)
 from oracles import growth_rate
 
 GAUSS = "exp(-(x-y)^2)"
@@ -280,25 +282,30 @@ def rightmost_with_error(M):
     return float(top.real), 4 * backward / overlap if overlap else np.inf
 
 
-@st.composite
-def cooperative_systems(draw):
-    """Irreducible cooperative system of l <= 3 species, 1 <= l1 <= l of
-    them dispersing, on a grid of n <= 48 nodes; the couplings
-    i -> i + 1 (mod l) stay positive, so every node is irreducible."""
-    l = draw(st.integers(1, 3))
-    l1 = draw(st.integers(1, l))
-    n = draw(st.integers(2, 48))
-
-    def cents(lo, hi):
-        return draw(st.integers(lo, hi)) / 100
-
+def random_system(cents, l, l1):
+    """Irreducible cooperative system of l species, l1 of them
+    dispersing, whose rates cents(lo, hi) draws in hundredths from
+    [lo, hi]; the couplings i -> i + 1 (mod l) stay positive, so every
+    node is irreducible."""
     coeffs = [[f"{cents(-200, 100)} + {cents(-100, 100)}*x^2" if i == j
                else f"{cents(0, 100) + 0.1 * (j == (i + 1) % l)}"
                     f" * (1 + {cents(-100, 100)}*x)"
                for j in range(l)] for i in range(l)]
     kernels = [f"exp(-(x-y)^2 / {cents(10, 200)})" for _ in range(l1)]
     d = [cents(5, 300) for _ in range(l1)] + [0.0] * (l - l1)
-    return make_system(coeffs, d, l1, kernels), build_grid(-1, 1, n)
+    return make_system(coeffs, d, l1, kernels)
+
+
+@st.composite
+def cooperative_systems(draw):
+    """random_system of l <= 3 species, 1 <= l1 <= l of them dispersing,
+    on a grid of n <= 48 nodes."""
+    l = draw(st.integers(1, 3))
+    l1 = draw(st.integers(1, l))
+    n = draw(st.integers(2, 48))
+    sys = random_system(lambda lo, hi: draw(st.integers(lo, hi)) / 100,
+                        l, l1)
+    return sys, build_grid(-1, 1, n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -326,3 +333,75 @@ def test_spectral_bound_of_random_systems(case):
     assert abs(dense.iterations - r.iterations) <= 1
     assert lo <= dense.value <= hi
     assert dense.bracket[0] <= r.value <= dense.bracket[1]
+
+
+# --- the fine iteration starts from the coarse-grid eigenvector ----------
+
+def u1_run(P, **kwargs):
+    """The iteration from u = 1, as spectral_bound runs it below the
+    gate."""
+    return metzler_bound(P.matrix, split=(P.system.l1, P.grid.n), **kwargs)
+
+
+def assert_same_result(r, ref):
+    assert np.array_equal(r.vector, ref.vector)
+    assert ((r.value, r.iterations, r.residual, r.converged, r.bracket)
+            == (ref.value, ref.iterations, ref.residual, ref.converged,
+                ref.bracket))
+
+
+@pytest.mark.parametrize("n,l,l1,seed", [
+    (256, 2, 1, 0), (256, 2, 1, 1), (256, 2, 2, 2), (320, 1, 1, 3),
+    (320, 1, 1, 4)])
+def test_coarse_start_matches_the_oracle(n, l, l1, seed):
+    rng = np.random.default_rng(seed)
+    sys = random_system(lambda lo, hi: int(rng.integers(lo, hi + 1)) / 100,
+                        l, l1)
+    P = assemble_operator(sys, build_grid(-1, 1, n), force=True)
+    exact, err = rightmost_with_error(P.matrix)
+    assert err <= 1e-10
+    c = 1.0 + max(0.0, -float(np.min(np.diag(P.matrix))))
+    r = spectral_bound(P, tol=1e-13)
+    assert r.converged
+    assert abs(r.value - exact) <= 1e-10 * c + err
+    assert r.bracket[0] - err <= exact <= r.bracket[1] + err
+    assert r.iterations <= u1_run(P, tol=1e-13).iterations
+
+
+@pytest.mark.parametrize("coeffs,steps", [(CASE_A, 2), (CASE_B, 3)],
+                         ids=["case_a", "case_b"])
+def test_coarse_start_step_counts(coeffs, steps):
+    # from u = 1 these take 4 and 5 steps
+    sys = make_system(coeffs, d=(1.0, 0.0), l1=1, kernels=[GAUSS])
+    P = assemble_operator(sys, build_grid(-1, 1, 4 * COARSE_N))
+    assert spectral_bound(P, tol=1e-13).iterations == steps
+    assert u1_run(P, tol=1e-13).iterations == steps + 2
+
+
+def test_unconverged_coarse_solve_falls_back_to_u1():
+    sys = make_system(CASE_B, d=(1.0, 0.0), l1=1, kernels=[GAUSS])
+    P = assemble_operator(sys, build_grid(-1, 1, 4 * COARSE_N))
+    assert_same_result(spectral_bound(P, tol=1e-12, max_iterations=1),
+                       u1_run(P, max_iterations=1))
+
+
+@pytest.mark.parametrize("error", [InvalidParametersError("no"),
+                                   np.linalg.LinAlgError("singular")])
+def test_failed_coarse_solve_falls_back_to_u1(monkeypatch, error):
+    sys = make_system(CASE_B, d=(1.0, 0.0), l1=1, kernels=[GAUSS])
+    P = assemble_operator(sys, build_grid(-1, 1, 4 * COARSE_N))
+
+    def failing(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(nlds.opspec, "assemble_operator", failing)
+    assert_same_result(spectral_bound(P, tol=1e-12), u1_run(P))
+
+
+def test_below_the_gate_the_start_is_u1(monkeypatch):
+    sys = make_system(CASE_B, d=(1.0, 0.0), l1=1, kernels=[GAUSS])
+    P = assemble_operator(sys, build_grid(-1, 1, 4 * COARSE_N - 1))
+
+    def failing(*args, **kwargs):
+        raise AssertionError("no coarse solve below the gate")
+    monkeypatch.setattr(nlds.opspec, "assemble_operator", failing)
+    assert_same_result(spectral_bound(P, tol=1e-13), u1_run(P, tol=1e-13))
