@@ -62,8 +62,11 @@ def metzler_bound(A: np.ndarray, tol: float = 1e-12,
     input reaches with its quotients apart.  The value is rho, or hi if
     hi I - A (or a block of its elimination) is exactly singular or if
     the iterate stops being finite and positive (hi has met s) before
-    the residual is small; the bracket [min q, max q] is widened by the
-    rounding bound of A u.  Non-convergence is flagged.
+    the residual is small.  An iterate whose entries are all above
+    -m eps is not yet such a stop: those entries are rounding of positive
+    ones, they are raised to m eps, and the iteration goes on.  The
+    bracket [min q, max q] is widened by the rounding bound of A u.
+    Non-convergence is flagged.
 
     The solve is one dense LU, unless split = (l1, n) says that A is
     species-major with n nodes per species and that the species from
@@ -147,11 +150,17 @@ def _noda(A: np.ndarray, tol: float, max_iterations: int,
         ok = finite & (y.min(-1) > 0.0)
         if not ok.all():   # singular, or hi is within rounding of s(A)
             conv = singular | (r <= scale)
-            keep = retire(~ok, conv, singular | ~conv)   # rho is no estimate
-            if not keep.any():
-                break
-            act, Aa, y, rho, scale = (
-                x[keep] for x in (act, Aa, y, rho, scale))
+            # the exact y is positive: entries within m eps of 0 are
+            # rounding, and are raised to m eps if u is still too rough
+            lift = ~ok & ~conv & finite & (y.min(-1) >= -m * EPS)
+            y[lift] = np.fmax(y[lift], m * EPS)
+            ok |= lift
+            if not ok.all():
+                keep = retire(~ok, conv, singular | ~conv)   # rho: no estimate
+                if not keep.any():
+                    break
+                act, Aa, y, rho, scale = (
+                    x[keep] for x in (act, Aa, y, rho, scale))
         u, last = y, rho
     del solve   # free its buffers before the bracket
     return PerronResult(value, U, iters, res, converged, _cw_bracket(A, U, Q))

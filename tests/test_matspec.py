@@ -235,6 +235,22 @@ def test_metzler_bound_stops_at_the_rounding_floor():
     assert_perron_evidence(a, metzler_bound(a), exact, 1e-12, err)
 
 
+def test_metzler_bound_lifts_rounding_entries_of_a_rough_iterate():
+    # eigenvector entries down to ~1e-17: after 5 steps hi is 2.3e-15 above
+    # s, but u still has 1.4e-10 at node 1 (residual 9e-12 > tol c) and the
+    # next solve gives -6.8e-18 there; raised to m eps, that iterate meets
+    # the residual rule
+    m = 32
+    a = np.zeros((m, m))
+    a[np.arange(m), (np.arange(m) + 1) % m] = 0.1
+    a[0, 1], a[0, 20] = 0.6, 1.0
+    a[1, 1], a[2, 2], a[22, 22] = 0.6875, -1.0, 0.75
+    exact, err = eigvals_oracle(a)
+    r = metzler_bound(a)
+    assert_perron_evidence(a, r, exact, 1e-12, err)
+    assert r.iterations == 6
+
+
 def test_metzler_bound_diagonal():
     a = np.diag([-1.0, 0.5, 0.25, -3.0])
     r = metzler_bound(a)
