@@ -18,8 +18,8 @@ from .matspec import is_irreducible, perron_bound
 from .opspec import (SpectralReport, compute_spectral_report, dense_spectrum,
                      essential_bound, principal_certificate, spectral_bound)
 from .reduce import (CaseA, CaseB, ReducedQuantities, classify_threshold,
-                     perron_weight, reduced_quantities, reduced_tilde_M,
-                     tilde_B, weights_for_system)
+                     perron_weight, reduced_quantities, tilde_B,
+                     weights_for_system)
 from .analysis import (SpectralField, SweepTable, generalized_eigen_residual,
                        integrability_diagnostic, perturbation_probe,
                        spectral_field, sweep)
@@ -35,8 +35,7 @@ __all__ = [
     "SpectralReport", "compute_spectral_report", "dense_spectrum",
     "essential_bound", "principal_certificate", "spectral_bound",
     "CaseA", "CaseB", "ReducedQuantities", "classify_threshold",
-    "perron_weight", "reduced_quantities", "reduced_tilde_M", "tilde_B",
-    "weights_for_system",
+    "perron_weight", "reduced_quantities", "tilde_B", "weights_for_system",
     "SpectralField", "SweepTable", "generalized_eigen_residual",
     "integrability_diagnostic", "perturbation_probe", "spectral_field", "sweep",
     "BoundaryCase", "R0Report", "RootCase", "VSIParams", "compute_r0_report",

@@ -17,15 +17,15 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .assembly import (SampledFields, assemble_operator, block_matrix,
-                       kernel_quadrature, pointwise_A, sample_fields)
+                       kernel_quadrature, pointwise_A)
 from .errors import InvalidParametersError, ResolventDomainError
 from .grid import Grid, build_grid
-from .matspec import (MAX_ITERATIONS, _converged_bound, nodal_bounds,
-                      perron_bound, schur_reduce_stack)
+from .matspec import (MAX_ITERATIONS, _converged_bound, max_nodal_bound,
+                      nodal_bounds, perron_bound, schur_reduce_stack)
 from .model import DispersalSystem, Mode
 from .opspec import essential_bound, spectral_bound
-from .reduce import (CaseA, classify_threshold, kappa_and_eta22,
-                     reduced_tilde_M, static_block_bound, weights_for_system)
+from .reduce import (CaseA, classify_threshold, p_weighted_mean,
+                     static_block_bound, weights_for_system)
 
 FIT_WINDOW = 10          # nodes used by the local-order fit
 FLOOR = 1e-13            # distances to the max below this are poles
@@ -35,7 +35,8 @@ RATIO_MARGIN = 0.05      # quadrature sums must grow by 5% to count
 @dataclass(frozen=True)
 class SpectralField:
     """Nodal bounds H(x_a) = s(A(x_a)) and their Schur-reduced
-    counterparts h(x_a) = s(F_eta(x_a)); eta = max H.
+    counterparts h(x_a) = s(F_eta(x_a)); eta = max H, which must lie
+    above the static-block bound (it does not on a reducible system).
 
     F_lambda reduces A(x) (diffusion included in the leading block,
     unlike the averaged family of the reduce module) onto the diffusing
@@ -47,13 +48,23 @@ class SpectralField:
     eta: float
 
 
-def spectral_field(sys: DispersalSystem, grid: Grid,
-                   fields: SampledFields | None = None) -> SpectralField:
-    A = pointwise_A(sys, grid, fields=fields)
+def spectral_field(sys: DispersalSystem, fields: SampledFields
+                   ) -> SpectralField:
+    A = pointwise_A(sys, fields)
     H = nodal_bounds(A)
     eta = float(np.max(H))
+    _check_resolvent_domain(sys, fields, eta)
     h = nodal_bounds(schur_reduce_stack(A, sys.l1, eta))
     return SpectralField(H=H, h=h, eta=eta)
+
+
+def _check_resolvent_domain(sys, fields, lam: float) -> None:
+    """Raise unless lam > max_x s(A22(x)), where A22 = M22."""
+    eta22 = static_block_bound(fields.M, sys.l1)
+    if not lam > eta22:
+        raise ResolventDomainError(
+            f"lambda = {lam:.6g} is not above the static-block bound "
+            f"{eta22:.6g}")
 
 
 # --- integrability diagnostic -------------------------------------------
@@ -170,33 +181,27 @@ def integrability_diagnostic(field_on, grids: list[Grid],
 
 # --- generalized eigenproblem on the diffusing block ---------------------
 
-def assemble_reduced_operator(sys: DispersalSystem, grid: Grid, lam: float,
-                              fields: SampledFields) -> np.ndarray:
+def assemble_reduced_operator(sys: DispersalSystem, fields: SampledFields,
+                              lam: float) -> np.ndarray:
     """(l1 n) x (l1 n) matrix of the reduced problem at parameter lam,
-    from the system's samples fields on grid.
+    from the system's samples fields.
 
     Nodal Schur reductions of the diffusion-included matrices A(x_a)
     (leading block M11 - diag(d_i chi_i)) plus the pure kernel-transfer
     blocks d_i K_i: the departure rates already live inside A's leading
     block, so the transfer blocks must not subtract them again.
     """
-    eta22 = static_block_bound(fields.M, sys.l1)
-    if not lam > eta22:
-        raise ResolventDomainError(
-            f"lambda = {lam:.6g} is not above the static-block bound "
-            f"{eta22:.6g}")
-    A = pointwise_A(sys, grid, fields=fields)
-    F = schur_reduce_stack(A, sys.l1, lam)
+    _check_resolvent_domain(sys, fields, lam)
+    F = schur_reduce_stack(pointwise_A(sys, fields), sys.l1, lam)
     return block_matrix(F, fields.transfer, sys.d)
 
 
-def generalized_eigen_residual(sys: DispersalSystem, grid: Grid, lam: float,
-                               fields: SampledFields,
-                               tol: float = 1e-10) -> float:
+def generalized_eigen_residual(sys: DispersalSystem, fields: SampledFields,
+                               lam: float, tol: float = 1e-10) -> float:
     """s(T_lam) - lam for the reduced operator T_lam of the samples
     fields: zero exactly when lam solves the reduced generalized
     eigenproblem, which certified spectral bounds do."""
-    T = assemble_reduced_operator(sys, grid, lam, fields)
+    T = assemble_reduced_operator(sys, fields, lam)
     return spectral_bound(T, tol=tol).value - lam
 
 
@@ -244,7 +249,7 @@ def write_csv(path, header, rows) -> None:
 SWEEP_MODES = ("small-d", "large-d-nondegen", "large-d-degen")
 
 
-def sweep(sys: DispersalSystem, grid: Grid, t_schedule,
+def sweep(sys: DispersalSystem, fields: SampledFields, t_schedule,
           mode: str, tol: float = 1e-10,
           max_iterations: int = MAX_ITERATIONS) -> SweepTable:
     """Assemble and solve the operator along a diffusion schedule and
@@ -253,8 +258,8 @@ def sweep(sys: DispersalSystem, grid: Grid, t_schedule,
     small-d scales every rate by t against the pointwise bound;
     large-d-nondegen scales every rate against the averaged bound;
     large-d-degen scales the diffusing rates against the threshold
-    outcome.  Weights and reduced quantities are diffusion independent
-    and are computed once.
+    outcome.  The samples fields, the weights and the reduced
+    quantities are diffusion independent and serve every row.
     """
     if mode not in SWEEP_MODES:
         raise InvalidParametersError(f"unknown sweep mode {mode!r}")
@@ -266,29 +271,28 @@ def sweep(sys: DispersalSystem, grid: Grid, t_schedule,
         if sys.mode is not Mode.NON_DEGENERATE:
             raise InvalidParametersError(
                 "large-d-nondegen needs every species diffusing")
-        weights = weights_for_system(sys, grid, max_iterations)
-        reference = perron_bound(reduced_tilde_M(sys, grid, weights),
-                                 max_iterations)
+        weights = weights_for_system(sys, fields, max_iterations)
+        reference = perron_bound(p_weighted_mean(fields.M, weights,
+                                                 fields.grid), max_iterations)
         ref_name = "kappa_tilde"
     elif mode == "large-d-degen":
-        weights = weights_for_system(sys, grid, max_iterations)
-        outcome = classify_threshold(sys, grid, weights, max_iterations)
+        weights = weights_for_system(sys, fields, max_iterations)
+        outcome = classify_threshold(sys, fields, weights, max_iterations)
         if isinstance(outcome, CaseA):
             reference, ref_name = outcome.gamma_star, "gamma_star"
         else:
             reference, ref_name = outcome.eta22, "eta22"
     else:
-        reference, _ = kappa_and_eta22(sys, grid)
-        ref_name = "kappa"
+        reference, ref_name = max_nodal_bound(fields.M), "kappa"
 
-    fields = sample_fields(sys, grid)
     rows = []
     for t in ts:
         d = base_d * t
         if mode == "large-d-degen":
             d = base_d.copy()
             d[:sys.l1] *= t
-        P = assemble_operator(sys.with_d(d), grid, force=True, fields=fields)
+        P = assemble_operator(sys.with_d(d), fields.grid, force=True,
+                              fields=fields)
         r = spectral_bound(P, tol=tol, max_iterations=max_iterations)
         s_e = essential_bound(P.nodal)
         rows.append(SweepRow(t=t, s=r.value, s_e=s_e, gap=r.value - s_e,
@@ -312,12 +316,12 @@ class ProbeResult:
         return dict(vars(self))
 
 
-def perturbation_probe(sys: DispersalSystem, grid: Grid, delta: float,
-                       seed: int, tol: float = 1e-10,
+def perturbation_probe(sys: DispersalSystem, fields: SampledFields,
+                       delta: float, seed: int, tol: float = 1e-10,
                        diagonal_shift: float | None = None,
                        max_iterations: int = MAX_ITERATIONS) -> ProbeResult:
     """Measure the spectral-bound response to a seeded random
-    perturbation of the sampled coefficients and kernels.
+    perturbation of the samples fields of the coefficients and kernels.
 
     Off-diagonal coefficients and kernels receive additive noise in
     [0, delta] (cooperativity and nonnegativity preserved); diagonals
@@ -334,11 +338,12 @@ def perturbation_probe(sys: DispersalSystem, grid: Grid, delta: float,
     if delta < 0:
         raise InvalidParametersError("delta must be nonnegative")
 
+    grid = fields.grid
+
     def bound(P):
         return _converged_bound(P, tol=tol, max_iterations=max_iterations,
                                 split=(sys.l1, grid.n))
 
-    fields = sample_fields(sys, grid)
     P0 = assemble_operator(sys, grid, force=True, fields=fields).matrix
     s0 = bound(P0)
 
@@ -367,7 +372,8 @@ def perturbation_probe(sys: DispersalSystem, grid: Grid, delta: float,
         dK_w, dchi = kernel_quadrature(dK, grid)   # quadrature is linear
         Ks.append(K + dK_w)
         chis.append(chi + dchi)
-    fields_p = SampledFields(M=Mp, transfer=tuple(Ks), chi=tuple(chis))
+    fields_p = SampledFields(grid=grid, M=Mp, transfer=tuple(Ks),
+                             chi=tuple(chis))
     P1 = assemble_operator(sys, grid, force=True, fields=fields_p).matrix
     s1 = bound(P1)
 

@@ -9,6 +9,9 @@ samples.  chi uses the same quadrature weights as K so the discrete
 mass-balance identity sum_a w_a (K_i 1)(a) = sum_a w_a chi_i(x_a) holds
 to rounding.
 
+sample_fields is the one sampler of a dispersal system: validation,
+assembly, the reduced quantities and the analyses all read its samples.
+
 Matrices are dense: at desk scale (n <= 512) dense assembly keeps every
 entry inspectable and the dense matrix is the ground truth for all
 spectral routines.
@@ -51,15 +54,17 @@ class SampledFields:
     """Grid samples of a system's coefficients and the quadrature of its
     kernels; diffusion independent, so sweeps over d reuse one instance."""
 
+    grid: Grid
     M: np.ndarray            # (n, l, l) nodal coefficient matrices
     transfer: tuple          # l1 arrays (n, n): K_i[a, b] = k_i(x_a, x_b) w_b
     chi: tuple               # l1 arrays (n,)
 
 
 def sample_fields(sys: DispersalSystem, grid: Grid) -> SampledFields:
+    """Evaluate the coefficient field, then each kernel, on grid."""
+    M = sys.coefficients.sample(grid)
     quads = [kernel_quadrature(k.sample(grid), grid) for k in sys.kernels]
-    return SampledFields(M=sys.coefficients.sample(grid),
-                         transfer=tuple(K for K, _ in quads),
+    return SampledFields(grid=grid, M=M, transfer=tuple(K for K, _ in quads),
                          chi=tuple(chi for _, chi in quads))
 
 
@@ -86,18 +91,16 @@ class AssembledOperator:
 
 def assemble_operator(sys: DispersalSystem, grid: Grid, force: bool = False,
                       fields: SampledFields | None = None) -> AssembledOperator:
-    """Build the flattened operator matrix.
-
-    Validation gates assembly unless force=True; reuse a SampledFields
-    from a previous assembly of the same system/grid to skip resampling.
-    """
-    if not force:
-        report = validate(sys, grid)
-        if not report.passed:
-            raise ValidationGateError(report)
+    """Build the flattened operator matrix from fields, the samples of
+    sys on grid (sampled here when None), behind the validation of those
+    samples unless force=True."""
     if fields is None:
         fields = sample_fields(sys, grid)
-    A = pointwise_A(sys, grid, fields=fields)
+    if not force:
+        report = validate(sys, fields)
+        if not report.passed:
+            raise ValidationGateError(report)
+    A = pointwise_A(sys, fields)
     return AssembledOperator(matrix=block_matrix(A, fields.transfer, sys.d),
                              nodal=A, grid=grid, system=sys)
 
@@ -118,12 +121,9 @@ def block_matrix(F: np.ndarray, transfer, d) -> np.ndarray:
     return P
 
 
-def pointwise_A(sys: DispersalSystem, grid: Grid,
-                fields: SampledFields | None = None) -> np.ndarray:
+def pointwise_A(sys: DispersalSystem, fields: SampledFields) -> np.ndarray:
     """Nodal matrices A(x_a) = M(x_a) - diag(d_i chi_i(x_a), i diffusing)
-    as an (n, l, l) stack; AssembledOperator.nodal of the same system."""
-    if fields is None:
-        fields = sample_fields(sys, grid)
+    of fields as an (n, l, l) stack; AssembledOperator.nodal."""
     A = fields.M.copy()
     for i in range(sys.l1):
         A[:, i, i] -= float(sys.d[i]) * fields.chi[i]

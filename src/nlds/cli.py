@@ -218,14 +218,16 @@ def build_objects(cfg: dict, n_override: int | None):
 
 
 def validated_objects(cfg: dict, args, report: dict):
-    """build_objects behind the validation gate: records the validation
-    report and raises ValidationGateError unless it passed or --force."""
+    """The system and its one sampling on the run grid, behind the
+    validation gate: records the validation report of those samples and
+    raises ValidationGateError unless it passed or --force."""
     system, g = build_objects(cfg, args.n)
-    vr = validate(system, g)
+    fields = sample_fields(system, g)
+    vr = validate(system, fields)
     report["validation"] = vr.to_dict()
     if not vr.passed and not args.force:
         raise ValidationGateError(vr)
-    return system, g
+    return system, fields
 
 
 def solver_opts(cfg: dict) -> dict:
@@ -238,16 +240,17 @@ def solver_opts(cfg: dict) -> dict:
 
 def cmd_validate(cfg, args, report, outdir) -> int:
     system, g = build_objects(cfg, args.n)
-    vr = validate(system, g)
+    vr = validate(system, sample_fields(system, g))
     report["validation"] = vr.to_dict()
     return EXIT_OK if vr.passed else EXIT_VALIDATION
 
 
 def cmd_spectrum(cfg, args, report, outdir) -> int:
-    system, g = validated_objects(cfg, args, report)
+    system, fields = validated_objects(cfg, args, report)
     opts = solver_opts(cfg)
-    sr = compute_spectral_report(assemble_operator(system, g, force=True),
-                                 **opts)
+    P = assemble_operator(system, fields.grid, force=True, fields=fields)
+    del fields   # its n x n transfer matrices need not outlive assembly
+    sr = compute_spectral_report(P, **opts)
     d = sr.to_dict()
     d["tol"] = opts["tol"]
     report["spectral"] = d
@@ -255,22 +258,22 @@ def cmd_spectrum(cfg, args, report, outdir) -> int:
 
 
 def cmd_reduce(cfg, args, report, outdir) -> int:
-    system, g = validated_objects(cfg, args, report)
+    system, fields = validated_objects(cfg, args, report)
     budget = solver_opts(cfg)["max_iterations"]
-    weights = weights_for_system(system, g, budget)
-    rq = reduced_quantities(system, g, weights, budget)
+    weights = weights_for_system(system, fields, budget)
+    rq = reduced_quantities(system, fields, weights, budget)
     report["reduced"] = rq.to_dict()
     write_csv(outdir / "weights.csv", ["species", "x", "weight"],
               ((i + 1, x, p) for i, wgt in enumerate(weights.weights)
-               for x, p in zip(g.points, wgt)))
+               for x, p in zip(fields.grid.points, wgt)))
     return EXIT_OK
 
 
 def cmd_sweep(cfg, args, report, outdir) -> int:
     _require(cfg, "sweep")
-    system, g = validated_objects(cfg, args, report)
+    system, fields = validated_objects(cfg, args, report)
     opts = solver_opts(cfg)
-    table = sweep(system, g, cfg["sweep"]["t_schedule"],
+    table = sweep(system, fields, cfg["sweep"]["t_schedule"],
                   cfg["sweep"]["mode"], tol=opts["tol"],
                   max_iterations=opts["max_iterations"])
     report["sweep"] = table.to_dict()
@@ -280,20 +283,20 @@ def cmd_sweep(cfg, args, report, outdir) -> int:
 
 
 def cmd_diagnose(cfg, args, report, outdir) -> int:
-    system, g = validated_objects(cfg, args, report)
+    system, fields = validated_objects(cfg, args, report)
+    g = fields.grid
     opts = solver_opts(cfg)
     region = tuple(cfg.get("diagnose", {}).get("region",
                                                [system.domain[0], system.domain[1]]))
     n_list = cfg.get("grid", {}).get(
         "refinements", [k for k in (g.n // 4, g.n // 2, g.n) if k >= 1])
     grids = refinement_grids(system.domain[0], system.domain[1], n_list)
-    fields = sample_fields(system, g)
     by_n = {}   # grid size -> SpectralField, so the run grid's is reused
 
     def field_of(gg):
         if gg.n not in by_n:
             by_n[gg.n] = spectral_field(
-                system, gg, fields=fields if gg.n == g.n else None)
+                system, fields if gg.n == g.n else sample_fields(system, gg))
         return by_n[gg.n]
 
     diag = integrability_diagnostic(lambda gg: field_of(gg).H, grids, region)
@@ -309,7 +312,7 @@ def cmd_diagnose(cfg, args, report, outdir) -> int:
     }
     if (system.l1 < system.l and sr.gap > 0
             and isinstance(sr.certificate, Exists)):
-        resid = generalized_eigen_residual(system, g, sr.s, fields,
+        resid = generalized_eigen_residual(system, fields, sr.s,
                                            tol=opts["tol"])
         report["diagnose"]["generalized_eigen_residual"] = resid
     return EXIT_OK if sr.converged else EXIT_NONCONVERGENCE
@@ -332,8 +335,8 @@ def cmd_r0(cfg, args, report, outdir) -> int:
 
 
 def cmd_oracle(cfg, args, report, outdir) -> int:
-    system, g = validated_objects(cfg, args, report)
-    P = assemble_operator(system, g, force=True)
+    system, fields = validated_objects(cfg, args, report)
+    P = assemble_operator(system, fields.grid, force=True, fields=fields)
     vals = dense_spectrum(P)
     report["oracle"] = {
         "size": P.size,
@@ -347,7 +350,7 @@ def cmd_oracle(cfg, args, report, outdir) -> int:
 
 
 def cmd_probe(cfg, args, report, outdir) -> int:
-    system, g = validated_objects(cfg, args, report)
+    system, fields = validated_objects(cfg, args, report)
     pc = cfg.get("probe", {})
     deltas = pc.get("delta_schedule", [1e-2, 1e-3, 1e-4, 1e-5])
     draws = pc.get("draws", 3)
@@ -357,7 +360,7 @@ def cmd_probe(cfg, args, report, outdir) -> int:
     results = []
     for delta in deltas:
         for k in range(draws):
-            pr = perturbation_probe(system, g, delta, seed=seed + k,
+            pr = perturbation_probe(system, fields, delta, seed=seed + k,
                                     tol=opts["tol"],
                                     max_iterations=opts["max_iterations"])
             row = pr.to_dict()
@@ -365,7 +368,8 @@ def cmd_probe(cfg, args, report, outdir) -> int:
             row["draw"] = k
             results.append(row)
     if shift is not None:
-        pr = perturbation_probe(system, g, 0.0, seed=seed, tol=opts["tol"],
+        pr = perturbation_probe(system, fields, 0.0, seed=seed,
+                                tol=opts["tol"],
                                 diagonal_shift=shift,
                                 max_iterations=opts["max_iterations"])
         report["probe_diagonal_shift"] = pr.to_dict()

@@ -32,12 +32,13 @@ import numpy as np
 
 from . import exprlang
 from .assembly import block_matrix, kernel_quadrature
-from .errors import InvalidParametersError, ResolventDomainError
+from .errors import (InvalidParametersError, NonConvergenceError,
+                     ResolventDomainError)
 from .exprlang import Expr
 from .grid import Grid
 from .matspec import EPS, MAX_ITERATIONS, _converged_bound, metzler_bound
 from .model import KernelSpec
-from .reduce import _sampled_perron_weight, bracket_and_bisect, ladder_classify
+from .reduce import bracket_and_bisect, ladder_classify, perron_weight
 
 R0_BISECT_TOL = 1e-12
 LIMIT_MARGIN = 1e-4      # Q must clear zero by this on every ladder rung
@@ -182,12 +183,13 @@ def r0(sv: SampledVSI, tol: float = 1e-10,
                     bracket=(res.bracket[0] - eta, res.bracket[1] + eta))
 
 
-def H_mu(sv: SampledVSI, mu: float, tol: float = 1e-10) -> float:
+def H_mu(sv: SampledVSI, mu: float, tol: float = 1e-10,
+         max_iterations: int = MAX_ITERATIONS) -> float:
     """Spectral bound of B + F/mu, zero at mu = R0, by Noda steps that
-    eliminate the static cells; raises NonConvergenceError if unconverged."""
+    eliminate the static cells; NonConvergenceError after max_iterations."""
     if mu <= 0:
         raise InvalidParametersError(f"mu must be positive, got {mu}")
-    return _converged_bound(_operator(sv, 1.0 / mu), tol=tol,
+    return _converged_bound(_operator(sv, 1.0 / mu), tol, max_iterations,
                             split=(1, sv.grid.n))
 
 
@@ -277,7 +279,7 @@ class R0Report:
     r0_at_zero: float
     q_samples: tuple          # (mu, Q(mu)) pairs
     sign_residual: float      # H(R0, d), zero at the computed ratio
-    converged: bool
+    converged: bool           # R0's iteration and the sign check's
     outside_positivity: bool
 
     def to_dict(self) -> dict:
@@ -295,17 +297,24 @@ class R0Report:
 def compute_r0_report(params: VSIParams, grid: Grid, tol: float = 1e-10,
                       max_iterations: int = MAX_ITERATIONS) -> R0Report:
     """R0, its diffusion limits and the sign check H(R0), from one
-    sampling of the parameters."""
+    sampling of the parameters.  max_iterations caps R0, the Perron
+    weight and the sign check; a capped sign check leaves its last
+    estimate in an unconverged report."""
     sv = sample_params(params, grid)
     res = r0(sv, tol=tol, max_iterations=max_iterations)
-    weight = _sampled_perron_weight(sv.transfer, sv.chi, grid).samples
+    weight = perron_weight(sv.transfer, sv.chi, grid, max_iterations).samples
     limit = r0_large_d_limit(sv, weight)
     hat = hat_r0(sv)
     q_samples = tuple((hat + eps, q) for eps, q in limit.ladder)
+    try:
+        sign, sign_converged = H_mu(sv, res.value, tol=tol,
+                                    max_iterations=max_iterations), True
+    except NonConvergenceError as e:
+        sign, sign_converged = e.estimate, False
     return R0Report(
         r0=res.value, bracket=res.bracket, hat_r0=hat,
         tilde_r0=limit.tilde_r0 if isinstance(limit, RootCase) else None,
         limit=limit, r0_at_zero=r0_at_zero_diffusion(sv),
-        q_samples=q_samples,
-        sign_residual=H_mu(sv, res.value, tol=tol),
-        converged=res.converged, outside_positivity=res.outside_positivity)
+        q_samples=q_samples, sign_residual=sign,
+        converged=res.converged and sign_converged,
+        outside_positivity=res.outside_positivity)

@@ -3,7 +3,7 @@
 A dispersal system couples l species on an interval: the first l1
 species redistribute through nonnegative kernels k_i(x, y) while the
 rest only react, and an l x l coefficient field M(x) couples them.  The
-validator samples the structural requirements on a grid: cooperativity
+validator checks the samples of assembly.sample_fields for cooperativity
 (off-diagonal entries of M nonnegative), irreducibility of the coupling
 pattern at every node, kernel nonnegativity with a positive diagonal,
 and the sign pattern of the diffusion vector.  Failures are collected
@@ -140,8 +140,10 @@ class ValidationReport:
         }
 
 
-def validate(sys: DispersalSystem, grid: Grid) -> ValidationReport:
-    """Check the structural requirements on grid samples.
+def validate(sys: DispersalSystem, fields) -> ValidationReport:
+    """Check the structural requirements on fields, the SampledFields of
+    sys.  A kernel k is read back from its transfer matrix as
+    K[a, b] / w_b, so k < -TOL_ZERO reads K[a, b] < -TOL_ZERO w_b.
 
     Every violated check at every offending node is listed, not only the
     first.  Sampling at nodes cannot see violations between nodes; that
@@ -149,9 +151,9 @@ def validate(sys: DispersalSystem, grid: Grid) -> ValidationReport:
     """
     violations: list[Violation] = []
     notes: list[str] = []
-    pts = grid.points
+    pts, w = fields.grid.points, fields.grid.weights
 
-    Ms = sys.coefficients.sample(grid)
+    Ms = fields.M
     off = Ms.copy()
     idx = np.arange(sys.l)
     off[:, idx, idx] = 0.0
@@ -166,17 +168,16 @@ def validate(sys: DispersalSystem, grid: Grid) -> ValidationReport:
             "irreducibility", f"x={pts[a]:.6g}",
             "coupling pattern is not strongly connected"))
 
-    for i, kern in enumerate(sys.kernels):
-        raw = kern.sample(grid)
-        neg = np.argwhere(raw < -TOL_ZERO)
+    for i, K in enumerate(fields.transfer):
+        neg = np.argwhere(K < -TOL_ZERO * w[None, :])
         for a, b in neg[:50]:
             violations.append(Violation(
                 "kernel-nonnegativity",
                 f"kernel {i+1} at (x,y)=({pts[a]:.6g},{pts[b]:.6g})",
-                f"k = {raw[a, b]:.6g} < 0"))
+                f"k = {K[a, b] / w[b]:.6g} < 0"))
         if len(neg) > 50:
             notes.append(f"kernel {i+1}: {len(neg)} negative pairs, first 50 listed")
-        diag = np.diag(raw)
+        diag = np.diag(K) / w
         for a in np.nonzero(diag <= TOL_ZERO)[0]:
             violations.append(Violation(
                 "kernel-diagonal", f"kernel {i+1} at x={pts[a]:.6g}",

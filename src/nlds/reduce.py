@@ -12,7 +12,8 @@ gamma* = s(B~_gamma*) above the static-block bound (case A) or the
 spectral bound collapses onto that static-block bound (case B).  The
 one-sided limit deciding between the two cannot be computed from finite
 samples, so the classifier brackets it on a fixed epsilon ladder with an
-explicit margin and reports the ladder.
+explicit margin and reports the ladder.  Every routine here reads the
+system's SampledFields and evaluates no expression.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import kernel_quadrature
+from .assembly import SampledFields
 from .errors import (ClassificationError, GridConsistencyError,
                      InvalidParametersError, NonConvergenceError)
 from .grid import Grid
 from .matspec import (MAX_ITERATIONS, _converged_bound, max_nodal_bound,
                       metzler_bound, perron_bound, schur_reduce_stack)
-from .model import DispersalSystem, KernelSpec, Mode
+from .model import DispersalSystem, Mode
 
 EPS_LADDER = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 MONO_TOL = 1e-10         # ladder values may dip by this much (rounding)
@@ -45,9 +46,10 @@ class PerronWeight:
     residual: float          # ||K p - chi p||_inf
 
 
-def perron_weight(kernel: KernelSpec, grid: Grid,
+def perron_weight(K: np.ndarray, chi: np.ndarray, grid: Grid,
                   max_iterations: int = MAX_ITERATIONS) -> PerronWeight:
-    """Perron vector of diag(chi)^{-1} K by Noda iteration to PERRON_TOL,
+    """Perron vector of diag(chi)^{-1} K, for a kernel's transfer matrix K
+    and departure rates chi on grid, by Noda iteration to PERRON_TOL,
     normalized to unit mass; NonConvergenceError after max_iterations.
 
     The weighted node masses w_a chi(x_a) form an exact discrete left
@@ -55,13 +57,6 @@ def perron_weight(kernel: KernelSpec, grid: Grid,
     within 100*PERRON_TOL of one; a larger deviation signals an
     inconsistent grid and raises.
     """
-    K, chi = kernel_quadrature(kernel.sample(grid), grid)
-    return _sampled_perron_weight(K, chi, grid, max_iterations)
-
-
-def _sampled_perron_weight(K: np.ndarray, chi: np.ndarray, grid: Grid,
-                           max_iterations: int = MAX_ITERATIONS) -> PerronWeight:
-    """perron_weight from the kernel's quadrature (K, chi)."""
     if np.min(chi) <= 0:
         raise InvalidParametersError("kernel has a node with zero departure rate")
     r = metzler_bound(K / chi[:, None], tol=PERRON_TOL,
@@ -91,10 +86,12 @@ class SystemWeights:
     uniform_fallback: tuple  # l bools
 
 
-def weights_for_system(sys: DispersalSystem, grid: Grid,
+def weights_for_system(sys: DispersalSystem, fields: SampledFields,
                        max_iterations: int = MAX_ITERATIONS) -> SystemWeights:
+    grid = fields.grid
     fallback = tuple(i >= sys.l1 for i in range(sys.l))
-    ws = [perron_weight(k, grid, max_iterations).samples for k in sys.kernels]
+    ws = [perron_weight(K, chi, grid, max_iterations).samples
+          for K, chi in zip(fields.transfer, fields.chi)]
     ws += [np.full(grid.n, 1.0 / (grid.b - grid.a)) for _ in sys.d[sys.l1:]]
     return SystemWeights(weights=tuple(ws), uniform_fallback=fallback)
 
@@ -106,23 +103,6 @@ def p_weighted_mean(F: np.ndarray, weights: SystemWeights,
     col_w = np.stack([weights.weights[j] * grid.weights
                       for j in range(F.shape[-1])], axis=1)
     return np.einsum("aij,aj->ij", F, col_w)
-
-
-def reduced_tilde_M(sys: DispersalSystem, grid: Grid,
-                    weights: SystemWeights) -> np.ndarray:
-    """Column-weighted averages m~_ij = integral m_ij(x) p_j(x) dx."""
-    return p_weighted_mean(sys.coefficients.sample(grid), weights, grid)
-
-
-def kappa_and_eta22(sys: DispersalSystem, grid: Grid) -> tuple[float, float]:
-    """(max_a s(M(x_a)), max_a s(M22(x_a))); the second is -inf when
-    every species diffuses (empty trailing block).
-
-    Both are max_nodal_bound: a batched eig gives only a test vector
-    per node, the Collatz-Wielandt brackets at those vectors rule out
-    the nodes below the maximum, and Noda runs on the rest."""
-    Ms = sys.coefficients.sample(grid)
-    return max_nodal_bound(Ms), static_block_bound(Ms, sys.l1)
 
 
 def static_block_bound(Ms: np.ndarray, l1: int) -> float:
@@ -222,7 +202,7 @@ def bracket_and_bisect(f, base: float, tol: float) -> float | None:
     return 0.5 * (lo + hi)
 
 
-def classify_threshold(sys: DispersalSystem, grid: Grid,
+def classify_threshold(sys: DispersalSystem, fields: SampledFields,
                        weights: SystemWeights,
                        max_iterations: int = MAX_ITERATIONS
                        ) -> ThresholdOutcome:
@@ -238,8 +218,7 @@ def classify_threshold(sys: DispersalSystem, grid: Grid,
         raise InvalidParametersError(
             "threshold classification applies to partially degenerate "
             "systems with a non-diffusing block")
-    Ms = sys.coefficients.sample(grid)
-    l1 = sys.l1
+    Ms, grid, l1 = fields.M, fields.grid, sys.l1
     eta22 = static_block_bound(Ms, l1)
 
     def s_tilde(gamma: float) -> float:
@@ -282,18 +261,19 @@ class ReducedQuantities:
         }
 
 
-def reduced_quantities(sys: DispersalSystem, grid: Grid,
+def reduced_quantities(sys: DispersalSystem, fields: SampledFields,
                        weights: SystemWeights,
                        max_iterations: int = MAX_ITERATIONS
                        ) -> ReducedQuantities:
-    """Every reduced quantity of the system on grid, averaged against
-    weights (weights_for_system of the same system and grid)."""
-    tilde_M = reduced_tilde_M(sys, grid, weights)
-    kappa, eta22 = kappa_and_eta22(sys, grid)
+    """Every reduced quantity of the samples fields, averaged against
+    weights (weights_for_system of the same fields)."""
+    tilde_M = p_weighted_mean(fields.M, weights, fields.grid)
+    kappa = max_nodal_bound(fields.M)
+    eta22 = static_block_bound(fields.M, sys.l1)
     kappa_tilde = perron_bound(tilde_M, max_iterations)
     threshold = None
     if sys.mode is Mode.PARTIALLY_DEGENERATE and sys.l1 < sys.l and any(sys.d):
-        threshold = classify_threshold(sys, grid, weights, max_iterations)
+        threshold = classify_threshold(sys, fields, weights, max_iterations)
     return ReducedQuantities(tilde_M=tilde_M, kappa=kappa,
                              kappa_tilde=kappa_tilde, eta22=eta22,
                              threshold=threshold,

@@ -18,7 +18,7 @@ import pytest
 from nlds.analysis import (generalized_eigen_residual,
                            integrability_diagnostic, perturbation_probe,
                            refinement_grids, spectral_field, sweep)
-from nlds.assembly import assemble_operator, sample_fields
+from nlds.assembly import assemble_operator, kernel_quadrature, sample_fields
 from nlds.cli import run
 from nlds.epidemic import (BoundaryCase, RootCase, VSIParams, H_mu, r0,
                            r0_large_d_limit, sample_params)
@@ -93,7 +93,8 @@ def test_01_constant_invariance(criterion, grid200):
 def test_02_small_diffusion_limit(criterion, grid400):
     with criterion(2, "small diffusion: |s - kappa| <= 5e-3 at t = 1e-3 "
                       "(n = 400), deviation monotone over the schedule"):
-        table = sweep(QUAD_SYS, grid400, [1.0, 1e-1, 1e-2, 1e-3],
+        table = sweep(QUAD_SYS, sample_fields(QUAD_SYS, grid400),
+                      [1.0, 1e-1, 1e-2, 1e-3],
                       mode="small-d")
         devs = [r.deviation for r in table.rows]
         assert devs[-1] <= 5e-3, f"final deviation {devs[-1]}"
@@ -114,11 +115,13 @@ def test_03_large_diffusion_nondegenerate(criterion, grid400):
 def test_04_threshold_case_a(criterion, grid200, grid400, case_a_reports):
     with criterion(4, "threshold case A: fixed point stable across a grid "
                       "doubling (<= 1e-6) and |s(P(1e4,0)) - gamma*| <= 1e-2"):
-        w200 = weights_for_system(CASE_A_SYS, grid200)
-        out200 = classify_threshold(CASE_A_SYS, grid200, w200)
+        f200 = sample_fields(CASE_A_SYS, grid200)
+        w200 = weights_for_system(CASE_A_SYS, f200)
+        out200 = classify_threshold(CASE_A_SYS, f200, w200)
         assert isinstance(out200, CaseA)
-        w400 = weights_for_system(CASE_A_SYS, grid400)
-        out400 = classify_threshold(CASE_A_SYS, grid400, w400)
+        f400 = sample_fields(CASE_A_SYS, grid400)
+        w400 = weights_for_system(CASE_A_SYS, f400)
+        out400 = classify_threshold(CASE_A_SYS, f400, w400)
         assert isinstance(out400, CaseA)
         assert abs(out200.gamma_star - out400.gamma_star) <= 1e-6
         assert out200.gamma_star == pytest.approx(GAMMA_STAR_EXACT, abs=1e-5)
@@ -131,14 +134,14 @@ def test_05_threshold_case_b(criterion, grid200):
     with criterion(5, "threshold case B: ladder limit near -1.98; margin "
                       "s - eta22 in (0, 0.05] and strictly decreasing over "
                       "t in {1e2, 1e3, 1e4}"):
-        weights = weights_for_system(CASE_B_SYS, grid200)
-        outcome = classify_threshold(CASE_B_SYS, grid200, weights)
+        fields = sample_fields(CASE_B_SYS, grid200)
+        weights = weights_for_system(CASE_B_SYS, fields)
+        outcome = classify_threshold(CASE_B_SYS, fields, weights)
         assert isinstance(outcome, CaseB)
         # wide-gamma rung carries the continuum limit -2 + 0.01*(1/2)*4
         assert outcome.ladder[0][1] == pytest.approx(-1.98, abs=0.05)
         eta22 = outcome.eta22
         assert eta22 == pytest.approx(-math.sqrt(0.005), abs=1e-12)
-        fields = sample_fields(CASE_B_SYS, grid200)
         margins = []
         for t in (1e2, 1e3, 1e4):
             scaled = CASE_B_SYS.with_d((t, 0.0))
@@ -185,8 +188,9 @@ def test_06_oracle_equivalence(criterion):
         for seed in range(20):
             system, n = _random_valid_system(seed)
             g = build_grid(-1, 1, n)
-            assert validate(system, g).passed, f"seed {seed} invalid"
-            P = assemble_operator(system, g)
+            fields = sample_fields(system, g)
+            assert validate(system, fields).passed, f"seed {seed} invalid"
+            P = assemble_operator(system, g, fields=fields)
             r = spectral_bound(P)
             assert r.converged
             top = dense_spectrum(P)[0].real
@@ -215,12 +219,16 @@ def test_08_dispersal_weights(criterion, grid200):
     with criterion(8, "dispersal profiles at n = 200: residual and "
                       "|lambda - 1| <= 1e-10; symmetric kernels uniform "
                       "to 1e-12"):
+        def weight(text):
+            raw = KernelSpec.from_text(text).sample(grid200)
+            return perron_weight(*kernel_quadrature(raw, grid200), grid200)
+
         for text in (GAUSS, "exp(-(x-y-0.2)^2)", "1 + x*y"):
-            w = perron_weight(KernelSpec.from_text(text), grid200)
+            w = weight(text)
             assert w.residual <= 1e-10, text
             assert w.eigenvalue_dev <= 1e-10, text
         for text in (GAUSS, "1 + x*y"):
-            w = perron_weight(KernelSpec.from_text(text), grid200)
+            w = weight(text)
             assert np.max(np.abs(w.samples - 0.5)) <= 1e-12, text
 
 
@@ -232,8 +240,8 @@ def test_09_reduced_problem_residual(criterion, grid200, case_a_reports):
             if not isinstance(rep.certificate, Exists):
                 continue
             resid = generalized_eigen_residual(
-                CASE_A_SYS.with_d((t, 0.0)), grid200, rep.s,
-                sample_fields(CASE_A_SYS, grid200))
+                CASE_A_SYS.with_d((t, 0.0)),
+                sample_fields(CASE_A_SYS, grid200), rep.s)
             assert abs(resid) <= 1e-6, (t, resid)
             checked += 1
         assert checked >= 3
@@ -244,7 +252,7 @@ def test_10_spectral_field_laws(criterion, grid200):
                        "on the threshold systems"):
         for system in (CASE_A_SYS.with_d((10.0, 0.0)),
                        CASE_B_SYS.with_d((10.0, 0.0))):
-            f = spectral_field(system, grid200)
+            f = spectral_field(system, sample_fields(system, grid200))
             assert np.all(f.h <= f.H + 1e-10)
             assert abs(np.max(f.h) - np.max(f.H)) <= 1e-9
 
@@ -279,13 +287,15 @@ def test_12_reproduction_ratio(criterion, grid200):
             assert abs(res.value - 1.5) <= 1e-6, (d, res.value)
             assert abs(H_mu(sample_params(params, grid200),
                             res.value)) <= 1e-8
-        limit = r0_large_d_limit(sample_params(base, grid200),
-                                 perron_weight(base.kernel, grid200).samples)
+        sv = sample_params(base, grid200)
+        limit = r0_large_d_limit(
+            sv, perron_weight(sv.transfer, sv.chi, grid200).samples)
         assert isinstance(limit, RootCase)
         assert abs(limit.tilde_r0 - 1.5) <= 1e-8
         heavy = VSIParams.from_text(GAUSS, 1e4, "1", "100", "1", "0.5", "1")
-        limit = r0_large_d_limit(sample_params(heavy, grid200),
-                                 perron_weight(heavy.kernel, grid200).samples)
+        sv = sample_params(heavy, grid200)
+        limit = r0_large_d_limit(
+            sv, perron_weight(sv.transfer, sv.chi, grid200).samples)
         assert isinstance(limit, BoundaryCase)
         assert limit.hat_r0 == 0.5
         values = []
@@ -306,16 +316,17 @@ def test_13_continuity_probe(criterion):
                        "holds, medians shrink with delta, diagonal shift "
                        "reproduced to 1e-12"):
         g = build_grid(-1, 1, 60)
+        fields = sample_fields(CASE_A_SYS, g)
         medians = []
         for delta in (1e-2, 1e-3, 1e-4, 1e-5):
             draws = []
             for seed in range(3):
-                pr = perturbation_probe(CASE_A_SYS, g, delta, seed=seed)
+                pr = perturbation_probe(CASE_A_SYS, fields, delta, seed=seed)
                 assert pr.ds_abs <= pr.sandwich_bound + 1e-12
                 draws.append(pr.ds_abs)
             medians.append(sorted(draws)[1])
         assert all(b < a for a, b in zip(medians, medians[1:])), medians
-        pr = perturbation_probe(CASE_A_SYS, g, 0.0, seed=0,
+        pr = perturbation_probe(CASE_A_SYS, fields, 0.0, seed=0,
                                 diagonal_shift=1.0 / 3.0)
         assert abs(pr.ds - 1.0 / 3.0) <= 1e-12
 

@@ -35,7 +35,7 @@ CASE_B = make_system([["-2", "0.1"], ["0.1", "-abs(x)^0.5"]], (1.0, 0.0), 1,
 @pytest.mark.parametrize("system", [CASE_A, CASE_B])
 def test_field_laws(system):
     g = build_grid(-1, 1, 60)
-    f = spectral_field(system, g)
+    f = spectral_field(system, sample_fields(system, g))
     assert np.all(f.h <= f.H + 1e-10)
     assert abs(np.max(f.h) - f.eta) <= 1e-9
     assert abs(np.max(f.H) - f.eta) == 0.0
@@ -44,7 +44,7 @@ def test_field_laws(system):
 def test_field_reduces_to_H_without_static_block():
     sys = make_system([["1 - x^2"]], (0.5,), 1, [GAUSS])
     g = build_grid(-1, 1, 40)
-    f = spectral_field(sys, g)
+    f = spectral_field(sys, sample_fields(sys, g))
     assert np.allclose(f.h, f.H, atol=0)
 
 
@@ -79,7 +79,8 @@ def test_integrability_constant_field_degenerate():
 def test_integrability_on_system_field():
     grids = refinement_grids(-1, 1, [50, 100, 200])
     rep = integrability_diagnostic(
-        lambda g: spectral_field(CASE_A, g).H, grids, region=(-1.0, 1.0))
+        lambda g: spectral_field(CASE_A, sample_fields(CASE_A, g)).H, grids,
+        region=(-1.0, 1.0))
     assert rep.verdict in ("holds", "inconclusive", "degenerate")
 
 
@@ -89,8 +90,8 @@ def test_residual_zero_at_certified_value():
     g = build_grid(-1, 1, 80)
     P = assemble_operator(CASE_A, g)
     rep = compute_spectral_report(P)
-    resid = generalized_eigen_residual(CASE_A, g, rep.s,
-                                       sample_fields(CASE_A, g))
+    resid = generalized_eigen_residual(CASE_A, sample_fields(CASE_A, g),
+                                       rep.s)
     assert abs(resid) <= 1e-9
 
 
@@ -102,7 +103,7 @@ def test_residual_full_diffusion_limit():
     g = build_grid(-1, 1, 30)
     s = spectral_bound(assemble_operator(sys, g)).value
     for lam in (s, s + 0.5, s - 0.3):
-        resid = generalized_eigen_residual(sys, g, lam, sample_fields(sys, g))
+        resid = generalized_eigen_residual(sys, sample_fields(sys, g), lam)
         assert resid == pytest.approx(s - lam, abs=1e-9)
 
 
@@ -112,14 +113,14 @@ def test_reduced_operator_without_static_block_is_the_operator():
     sys = make_system([["-x^2", "1"], ["0.5", "-1 + 0.3*x"]], (1.0, 0.5), 2,
                       [GAUSS, "exp(-2*(x-y)^2)"])
     g = build_grid(-1, 1, 30)
-    T = assemble_reduced_operator(sys, g, 0.7, sample_fields(sys, g))
+    T = assemble_reduced_operator(sys, sample_fields(sys, g), 0.7)
     assert np.array_equal(T, assemble_operator(sys, g).matrix)
 
 
 def test_residual_domain_error():
     g = build_grid(-1, 1, 20)
     with pytest.raises(ResolventDomainError):
-        generalized_eigen_residual(CASE_A, g, -2.0, sample_fields(CASE_A, g))
+        generalized_eigen_residual(CASE_A, sample_fields(CASE_A, g), -2.0)
 
 
 # --- sweeps -----------------------------------------------------------------
@@ -128,7 +129,8 @@ def test_small_d_sweep_monotone_deviation():
     sys = make_system([["-x^2", "1"], ["1", "-x^2"]], (1.0, 1.0), 2,
                       [GAUSS, GAUSS])
     g = build_grid(-1, 1, 60)
-    table = sweep(sys, g, [1.0, 0.1, 0.01], mode="small-d")
+    table = sweep(sys, sample_fields(sys, g), [1.0, 0.1, 0.01],
+                  mode="small-d")
     assert table.reference_name == "kappa"
     devs = [r.deviation for r in table.rows]
     assert devs[0] > devs[1] > devs[2]
@@ -139,7 +141,8 @@ def test_large_d_nondegen_sweep():
     sys = make_system([["-x^2", "1"], ["1", "-x^2"]], (1.0, 1.0), 2,
                       [GAUSS, GAUSS])
     g = build_grid(-1, 1, 60)
-    table = sweep(sys, g, [10.0, 100.0], mode="large-d-nondegen")
+    fields = sample_fields(sys, g)
+    table = sweep(sys, fields, [10.0, 100.0], mode="large-d-nondegen")
     assert table.reference_name == "kappa_tilde"
     assert table.rows[-1].deviation < table.rows[0].deviation
     assert table.rows[0].reference == pytest.approx(2 / 3, abs=1e-3)
@@ -147,7 +150,8 @@ def test_large_d_nondegen_sweep():
 
 def test_large_d_degen_sweep_references_fixed_point():
     g = build_grid(-1, 1, 60)
-    table = sweep(CASE_A, g, [10.0, 100.0], mode="large-d-degen")
+    fields = sample_fields(CASE_A, g)
+    table = sweep(CASE_A, fields, [10.0, 100.0], mode="large-d-degen")
     assert table.reference_name == "gamma_star"
     assert table.rows[-1].deviation < 1e-2
     # only the diffusing entries scale: the system stays degenerate
@@ -159,28 +163,32 @@ def test_large_d_degen_sweep_references_fixed_point():
 def test_sweep_rows_carry_the_essential_bound_at_their_diffusion(system,
                                                                  mode):
     g = build_grid(-1, 1, 24)
+    fields = sample_fields(system, g)
     ts = [0.1, 1.0, 10.0]
-    table = sweep(system, g, ts, mode=mode)
+    table = sweep(system, fields, ts, mode=mode)
     for t, row in zip(ts, table.rows):
         scale = np.where(np.arange(system.l) < system.l1, t,
                          t if mode == "small-d" else 1.0)
         d = tuple(np.asarray(system.d) * scale)
-        assert row.s_e == essential_bound(pointwise_A(system.with_d(d), g))
+        A = pointwise_A(system.with_d(d), fields)
+        assert row.s_e == essential_bound(A)
 
 
 def test_sweep_mode_validation():
     g = build_grid(-1, 1, 20)
+    fields = sample_fields(CASE_A, g)
     with pytest.raises(InvalidParametersError):
-        sweep(CASE_A, g, [1.0], mode="large-d-nondegen")
+        sweep(CASE_A, fields, [1.0], mode="large-d-nondegen")
     with pytest.raises(InvalidParametersError):
-        sweep(CASE_A, g, [1.0], mode="sideways")
+        sweep(CASE_A, fields, [1.0], mode="sideways")
     with pytest.raises(InvalidParametersError):
-        sweep(CASE_A, g, [0.0], mode="small-d")
+        sweep(CASE_A, fields, [0.0], mode="small-d")
 
 
 def test_sweep_csv_format(tmp_path):
     g = build_grid(-1, 1, 30)
-    table = sweep(CASE_A, g, [1.0, 10.0], mode="large-d-degen")
+    fields = sample_fields(CASE_A, g)
+    table = sweep(CASE_A, fields, [1.0, 10.0], mode="large-d-degen")
     path = tmp_path / "sweep.csv"
     table.write_csv(path)
     lines = path.read_text().splitlines()
@@ -197,21 +205,23 @@ def test_sweep_csv_format(tmp_path):
 
 def test_probe_zero_delta():
     g = build_grid(-1, 1, 30)
-    pr = perturbation_probe(CASE_A, g, 0.0, seed=0)
+    pr = perturbation_probe(CASE_A, sample_fields(CASE_A, g), 0.0, seed=0)
     assert pr.ds == 0.0
     assert pr.ds_abs == 0.0
 
 
 def test_probe_diagonal_shift_exact():
     g = build_grid(-1, 1, 30)
-    pr = perturbation_probe(CASE_A, g, 0.0, seed=0, diagonal_shift=0.37)
+    fields = sample_fields(CASE_A, g)
+    pr = perturbation_probe(CASE_A, fields, 0.0, seed=0, diagonal_shift=0.37)
     assert pr.ds == pytest.approx(0.37, abs=1e-12)
 
 
 def test_probe_sandwich_bound_holds():
     g = build_grid(-1, 1, 30)
+    fields = sample_fields(CASE_A, g)
     for seed in range(4):
-        pr = perturbation_probe(CASE_A, g, 1e-3, seed=seed)
+        pr = perturbation_probe(CASE_A, fields, 1e-3, seed=seed)
         assert pr.ds_abs <= pr.sandwich_bound + 1e-12
         assert pr.dm_inf <= 1e-3
         assert pr.dk_inf <= 1e-3
@@ -233,9 +243,10 @@ def test_probe_nonnegative_perturbations_never_decrease_bound():
 
 def test_probe_trend_with_delta():
     g = build_grid(-1, 1, 24)
+    fields = sample_fields(CASE_A, g)
     medians = []
     for delta in (1e-2, 1e-3, 1e-4):
-        draws = [perturbation_probe(CASE_A, g, delta, seed=s).ds_abs
+        draws = [perturbation_probe(CASE_A, fields, delta, seed=s).ds_abs
                  for s in range(3)]
         medians.append(sorted(draws)[1])
     assert medians[0] > medians[1] > medians[2]
@@ -243,23 +254,25 @@ def test_probe_trend_with_delta():
 
 def test_probe_eliminates_the_static_species(monkeypatch):
     g = build_grid(-1, 1, 40)
-    expected = perturbation_probe(CASE_A, g, 1e-3, seed=3)
+    fields = sample_fields(CASE_A, g)
+    expected = perturbation_probe(CASE_A, fields, 1e-3, seed=3)
 
     def refuse(A):
         raise AssertionError(f"dense LU of order {A.shape[0]}")
 
     monkeypatch.setattr(nlds.matspec, "_dense_solver", refuse)
-    pr = perturbation_probe(CASE_A, g, 1e-3, seed=3)
+    pr = perturbation_probe(CASE_A, fields, 1e-3, seed=3)
     assert pr.ds == pytest.approx(expected.ds, abs=1e-12)
     assert pr.ds_abs <= pr.sandwich_bound + 1e-12
-    shifted = perturbation_probe(CASE_A, g, 0.0, seed=0, diagonal_shift=0.37)
+    shifted = perturbation_probe(CASE_A, fields, 0.0, seed=0,
+                                 diagonal_shift=0.37)
     assert shifted.ds == pytest.approx(0.37, abs=1e-12)
 
 
 def test_essential_bound_iterates_only_near_the_maximum(
         metzler_bound_orders):
     # H peaks at x = 0, between the two middle nodes of the grid
-    A = pointwise_A(CASE_A, build_grid(-1, 1, 512))
+    A = pointwise_A(CASE_A, sample_fields(CASE_A, build_grid(-1, 1, 512)))
     expected = float(np.max(nodal_bounds(A)))
     del metzler_bound_orders[:]
     assert essential_bound(A) == expected

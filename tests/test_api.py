@@ -105,3 +105,28 @@ def test_every_public_definition_is_used_outside_the_tests():
 def test_every_public_name_resolves():
     missing = [name for name in nlds.__all__ if not hasattr(nlds, name)]
     assert missing == []
+
+
+def sample_calls():
+    """(module, function) of every `.sample(` call in src/nlds, with the
+    innermost function definition around it."""
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, module, child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "sample"):
+                yield module, owner
+            yield from visit(child, module, owner)
+
+    for path in sorted(SRC.glob("*.py")):
+        yield from visit(ast.parse(path.read_text()), path.stem, None)
+
+
+def test_expressions_are_sampled_in_one_place_per_model():
+    # a dispersal system is sampled by sample_fields, a VSI model by
+    # sample_params; every other routine reads what they return
+    assert set(sample_calls()) == {("assembly", "sample_fields"),
+                                   ("epidemic", "sample_params")}

@@ -127,7 +127,7 @@ def test_validation_gate():
 def test_pointwise_A_scalar_formula():
     sys = make_system([["x"]], d=(1.0,), l1=1, kernels=["1"])
     g = build_grid(-1, 1, 8)
-    A = pointwise_A(sys, g)
+    A = pointwise_A(sys, sample_fields(sys, g))
     assert np.allclose(A[:, 0, 0], g.points - 2.0, atol=1e-13)
 
 
@@ -135,7 +135,7 @@ def test_pointwise_A_zero_diffusion():
     sys = make_system([["x", "1"], ["1", "-x"]], d=(0.0, 0.0), l1=1,
                       kernels=[GAUSS])
     g = build_grid(-1, 1, 8)
-    A = pointwise_A(sys, g)
+    A = pointwise_A(sys, sample_fields(sys, g))
     assert np.allclose(A, sys.coefficients.sample(g), atol=0)
 
 
@@ -143,7 +143,7 @@ def test_pointwise_A_degenerate_row_untouched():
     sys = make_system([["-1", "1"], ["1", "-x^2"]], d=(2.0, 0.0), l1=1,
                       kernels=[GAUSS])
     g = build_grid(-1, 1, 12)
-    A = pointwise_A(sys, g)
+    A = pointwise_A(sys, sample_fields(sys, g))
     assert np.allclose(A[:, 1, 1], -g.points ** 2, atol=0)
 
 

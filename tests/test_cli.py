@@ -389,9 +389,9 @@ def test_diagnose_computes_one_field_per_grid(tmp_path, monkeypatch):
     sizes = []
     real = cli.spectral_field
 
-    def counting(system, grid, **kwargs):
-        sizes.append(grid.n)
-        return real(system, grid, **kwargs)
+    def counting(system, fields):
+        sizes.append(fields.grid.n)
+        return real(system, fields)
 
     monkeypatch.setattr(cli, "spectral_field", counting)
     cfg = write_config(tmp_path, BASE)
@@ -399,7 +399,72 @@ def test_diagnose_computes_one_field_per_grid(tmp_path, monkeypatch):
     assert run(["diagnose", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     assert sizes == [10, 20, 40]
     field = read_report(out)["diagnose"]["field"]
-    assert field["eta"] == real(*cli.build_objects(BASE, None)).eta
+    system, g = cli.build_objects(BASE, None)
+    assert field["eta"] == real(system, cli.sample_fields(system, g)).eta
+
+
+# (coefficient entries, kernels) evaluated by each command on a 2 x 2
+# system with one kernel: one sampling of the run grid, and diagnose one
+# more of each coarser refinement grid (n = 8 and 16)
+EVALUATIONS = {"validate": (4, 1), "spectrum": (4, 1), "oracle": (4, 1),
+               "reduce": (4, 1), "sweep": (4, 1), "probe": (4, 1),
+               "diagnose": (12, 3)}
+
+
+@pytest.mark.parametrize("command", sorted(EVALUATIONS))
+def test_each_command_samples_once(tmp_path, monkeypatch, command):
+    import nlds.exprlang
+    calls = []
+    real = nlds.exprlang.eval_expr
+
+    def counting(node, x=None, y=None):
+        calls.append(y is not None)
+        return real(node, x=x, y=y)
+
+    monkeypatch.setattr(nlds.exprlang, "eval_expr", counting)
+    cfg_dict = json.loads(json.dumps(BASE))   # CASE_B of the acceptance suite
+    cfg_dict["grid"]["n"] = 32
+    cfg_dict["system"]["coefficients"] = [["-2", "0.1"],
+                                          ["0.1", "-abs(x)^0.5"]]
+    cfg_dict["sweep"] = {"mode": "large-d-degen", "t_schedule": [1.0, 10.0]}
+    cfg_dict["probe"] = {"delta_schedule": [1e-3, 1e-4], "draws": 3}
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert (calls.count(False), calls.count(True)) == EVALUATIONS[command]
+
+
+def test_diagnose_force_on_a_reducible_system_reports_its_error(tmp_path):
+    # eta = max H = -1 = s(A22): the Schur reduction at eta is singular
+    cfg_dict = json.loads(json.dumps(BASE))
+    cfg_dict["system"]["coefficients"] = [["-1", "0"], ["0", "-1"]]
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "out"
+    assert run(["diagnose", "--config", cfg, "--out", str(out), "--quiet",
+                "--force"]) == 3
+    rep = read_report(out)
+    assert rep["error"]["kind"] == "ResolventDomainError"
+    assert "static-block bound" in rep["error"]["message"]
+
+
+def test_max_iterations_reaches_the_r0_weight_and_sign_check(tmp_path):
+    # R0 and the Perron weight take 5 Noda steps here, H_mu at R0 takes 6
+    cfg_dict = {"domain": BASE["domain"], "grid": BASE["grid"],
+                "epidemic": {"kernel": "exp(-(x-y-0.1)^2)", "d": 2.0,
+                             "r": "1 + 0.5*x", "m": "1", "b": "1",
+                             "beta_d": "0.5", "beta_i": "1"},
+                "solver": {"max_iterations": 6}}
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, cfg_dict)
+    assert run(["r0", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    cfg_dict["solver"] = {"max_iterations": 5}
+    cfg = write_config(tmp_path, cfg_dict)
+    assert run(["r0", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert read_report(out)["r0"]["converged"] is False
+    cfg_dict["solver"] = {"max_iterations": 4}
+    cfg = write_config(tmp_path, cfg_dict)
+    assert run(["r0", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert read_report(out)["error"]["kind"] == "NonConvergenceError"
 
 
 def test_max_iterations_caps_r0(tmp_path):

@@ -22,6 +22,11 @@ from oracles import assemble_epidemic
 GAUSS = "exp(-(x-y)^2)"
 
 
+def weight_samples(sv):
+    """The Perron weight of the kernel of sv on its grid."""
+    return perron_weight(sv.transfer, sv.chi, sv.grid).samples
+
+
 def make_params(d=1.0, r="1", m="1", b="1", beta_d="0.5", beta_i="1",
                 kernel=GAUSS):
     return VSIParams.from_text(kernel, d, r, m, b, beta_d, beta_i)
@@ -152,7 +157,7 @@ def test_sign_characterization():
 def test_q_closed_form_and_monotonicity():
     g = build_grid(-1, 1, 60)
     params = make_params()
-    p = perron_weight(params.kernel, g).samples
+    p = weight_samples(sample_params(params, g))
     mus = [0.8, 1.0, 1.5, 2.0, 4.0]
     vals = [q_of_mu(sample_params(params, g), p, mu) for mu in mus]
     for mu, v in zip(mus, vals):
@@ -165,7 +170,7 @@ def test_q_closed_form_and_monotonicity():
 def test_q_domain_error():
     g = build_grid(-1, 1, 20)
     params = make_params()
-    p = perron_weight(params.kernel, g).samples
+    p = weight_samples(sample_params(params, g))
     with pytest.raises(ResolventDomainError):
         q_of_mu(sample_params(params, g), p, 0.4)
 
@@ -174,7 +179,7 @@ def test_limit_constants_root_case():
     g = build_grid(-1, 1, 50)
     params = make_params()
     limit = r0_large_d_limit(sample_params(params, g),
-                             perron_weight(params.kernel, g).samples)
+                             weight_samples(sample_params(params, g)))
     assert isinstance(limit, RootCase)
     assert limit.tilde_r0 == pytest.approx(1.5, abs=1e-8)
     assert r0_at_zero_diffusion(sample_params(params, g)) == \
@@ -185,7 +190,7 @@ def test_limit_heavy_clearance_boundary_case():
     g = build_grid(-1, 1, 50)
     params = make_params(m="100")
     limit = r0_large_d_limit(sample_params(params, g),
-                             perron_weight(params.kernel, g).samples)
+                             weight_samples(sample_params(params, g)))
     assert isinstance(limit, BoundaryCase)
     assert limit.hat_r0 == pytest.approx(0.5, abs=0)
     # the first ladder rung is decisively negative
@@ -241,7 +246,7 @@ def test_genuine_boundary_case_with_varying_ratio():
     g = build_grid(-1, 1, 200)
     params = make_params(d=1e4, m="100", beta_d="0.5 - 0.3*abs(x)^0.5")
     limit = r0_large_d_limit(sample_params(params, g),
-                             perron_weight(params.kernel, g).samples)
+                             weight_samples(sample_params(params, g)))
     assert isinstance(limit, BoundaryCase)
     res = r0(sample_params(params, g))
     assert abs(res.value - limit.hat_r0) <= 1e-2
@@ -266,7 +271,6 @@ def test_report_samples_the_parameters_once(monkeypatch):
 def test_report_discretises_the_kernel_once(monkeypatch):
     import nlds.assembly
     import nlds.epidemic
-    import nlds.reduce
     calls = []
     real = nlds.assembly.kernel_quadrature
 
@@ -274,7 +278,7 @@ def test_report_discretises_the_kernel_once(monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for module in (nlds.assembly, nlds.reduce, nlds.epidemic):
+    for module in (nlds.assembly, nlds.epidemic):
         monkeypatch.setattr(module, "kernel_quadrature", counting)
     g = build_grid(-1, 1, 40)
     rep = compute_r0_report(make_params(d=2.0, m="1 + x^2"), g)
@@ -385,7 +389,7 @@ def test_H_mu_of_random_vsi_models(case):
             assert abs(h) <= 1e-8
     # above the direct-route maximum Q is the paper's reduced B~_0: the
     # weighted mean of the nodal field with the cells eliminated at 0
-    p = perron_weight(params.kernel, g).samples
+    p = weight_samples(sample_params(params, g))
     weights = SystemWeights(weights=(p,), uniform_fallback=(False,))
     for mu in (R0 / 2, R0, 2 * R0):
         if not mu > hat_r0(sv):

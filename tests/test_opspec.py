@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import nlds.opspec
-from nlds.assembly import assemble_operator, pointwise_A
+from nlds.assembly import assemble_operator, pointwise_A, sample_fields
 from nlds.errors import InvalidParametersError, SizeCapError
 from nlds.grid import build_grid
 from nlds.matspec import metzler_bound
@@ -53,7 +53,8 @@ def test_constant_coupling_any_diffusion():
 def test_essential_bound_scalar_formula():
     sys = make_system([["x"]], d=(1.0,), l1=1, kernels=["1"])
     g = build_grid(-1, 1, 16)
-    assert essential_bound(pointwise_A(sys, g)) == pytest.approx(
+    fields = sample_fields(sys, g)
+    assert essential_bound(pointwise_A(sys, fields)) == pytest.approx(
         float(np.max(g.points)) - 2.0, abs=1e-12)
 
 
@@ -61,7 +62,7 @@ def test_essential_bound_zero_diffusion_is_pointwise_max():
     sys = make_system([["1 - x^2", "1"], ["1", "-2"]], d=(0.0, 0.0), l1=1,
                       kernels=[GAUSS])
     g = build_grid(-1, 1, 16)
-    se = essential_bound(pointwise_A(sys, g))
+    se = essential_bound(pointwise_A(sys, sample_fields(sys, g)))
     from nlds.matspec import metzler_bound
     expected = max(metzler_bound(m).value
                    for m in sys.coefficients.sample(g))
@@ -322,7 +323,7 @@ def test_spectral_bound_of_random_systems(case):
     lo, hi = r.bracket
     assert lo - err <= exact <= hi + err
     assert np.min(r.vector) > 0.0
-    s_e = essential_bound(pointwise_A(sys, g))
+    s_e = essential_bound(pointwise_A(sys, sample_fields(sys, g)))
     assert r.value >= s_e - 1e-10 * c
     rep = compute_spectral_report(P)
     assert (rep.s, rep.bracket) == (r.value, r.bracket)

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from nlds.assembly import kernel_quadrature, sample_fields
 from nlds.errors import ClassificationError, InvalidParametersError
 from nlds.grid import build_grid
-from nlds.matspec import is_irreducible, perron_bound
+from nlds.matspec import is_irreducible, max_nodal_bound, perron_bound
 from nlds.model import CoefField, DispersalSystem, KernelSpec
 from nlds.reduce import (EPS_LADDER, CaseA, CaseB, bracket_and_bisect,
-                         classify_threshold, kappa_and_eta22, ladder_classify,
-                         perron_weight, reduced_quantities, reduced_tilde_M,
-                         static_block_bound, tilde_B, weights_for_system)
+                         classify_threshold, ladder_classify, p_weighted_mean,
+                         perron_weight, reduced_quantities, static_block_bound,
+                         tilde_B, weights_for_system)
 
 GAUSS = "exp(-(x-y)^2)"
 
@@ -20,11 +21,17 @@ def make_system(coeffs, d, l1, kernels):
         coefficients=CoefField.from_text(coeffs), domain=(-1.0, 1.0))
 
 
+def kernel_weight(text, g):
+    """perron_weight of the kernel text on g."""
+    K, chi = kernel_quadrature(KernelSpec.from_text(text).sample(g), g)
+    return perron_weight(K, chi, g)
+
+
 # --- stationary dispersal profiles ---------------------------------------
 
 def test_weight_symmetric_kernel_is_uniform():
     g = build_grid(-1, 1, 80)
-    w = perron_weight(KernelSpec.from_text(GAUSS), g)
+    w = kernel_weight(GAUSS, g)
     assert np.allclose(w.samples, 0.5, atol=1e-12, rtol=0)
     assert w.eigenvalue_dev <= 1e-10
     assert w.residual <= 1e-10
@@ -33,13 +40,13 @@ def test_weight_symmetric_kernel_is_uniform():
 def test_weight_rank_two_kernel_is_uniform():
     # k = 1 + x y: the odd moment self-cancels on symmetric midpoints
     g = build_grid(-1, 1, 100)
-    w = perron_weight(KernelSpec.from_text("1 + x*y"), g)
+    w = kernel_weight("1 + x*y", g)
     assert np.allclose(w.samples, 0.5, atol=1e-12, rtol=0)
 
 
 def test_weight_shifted_kernel_nonuniform_consistent():
     g = build_grid(-1, 1, 200)
-    w = perron_weight(KernelSpec.from_text("exp(-(x-y-0.2)^2)"), g)
+    w = kernel_weight("exp(-(x-y-0.2)^2)", g)
     assert np.max(w.samples) - np.min(w.samples) > 1e-3
     assert w.eigenvalue_dev <= 1e-10
     assert w.residual <= 1e-10
@@ -60,8 +67,9 @@ def test_averaged_matrix_constant_field():
     sys = make_system([["-1", "1"], ["1", "-1"]], d=(1.0, 1.0), l1=2,
                       kernels=[GAUSS, GAUSS])
     g = build_grid(-1, 1, 60)
-    w = weights_for_system(sys, g)
-    tm = reduced_tilde_M(sys, g, w)
+    fields = sample_fields(sys, g)
+    w = weights_for_system(sys, fields)
+    tm = p_weighted_mean(fields.M, w, g)
     assert np.allclose(tm, [[-1, 1], [1, -1]], atol=1e-12)
 
 
@@ -69,8 +77,9 @@ def test_averaged_matrix_quadratic_field():
     sys = make_system([["-x^2", "1"], ["1", "-x^2"]], d=(1.0, 1.0), l1=2,
                       kernels=[GAUSS, GAUSS])
     g = build_grid(-1, 1, 200)
-    w = weights_for_system(sys, g)
-    tm = reduced_tilde_M(sys, g, w)
+    fields = sample_fields(sys, g)
+    w = weights_for_system(sys, fields)
+    tm = p_weighted_mean(fields.M, w, g)
     assert np.allclose(tm, [[-1 / 3, 1], [1, -1 / 3]], atol=1e-4)
     assert perron_bound(tm) == pytest.approx(2 / 3, abs=1e-4)
 
@@ -79,7 +88,9 @@ def test_kappa_and_eta22():
     sys = make_system([["-x^2", "1"], ["1", "-x^2"]], d=(1.0, 0.0), l1=1,
                       kernels=[GAUSS])
     g = build_grid(-1, 1, 100)
-    kappa, eta22 = kappa_and_eta22(sys, g)
+    fields = sample_fields(sys, g)
+    kappa = max_nodal_bound(fields.M)
+    eta22 = static_block_bound(fields.M, sys.l1)
     assert kappa == pytest.approx(1.0 - g.points[g.n // 2] ** 2, abs=1e-12)
     assert eta22 == pytest.approx(-g.points[g.n // 2] ** 2, abs=1e-12)
 
@@ -90,7 +101,8 @@ def test_eta22_square_root_field_approaches_zero():
         sys = make_system([["-2", "0.1"], ["0.1", "-abs(x)^0.5"]],
                           d=(1.0, 0.0), l1=1, kernels=[GAUSS])
         g = build_grid(-1, 1, n)
-        _, eta22 = kappa_and_eta22(sys, g)
+        fields = sample_fields(sys, g)
+        eta22 = static_block_bound(fields.M, sys.l1)
         vals.append(eta22)
         assert eta22 == pytest.approx(-np.sqrt(1.0 / n), abs=1e-12)
     assert vals[0] < vals[1] < vals[2] < 0
@@ -102,8 +114,9 @@ def test_tilde_B_swap_closed_form():
     sys = make_system([["0", "1"], ["1", "0"]], d=(1.0, 0.0), l1=1,
                       kernels=[GAUSS])
     g = build_grid(-1, 1, 50)
-    w = weights_for_system(sys, g)
-    Ms = sys.coefficients.sample(g)
+    fields = sample_fields(sys, g)
+    w = weights_for_system(sys, fields)
+    Ms = fields.M
     for gamma in (0.5, 2.0, 4.0):
         b = tilde_B(Ms, sys.l1, gamma, w, g)
         assert b[0, 0] == pytest.approx(1.0 / gamma, abs=1e-12)
@@ -113,8 +126,9 @@ def test_tilde_B_constant_closed_form():
     sys = make_system([["-1", "1"], ["1", "-1"]], d=(1.0, 0.0), l1=1,
                       kernels=[GAUSS])
     g = build_grid(-1, 1, 50)
-    w = weights_for_system(sys, g)
-    Ms = sys.coefficients.sample(g)
+    fields = sample_fields(sys, g)
+    w = weights_for_system(sys, fields)
+    Ms = fields.M
     for gamma in (-0.5, 0.0, 1.0):
         b = tilde_B(Ms, sys.l1, gamma, w, g)
         assert b[0, 0] == pytest.approx(-1 + 1 / (gamma + 1), abs=1e-12)
@@ -126,8 +140,9 @@ def test_tilde_B_case_b_limit_value():
     sys = make_system([["-2", "0.1"], ["0.1", "-abs(x)^0.5"]],
                       d=(1.0, 0.0), l1=1, kernels=[GAUSS])
     g = build_grid(-1, 1, 400)
-    w = weights_for_system(sys, g)
-    b = tilde_B(sys.coefficients.sample(g), sys.l1, 0.05, w, g)
+    fields = sample_fields(sys, g)
+    w = weights_for_system(sys, fields)
+    b = tilde_B(fields.M, sys.l1, 0.05, w, g)
     assert b[0, 0] == pytest.approx(-1.98, abs=0.02)
 
 
@@ -136,8 +151,9 @@ def test_tilde_B_monotone_and_irreducible():
                        ["0.2", "0.3", "-1.5"]],
                       d=(1.0, 1.0, 0.0), l1=2, kernels=[GAUSS, GAUSS])
     g = build_grid(-1, 1, 30)
-    w = weights_for_system(sys, g)
-    Ms = sys.coefficients.sample(g)
+    fields = sample_fields(sys, g)
+    w = weights_for_system(sys, fields)
+    Ms = fields.M
     vals = []
     for gamma in (-1.0, -0.5, 0.0, 1.0, 2.0):
         b = tilde_B(Ms, sys.l1, gamma, w, g)
@@ -152,8 +168,9 @@ def test_classify_swap_fixed_point():
     sys = make_system([["0", "1"], ["1", "0"]], d=(1.0, 0.0), l1=1,
                       kernels=[GAUSS])
     g = build_grid(-1, 1, 50)
-    w = weights_for_system(sys, g)
-    outcome = classify_threshold(sys, g, w)
+    fields = sample_fields(sys, g)
+    w = weights_for_system(sys, fields)
+    outcome = classify_threshold(sys, fields, w)
     assert isinstance(outcome, CaseA)
     assert outcome.gamma_star == pytest.approx(1.0, abs=1e-9)
 
@@ -162,8 +179,9 @@ def test_classify_constant_fixed_point():
     sys = make_system([["-1", "1"], ["1", "-1"]], d=(1.0, 0.0), l1=1,
                       kernels=[GAUSS])
     g = build_grid(-1, 1, 50)
-    w = weights_for_system(sys, g)
-    outcome = classify_threshold(sys, g, w)
+    fields = sample_fields(sys, g)
+    w = weights_for_system(sys, fields)
+    outcome = classify_threshold(sys, fields, w)
     assert isinstance(outcome, CaseA)
     assert outcome.gamma_star == pytest.approx(0.0, abs=1e-9)
 
@@ -175,8 +193,9 @@ def test_classify_constant_consistency_with_full_bound():
         sys = make_system([list(r) for r in coeffs], d=(1.0, 0.0), l1=1,
                           kernels=[GAUSS])
         g = build_grid(-1, 1, 40)
-        w = weights_for_system(sys, g)
-        outcome = classify_threshold(sys, g, w)
+        fields = sample_fields(sys, g)
+        w = weights_for_system(sys, fields)
+        outcome = classify_threshold(sys, fields, w)
         assert isinstance(outcome, CaseA)
         M0 = np.array([[float(v) for v in row] for row in coeffs])
         assert outcome.gamma_star == pytest.approx(perron_bound(M0), abs=1e-9)
@@ -187,8 +206,9 @@ def test_classify_case_b_square_root_field():
     sys = make_system([["-2", "0.1"], ["0.1", "-abs(x)^0.5"]],
                       d=(1.0, 0.0), l1=1, kernels=[GAUSS])
     g = build_grid(-1, 1, 200)
-    w = weights_for_system(sys, g)
-    outcome = classify_threshold(sys, g, w)
+    fields = sample_fields(sys, g)
+    w = weights_for_system(sys, fields)
+    outcome = classify_threshold(sys, fields, w)
     assert isinstance(outcome, CaseB)
     assert outcome.eta22 == pytest.approx(-np.sqrt(0.005), abs=1e-12)
     # the wide-gamma end of the ladder carries the continuum limit
@@ -199,10 +219,11 @@ def test_classify_fixed_point_post_check():
     sys = make_system([["-1 - 0.2*x^2", "1"], ["1", "-1"]], d=(1.0, 0.0),
                       l1=1, kernels=[GAUSS])
     g = build_grid(-1, 1, 100)
-    w = weights_for_system(sys, g)
-    outcome = classify_threshold(sys, g, w)
+    fields = sample_fields(sys, g)
+    w = weights_for_system(sys, fields)
+    outcome = classify_threshold(sys, fields, w)
     assert isinstance(outcome, CaseA)
-    fp = perron_bound(tilde_B(sys.coefficients.sample(g), sys.l1,
+    fp = perron_bound(tilde_B(fields.M, sys.l1,
                               outcome.gamma_star, w, g))
     assert abs(fp - outcome.gamma_star) <= 1e-9
 
@@ -213,10 +234,11 @@ def test_ladder_rungs_are_the_bounds_of_tilde_B():
                    [["-2", "0.1"], ["0.1", "-abs(x)^0.5"]]):
         sys = make_system(coeffs, d=(1.0, 0.0), l1=1, kernels=[GAUSS])
         g = build_grid(-1, 1, 100)
-        w = weights_for_system(sys, g)
-        Ms = sys.coefficients.sample(g)
+        fields = sample_fields(sys, g)
+        w = weights_for_system(sys, fields)
+        Ms = fields.M
         eta22 = static_block_bound(Ms, sys.l1)
-        ladder = classify_threshold(sys, g, w).ladder
+        ladder = classify_threshold(sys, fields, w).ladder
         assert [eps for eps, _ in ladder] == list(EPS_LADDER)
         assert [v for _, v in ladder] == [
             perron_bound(tilde_B(Ms, sys.l1, eta22 + eps, w, g))
@@ -227,9 +249,10 @@ def test_classify_requires_partially_degenerate():
     sys = make_system([["-1", "1"], ["1", "-1"]], d=(1.0, 1.0), l1=2,
                       kernels=[GAUSS, GAUSS])
     g = build_grid(-1, 1, 20)
-    w = weights_for_system(sys, g)
+    fields = sample_fields(sys, g)
+    w = weights_for_system(sys, fields)
     with pytest.raises(InvalidParametersError):
-        classify_threshold(sys, g, w)
+        classify_threshold(sys, fields, w)
 
 
 def test_ladder_monotonicity_guard():
@@ -246,7 +269,8 @@ def test_reduced_quantities_bundle():
     sys = make_system([["-1 - 0.2*x^2", "1"], ["1", "-1"]], d=(1.0, 0.0),
                       l1=1, kernels=[GAUSS])
     g = build_grid(-1, 1, 100)
-    rq = reduced_quantities(sys, g, weights_for_system(sys, g))
+    fields = sample_fields(sys, g)
+    rq = reduced_quantities(sys, fields, weights_for_system(sys, fields))
     assert rq.kappa == pytest.approx(perron_bound([[-1, 1], [1, -1]]), abs=1e-3)
     assert rq.kappa_tilde <= rq.kappa + 1e-9
     assert rq.eta22 == pytest.approx(-1.0, abs=1e-12)
