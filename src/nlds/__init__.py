@@ -1,7 +1,7 @@
 """Spectral analysis of cooperative nonlocal dispersal systems.
 
-Builds dense quadrature discretizations of coupled dispersal operators,
-computes spectral and essential spectral bounds, certifies
+Builds quadrature discretizations of coupled dispersal operators, kept
+as their blocks, computes spectral and essential spectral bounds, certifies
 principal-eigenpair existence from the gap between them, evaluates the
 reduced quantities governing the small- and large-diffusion limits, and
 applies the machinery to a basic reproduction ratio calculator for a

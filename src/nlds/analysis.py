@@ -12,16 +12,18 @@ under seeded random perturbations.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .assembly import (SampledFields, assemble_operator, block_matrix,
-                       kernel_quadrature, pointwise_A)
+from .assembly import (SampledFields, assemble_operator, kernel_quadrature,
+                       pointwise_A)
 from .errors import InvalidParametersError, ResolventDomainError
 from .grid import Grid, build_grid
-from .matspec import (MAX_ITERATIONS, _converged_bound, max_nodal_bound,
-                      nodal_bounds, perron_bound, schur_reduce_stack)
+from .matspec import (MAX_ITERATIONS, BlockOperator, _converged_bound,
+                      max_nodal_bound, nodal_bounds, perron_bound,
+                      schur_reduce_stack)
 from .model import DispersalSystem, Mode
 from .opspec import essential_bound, spectral_bound
 from .reduce import (CaseA, classify_threshold, p_weighted_mean,
@@ -193,7 +195,7 @@ def assemble_reduced_operator(sys: DispersalSystem, fields: SampledFields,
     """
     _check_resolvent_domain(sys, fields, lam)
     F = schur_reduce_stack(pointwise_A(sys, fields), sys.l1, lam)
-    return block_matrix(F, fields.transfer, sys.d)
+    return BlockOperator(F, fields.transfer, sys.d).matrix
 
 
 def generalized_eigen_residual(sys: DispersalSystem, fields: SampledFields,
@@ -317,11 +319,13 @@ class ProbeResult:
 
 
 def perturbation_probe(sys: DispersalSystem, fields: SampledFields,
-                       delta: float, seed: int, tol: float = 1e-10,
-                       diagonal_shift: float | None = None,
-                       max_iterations: int = MAX_ITERATIONS) -> ProbeResult:
-    """Measure the spectral-bound response to a seeded random
-    perturbation of the samples fields of the coefficients and kernels.
+                       tol: float = 1e-10,
+                       max_iterations: int = MAX_ITERATIONS):
+    """probe(delta, seed, diagonal_shift=None) -> ProbeResult, which
+    measures the spectral-bound response to a seeded random perturbation
+    of the samples fields of the coefficients and kernels.  The
+    unperturbed operator P0 and its bound s0 are computed here, once for
+    every probe.
 
     Off-diagonal coefficients and kernels receive additive noise in
     [0, delta] (cooperativity and nonnegativity preserved); diagonals
@@ -329,59 +333,66 @@ def perturbation_probe(sys: DispersalSystem, fields: SampledFields,
     departure rates of the perturbed kernels add the quadrature of the
     kernel noise to the unperturbed ones.  The spectral bounds of the
     entrywise min and max of the two operators bracket both bounds, giving a
-    rigorous comparison bound on |ds| per draw.  diagonal_shift bypasses
-    the randomness and adds c to every diagonal entry, which must move
-    the bound by exactly c.  Each solve eliminates the static species,
-    is capped at max_iterations Noda steps and raises
-    NonConvergenceError when it does not converge.
+    rigorous comparison bound on |ds| per draw.  diagonal_shift bypasses the
+    randomness and adds c to every diagonal entry, which must move the
+    bound by exactly c.  Each solve eliminates the static species, is
+    capped at max_iterations Noda steps and raises NonConvergenceError
+    when it does not converge.
     """
-    if delta < 0:
-        raise InvalidParametersError("delta must be nonnegative")
-
     grid = fields.grid
+    n, l = grid.n, sys.l
+    idx = np.arange(l)
 
-    def bound(P):
-        return _converged_bound(P, tol=tol, max_iterations=max_iterations,
-                                split=(sys.l1, grid.n))
+    bound = partial(_converged_bound, tol=tol, max_iterations=max_iterations)
 
-    P0 = assemble_operator(sys, grid, force=True, fields=fields).matrix
+    def entrywise(pick, P, Q):   # pick(P, Q), its transfer zero at the nodes
+        T = [pick(dk * K, dl * L) for K, L, dk, dl
+             in zip(P.transfer, Q.transfer, P.d, Q.d)]
+        for t in T:
+            np.fill_diagonal(t, 0.0)
+        return BlockOperator(pick(P.node_entries(), Q.node_entries()),
+                             tuple(T), (1.0,) * len(T))
+
+    P0 = assemble_operator(sys, grid, force=True, fields=fields)
     s0 = bound(P0)
 
-    if diagonal_shift is not None:
-        P1 = P0 + diagonal_shift * np.eye(P0.shape[0])
+    def probe(delta: float, seed: int,
+              diagonal_shift: float | None = None) -> ProbeResult:
+        if delta < 0:
+            raise InvalidParametersError("delta must be nonnegative")
+        if diagonal_shift is not None:
+            s1 = bound(replace(P0, nodal=P0.nodal + diagonal_shift * np.eye(l)))
+            return ProbeResult(dm_inf=abs(diagonal_shift), dk_inf=0.0,
+                               ds=s1 - s0, ds_abs=abs(s1 - s0),
+                               sandwich_bound=abs(diagonal_shift))
+
+        rng = np.random.default_rng(seed)
+        Mp = fields.M.copy()
+        dM = rng.uniform(0.0, delta, size=Mp.shape)
+        diag_noise = rng.uniform(-delta, delta, size=(n, l))
+        dM[:, idx, idx] = 0.0
+        Mp += dM
+        Mp[:, idx, idx] += diag_noise
+        Ks, chis = [], []
+        dk_inf = 0.0
+        for K, chi in zip(fields.transfer, fields.chi):
+            dK = rng.uniform(0.0, delta, size=(n, n))
+            if dK.size:
+                dk_inf = max(dk_inf, float(np.max(np.abs(dK))))
+            dK_w, dchi = kernel_quadrature(dK, grid)   # quadrature is linear
+            Ks.append(K + dK_w)
+            chis.append(chi + dchi)
+        fields_p = SampledFields(grid=grid, M=Mp, transfer=tuple(Ks),
+                                 chi=tuple(chis))
+        P1 = assemble_operator(sys, grid, force=True, fields=fields_p)
         s1 = bound(P1)
-        return ProbeResult(dm_inf=abs(diagonal_shift), dk_inf=0.0,
-                           ds=s1 - s0, ds_abs=abs(s1 - s0),
-                           sandwich_bound=abs(diagonal_shift))
 
-    rng = np.random.default_rng(seed)
-    n, l = grid.n, sys.l
-    Mp = fields.M.copy()
-    dM = rng.uniform(0.0, delta, size=Mp.shape)
-    diag_noise = rng.uniform(-delta, delta, size=(n, l))
-    idx = np.arange(l)
-    dM[:, idx, idx] = 0.0
-    Mp += dM
-    Mp[:, idx, idx] += diag_noise
-    Ks, chis = [], []
-    dk_inf = 0.0
-    for K, chi in zip(fields.transfer, fields.chi):
-        dK = rng.uniform(0.0, delta, size=(n, n))
-        if dK.size:
-            dk_inf = max(dk_inf, float(np.max(np.abs(dK))))
-        dK_w, dchi = kernel_quadrature(dK, grid)   # quadrature is linear
-        Ks.append(K + dK_w)
-        chis.append(chi + dchi)
-    fields_p = SampledFields(grid=grid, M=Mp, transfer=tuple(Ks),
-                             chi=tuple(chis))
-    P1 = assemble_operator(sys, grid, force=True, fields=fields_p).matrix
-    s1 = bound(P1)
-
-    s_up = bound(np.maximum(P0, P1))
-    s_dn = bound(np.minimum(P0, P1))
-    dm_inf = float(np.max(np.abs(Mp - fields.M))) if Mp.size else 0.0
-    return ProbeResult(dm_inf=dm_inf, dk_inf=dk_inf, ds=s1 - s0,
-                       ds_abs=abs(s1 - s0), sandwich_bound=s_up - s_dn)
+        s_up = bound(entrywise(np.maximum, P0, P1))
+        s_dn = bound(entrywise(np.minimum, P0, P1))
+        dm_inf = float(np.max(np.abs(Mp - fields.M))) if Mp.size else 0.0
+        return ProbeResult(dm_inf=dm_inf, dk_inf=dk_inf, ds=s1 - s0,
+                           ds_abs=abs(s1 - s0), sandwich_bound=s_up - s_dn)
+    return probe
 
 
 def refinement_grids(a: float, b: float, n_list) -> list[Grid]:

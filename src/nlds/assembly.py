@@ -12,28 +12,23 @@ to rounding.
 sample_fields is the one sampler of a dispersal system: validation,
 assembly, the reduced quantities and the analyses all read its samples.
 
-Matrices are dense: at desk scale (n <= 512) dense assembly keeps every
-entry inspectable and the dense matrix is the ground truth for all
-spectral routines.
+The operator is kept as its blocks, the nodal field and the transfer
+matrices (a matspec.BlockOperator), and the spectral routines solve on
+those.  Its dense matrix is formed only on demand, for the oracle and
+the tests, and stays the ground truth in disputes.
 """
 
 from __future__ import annotations
 
-import mmap
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationGateError
 from .grid import Grid
+from .matspec import BlockOperator
 from .model import DispersalSystem, validate
-
-# Each P of block_matrix gets an anonymous map of its own, unmapped when P is
-# freed, so that P leaves no hole in malloc's heap.  On Linux the one mmap
-# call faults all of its pages in.
-_OWN_MAP = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | mmap.MAP_POPULATE}
-            if hasattr(mmap, "MAP_POPULATE") else {})
 
 
 def kernel_quadrature(raw: np.ndarray, grid: Grid
@@ -69,56 +64,31 @@ def sample_fields(sys: DispersalSystem, grid: Grid) -> SampledFields:
 
 
 @dataclass(frozen=True)
-class AssembledOperator:
-    """Dense (l n) x (l n) discretization of the dispersal operator,
-    with the nodal field it is built from.
+class AssembledOperator(BlockOperator):
+    """Discretization of the dispersal operator of order l n, as its
+    blocks: nodal (n, l, l) holds A(x_a) = M(x_a) - diag(d_i chi_i(x_a),
+    i diffusing), as pointwise_A gives it, and transfer the K_i of the
+    diffusing species, scaled by d = system.d.  The largest nodal
+    spectral bound is the essential spectral bound of the operator."""
 
-    nodal (n, l, l) holds A(x_a) = M(x_a) - diag(d_i chi_i(x_a), i
-    diffusing), as pointwise_A gives it; matrix is block_matrix of nodal
-    plus the transfer blocks d_i K_i.  The largest nodal spectral bound
-    is the essential spectral bound of matrix.
-    """
-
-    matrix: np.ndarray = field(repr=False)
-    nodal: np.ndarray = field(repr=False)
     grid: Grid
     system: DispersalSystem
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
 
 
 def assemble_operator(sys: DispersalSystem, grid: Grid, force: bool = False,
                       fields: SampledFields | None = None) -> AssembledOperator:
-    """Build the flattened operator matrix from fields, the samples of
-    sys on grid (sampled here when None), behind the validation of those
-    samples unless force=True."""
+    """The operator of fields, the samples of sys on grid (sampled here
+    when None), behind the validation of those samples unless
+    force=True."""
     if fields is None:
         fields = sample_fields(sys, grid)
     if not force:
         report = validate(sys, fields)
         if not report.passed:
             raise ValidationGateError(report)
-    A = pointwise_A(sys, fields)
-    return AssembledOperator(matrix=block_matrix(A, fields.transfer, sys.d),
-                             nodal=A, grid=grid, system=sys)
-
-
-def block_matrix(F: np.ndarray, transfer, d) -> np.ndarray:
-    """Species-major (k n) x (k n) matrix of the nodal field F (n, k, k):
-    block (i, j) is diag(F[:, i, j]), and block (i, i) gains d_i K_i for
-    each transfer matrix K_i (n, n) of the leading len(transfer) species."""
-    n, k = F.shape[0], F.shape[1]
-    P = np.frombuffer(mmap.mmap(-1, 8 * (k * n) ** 2, **_OWN_MAP)).reshape(
-        k * n, k * n)
-    for i in range(k):
-        for j in range(k):
-            np.fill_diagonal(P[i * n:(i + 1) * n, j * n:(j + 1) * n],
-                             F[:, i, j])
-    for i, K in enumerate(transfer):
-        P[i * n:(i + 1) * n, i * n:(i + 1) * n] += float(d[i]) * K
-    return P
+    return AssembledOperator(nodal=pointwise_A(sys, fields),
+                             transfer=fields.transfer, d=sys.d, grid=grid,
+                             system=sys)
 
 
 def pointwise_A(sys: DispersalSystem, fields: SampledFields) -> np.ndarray:

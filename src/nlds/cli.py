@@ -249,7 +249,6 @@ def cmd_spectrum(cfg, args, report, outdir) -> int:
     system, fields = validated_objects(cfg, args, report)
     opts = solver_opts(cfg)
     P = assemble_operator(system, fields.grid, force=True, fields=fields)
-    del fields   # its n x n transfer matrices need not outlive assembly
     sr = compute_spectral_report(P, **opts)
     d = sr.to_dict()
     d["tol"] = opts["tol"]
@@ -301,10 +300,10 @@ def cmd_diagnose(cfg, args, report, outdir) -> int:
 
     diag = integrability_diagnostic(lambda gg: field_of(gg).H, grids, region)
     report["diagnose"] = {"integrability": diag.to_dict()}
+    field = field_of(g)   # its eta is the essential bound of P
     P = assemble_operator(system, g, force=True, fields=fields)
-    sr = compute_spectral_report(P, **opts)
+    sr = compute_spectral_report(P, s_e=field.eta, **opts)
     report["diagnose"]["spectral"] = sr.to_dict()
-    field = field_of(g)
     report["diagnose"]["field"] = {
         "eta": field.eta,
         "max_h": float(np.max(field.h)),
@@ -339,7 +338,7 @@ def cmd_oracle(cfg, args, report, outdir) -> int:
     P = assemble_operator(system, fields.grid, force=True, fields=fields)
     vals = dense_spectrum(P)
     report["oracle"] = {
-        "size": P.size,
+        "size": len(P),
         "max_real": float(vals[0].real),
         "count": int(len(vals)),
     }
@@ -357,22 +356,18 @@ def cmd_probe(cfg, args, report, outdir) -> int:
     shift = pc.get("diagonal_shift")
     opts = solver_opts(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    probe = perturbation_probe(system, fields, tol=opts["tol"],
+                               max_iterations=opts["max_iterations"])
     results = []
     for delta in deltas:
         for k in range(draws):
-            pr = perturbation_probe(system, fields, delta, seed=seed + k,
-                                    tol=opts["tol"],
-                                    max_iterations=opts["max_iterations"])
-            row = pr.to_dict()
+            row = probe(delta, seed + k).to_dict()
             row["delta"] = delta
             row["draw"] = k
             results.append(row)
     if shift is not None:
-        pr = perturbation_probe(system, fields, 0.0, seed=seed,
-                                tol=opts["tol"],
-                                diagonal_shift=shift,
-                                max_iterations=opts["max_iterations"])
-        report["probe_diagonal_shift"] = pr.to_dict()
+        report["probe_diagonal_shift"] = probe(
+            0.0, seed, diagonal_shift=shift).to_dict()
     report["probe"] = {"deltas": list(deltas), "draws": draws,
                        "results": results}
     cols = ["delta", "draw", "dm_inf", "dk_inf", "ds", "ds_abs",

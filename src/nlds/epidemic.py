@@ -7,10 +7,11 @@ cell-free route (beta_i V) and the cell-to-cell route (beta_d I).  R0
 is the spectral radius of -F B^{-1} (B: transitions, F: infections),
 and s(B + F/mu) has the sign of R0 - mu (Thieme, SIAM J. Appl. Math.
 70, 2009).  B + t F is the partially degenerate operator of the nodal
-field [[-m - d chi, r], [t beta_i, t beta_d - b]]; only virions disperse.
-R0 itself comes from Noda steps on the n x n cell-compartment matrix G,
-which is formed only when its first product G 1 (one order-n solve)
-does not already settle the value.
+field [[-m - d chi, r], [t beta_i, t beta_d - b]]; only virions disperse,
+and H_mu solves on its blocks without forming it.  R0 itself comes from
+Noda steps on the n x n cell-compartment matrix G, which is formed only
+when its first product G 1 (one order-n solve) does not already settle
+the value.
 
 sample_params evaluates the rates and the kernel's quadrature on one
 grid, and every routine here reads that SampledVSI; compute_r0_report
@@ -31,12 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprlang
-from .assembly import block_matrix, kernel_quadrature
+from .assembly import kernel_quadrature
 from .errors import (InvalidParametersError, NonConvergenceError,
                      ResolventDomainError)
 from .exprlang import Expr
 from .grid import Grid
-from .matspec import EPS, MAX_ITERATIONS, _converged_bound, metzler_bound
+from .matspec import (EPS, MAX_ITERATIONS, BlockOperator, _converged_bound,
+                      metzler_bound)
 from .model import KernelSpec
 from .reduce import bracket_and_bisect, ladder_classify, perron_weight
 
@@ -109,11 +111,12 @@ def sample_params(params: VSIParams, grid: Grid) -> SampledVSI:
                       outside_positivity=bool(np.min(bi) == 0.0))
 
 
-def _operator(sv: SampledVSI, t: float, species: int = 2) -> np.ndarray:
-    """B + t F over the stacked (V, I) nodal vector; B11 if species = 1."""
+def _operator(sv: SampledVSI, t: float, species: int = 2) -> BlockOperator:
+    """The blocks of B + t F over the stacked (V, I) nodal vector; of B11
+    if species = 1."""
     M = np.array([[-sv.m - sv.d * sv.chi, sv.r],
                   [t * sv.beta_i, t * sv.beta_d - sv.b]]).transpose(2, 0, 1)
-    return block_matrix(M[:, :species, :species], (sv.transfer,), (sv.d,))
+    return BlockOperator(M[:, :species, :species], (sv.transfer,), (sv.d,))
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,7 @@ def r0(sv: SampledVSI, tol: float = 1e-10,
     max_a ((B11^T w)_a + (n + 2) eps (|B11|^T w)_a) / w_a < 0, which is
     -m plus rounding since w^T (K - diag chi) = 0.
     """
-    B11 = _operator(sv, 0.0, species=1)
+    B11 = _operator(sv, 0.0, species=1).matrix
     w, absA, gamma_n = sv.grid.weights, np.abs(B11), (sv.grid.n + 2) * EPS
     sb = float(np.max((w @ B11 + gamma_n * (w @ absA)) / w))
     if sb >= 0:
@@ -161,8 +164,9 @@ def r0(sv: SampledVSI, tol: float = 1e-10,
             f"transition block must be dissipative, got bound {sb:.6g}")
     A, c, bi, bd = -B11, sv.r / sv.b, sv.beta_i, sv.beta_d / sv.b
     x = z = np.linalg.solve(A, c)   # G 1 = bd + bi z
-    # the loop's first look at G, through a matrix with the same G 1
-    res = metzler_bound(np.diag(bd + bi * z), tol=tol, max_iterations=0)
+    # the loop's first look at G, through diag(G 1) as a nodal-only operator
+    res = metzler_bound(BlockOperator((bd + bi * z)[:, None, None], (), ()),
+                        tol=tol, max_iterations=0)
     if not res.converged:
         X = np.linalg.solve(A, np.diag(c))
         res = metzler_bound(np.diag(bd) + bi[:, None] * X, tol=tol,
@@ -185,12 +189,12 @@ def r0(sv: SampledVSI, tol: float = 1e-10,
 
 def H_mu(sv: SampledVSI, mu: float, tol: float = 1e-10,
          max_iterations: int = MAX_ITERATIONS) -> float:
-    """Spectral bound of B + F/mu, zero at mu = R0, by Noda steps that
-    eliminate the static cells; NonConvergenceError after max_iterations."""
+    """Spectral bound of B + F/mu, zero at mu = R0, by Noda steps on the
+    blocks of the operator that eliminate the static cells;
+    NonConvergenceError after max_iterations."""
     if mu <= 0:
         raise InvalidParametersError(f"mu must be positive, got {mu}")
-    return _converged_bound(_operator(sv, 1.0 / mu), tol, max_iterations,
-                            split=(1, sv.grid.n))
+    return _converged_bound(_operator(sv, 1.0 / mu), tol, max_iterations)
 
 
 def hat_r0(sv: SampledVSI) -> float:

@@ -9,10 +9,11 @@ by the upper quotient, which keeps the resolvent nonnegative and the
 iterate positive, converges quadratically on irreducible input and
 reports the quotient bracket as the evidence for s.  There is one Noda
 loop, over a stack (N, m, m) with per-matrix stop rules: metzler_bound
-runs it on a stack of one, nodal_bounds on the nodal matrices.  On a
-partially degenerate operator each step eliminates the static species
-node by node and factors only the Schur complement on the diffusing
-block (_static_elimination).
+runs it on a stack of one, nodal_bounds on the nodal matrices.  A
+dispersal operator enters as a BlockOperator, its nodal field and
+transfer matrices, and is never formed densely: each step eliminates
+the static species node by node and factors only the Schur complement
+on the diffusing block (_static_elimination).
 
 The largest bound of a stack (max_nodal_bound, the essential bound) is
 screened first: Collatz-Wielandt brackets at the eigenvectors of one
@@ -22,7 +23,8 @@ runs on the nodes that remain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +34,52 @@ TOL_ZERO = 1e-13  # entries below this count as structural zeros
 MAX_ITERATIONS = 100  # Noda steps (dense LU solves) per bound
 EPS = float(np.finfo(float).eps)
 ETA = float(np.finfo(float).smallest_subnormal)
+
+
+@dataclass(frozen=True)
+class BlockOperator:
+    """Species-major matrix P of order l n, kept as its blocks: block
+    (i, j) is diag(nodal[:, i, j]), plus d_i K_i on block (i, i) for the
+    transfer matrix K_i (n, n) of each of the leading l1 = len(transfer)
+    species; the other species are static, with nodal rows and columns.
+    To metzler_bound and the Noda loop it is a stack of one matrix; the
+    dense P, matrix, is built on first use and kept."""
+
+    nodal: np.ndarray = field(repr=False)   # (n, l, l)
+    transfer: tuple = field(repr=False)     # l1 arrays (n, n)
+    d: tuple                                # rates, at least l1 of them
+
+    def __len__(self) -> int:
+        return self.nodal.shape[0] * self.nodal.shape[1]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _write_blocks(np.zeros((len(self), len(self))), self.transfer,
+                             self.d, self.node_entries())
+
+    def node_entries(self) -> np.ndarray:
+        """P's entries at the nodes, (n, l, l): nodal + d_i K_i(x_a, x_a)."""
+        E = self.nodal.copy()
+        for i, K in enumerate(self.transfer):
+            E[:, i, i] += float(self.d[i]) * K.diagonal()
+        return E
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """P x for x (..., l n, k), in O(l^2 n k + l1 n^2 k); a sum of at
+        most n + 2 rounded terms per entry."""
+        n, l = self.nodal.shape[:2]
+        X = x.reshape(*x.shape[:-2], l, n, x.shape[-1])
+        D = self.nodal.transpose(1, 2, 0)[..., None]   # D[i, j]: block (i, j)
+        out = (D * X[..., None, :, :, :]).sum(-3)
+        for i, K in enumerate(self.transfer):
+            out[..., i, :, :] += float(self.d[i]) * (K @ X[..., i, :, :])
+        return out.reshape(x.shape)
+
+    def __abs__(self) -> BlockOperator:
+        """The blocks' absolute values: |P| x bounds the terms of P x."""
+        return BlockOperator(np.abs(self.nodal), tuple(
+            K if K.min() >= 0 else np.abs(K) for K in self.transfer),
+            tuple(abs(d) for d in self.d))
 
 
 @dataclass(frozen=True)
@@ -46,9 +94,8 @@ class PerronResult:
     bracket: tuple[float, float]
 
 
-def metzler_bound(A: np.ndarray, tol: float = 1e-12,
+def metzler_bound(A, tol: float = 1e-12,
                   max_iterations: int = MAX_ITERATIONS,
-                  split: tuple[int, int] | None = None,
                   start: np.ndarray | None = None) -> PerronResult:
     """Spectral bound of a Metzler matrix by Noda's inverse iteration,
     run as _noda on the stack of one.
@@ -68,40 +115,39 @@ def metzler_bound(A: np.ndarray, tol: float = 1e-12,
     bracket [min q, max q] is widened by the rounding bound of A u.
     Non-convergence is flagged.
 
-    The solve is one dense LU, unless split = (l1, n) says that A is
-    species-major with n nodes per species and that the species from
-    l1 on do not disperse (their rows and columns are zero off the
-    nodal pattern); then it is the block elimination of
-    _static_elimination and the one LU has order l1 n.  The quotients,
-    the stop rule, the value and the bracket always use the whole A.
+    A is a matrix, solved by one dense LU per step, or a BlockOperator,
+    solved by the block elimination of _static_elimination, whose one
+    LU has order l1 n.  The quotients, the stop rule, the value and the
+    bracket always use the whole A.
     """
-    A = np.asarray(A, dtype=float)
-    if len(A) <= 1:   # an empty matrix gives -inf
-        a = float(A[0, 0]) if len(A) else -np.inf
-        return PerronResult(a, np.ones(len(A)), 0, 0.0, True, (a, a))
-    r = _noda(A[None], tol, max_iterations, split,
-              None if start is None else start[None])
+    if not isinstance(A, BlockOperator):
+        A = np.asarray(A, dtype=float)
+        if len(A) <= 1:   # an empty matrix gives -inf
+            a = float(A[0, 0]) if len(A) else -np.inf
+            return PerronResult(a, np.ones(len(A)), 0, 0.0, True, (a, a))
+        A = A[None]
+    r = _noda(A, tol, max_iterations, None if start is None else start[None])
     return PerronResult(float(r.value[0]), r.vector[0], int(r.iterations[0]),
                         float(r.residual[0]), bool(r.converged[0]),
                         (float(r.bracket[0][0]), float(r.bracket[1][0])))
 
 
-def _noda(A: np.ndarray, tol: float, max_iterations: int,
-          split: tuple[int, int] | None,
+def _noda(A, tol: float, max_iterations: int,
           u0: np.ndarray | None = None) -> PerronResult:
     """metzler_bound's iteration on each matrix of a stack (N, m, m),
-    m >= 1, each with its own stop scale and rules; a PerronResult of
-    arrays, one entry per matrix.  The matrices still iterating share
-    each step's matmul and solve.  A singular shift fails a batched
-    solve, which is then retried matrix by matrix.  split and the start
-    u0 (N, m) are metzler_bound's; max A 1 is one more product with u0."""
-    N, m = A.shape[0], A.shape[-1]
-    c = 1.0 + np.fmax(0.0, -np.diagonal(A, 0, -2, -1).min(-1))
+    m >= 1, or on a BlockOperator as a stack of one, each matrix with its
+    own stop scale and rules; a PerronResult of arrays, one entry per
+    matrix.  The matrices still iterating share each step's matmul and
+    solve.  A singular shift fails a batched solve, which is then retried
+    matrix by matrix.  The start u0 (N, m) is metzler_bound's; max A 1 is
+    one more product with u0."""
+    blocks = isinstance(A, BlockOperator)
+    N, m = (1, len(A)) if blocks else (A.shape[0], A.shape[-1])
+    diag = np.diagonal(A.node_entries() if blocks else A, 0, -2, -1)
+    c = 1.0 + np.fmax(0.0, -diag.reshape(N, -1).min(-1))
     if u0 is not None:
         c = np.fmax(c, 1.0 + (A @ np.ones((N, m, 1))).max((-2, -1)))
-    solve = (_static_elimination(A[0], *split)
-             if split is not None and split[0] * split[1] < m
-             else _dense_solver(A))
+    solve = _static_elimination(A) if blocks else _dense_solver(A)
     value, res, iters = np.empty(N), np.empty(N), np.zeros(N, int)
     converged, U, Q = np.zeros(N, bool), np.empty((N, m)), np.empty((N, m))
     act, it = np.arange(N), 0   # the matrices still iterating; their state:
@@ -166,16 +212,14 @@ def _noda(A: np.ndarray, tol: float, max_iterations: int,
     return PerronResult(value, U, iters, res, converged, _cw_bracket(A, U, Q))
 
 
-def _cw_bracket(A: np.ndarray, u: np.ndarray, q: np.ndarray):
+def _cw_bracket(A, u: np.ndarray, q: np.ndarray):
     """Collatz-Wielandt bracket (min q, max q) of a Metzler A at a
     positive u, q = (A u) / u, widened by the rounding bound
     (m + 2) (eps |A| u + eta) / u of A u, eta the smallest subnormal.
-    Works over the last axis: a stack (..., m, m) with u and q (..., m)
-    gives one bracket per matrix.  |A| u goes by 128-row blocks, so a
-    large A gets no operator-sized copy."""
-    m = A.shape[-1]
-    abs_au = np.concatenate([np.abs(A[..., i:i + 128, :]) @ u[..., None]
-                             for i in range(0, m, 128)], -2)[..., 0]
+    Works over the last axis: a stack (..., m, m), or a BlockOperator,
+    with u and q (..., m) gives one bracket per matrix."""
+    m = u.shape[-1]
+    abs_au = (abs(A) @ u[..., None])[..., 0]
     err = ((m + 2) * EPS * abs_au + (m + 2) * ETA) / u
     return (q - err).min(-1), (q + err).max(-1)
 
@@ -195,48 +239,59 @@ def _dense_solver(A: np.ndarray):
     return solve
 
 
-def _static_elimination(A: np.ndarray, l1: int, n: int):
-    """(B, hi, u) -> (hi I - A)^{-1} u, on the stack of one B = A[None],
-    for a species-major A whose species from l1 on are static, by block
-    Gaussian elimination.
+def _write_blocks(out: np.ndarray, transfer, d, node_values) -> np.ndarray:
+    """out with d_i K_i on its diagonal block i for each K_i of transfer,
+    then node_values (n, k, k) at its node entries, species-major; the
+    other entries of out are left as they are."""
+    n = len(node_values)
+    for i, K in enumerate(transfer):
+        block = slice(i * n, (i + 1) * n)
+        np.multiply(K, float(d[i]), out=out[block, block])
+    node = np.arange(len(out)).reshape(-1, n).T   # node[a, i]: row of (i, x_a)
+    out[node[:, :, None], node[:, None, :]] = node_values
+    return out
+
+
+def _static_elimination(P: BlockOperator):
+    """(B, hi, u) -> (hi I - P)^{-1} u, on the stack of one B = P, by
+    block Gaussian elimination of P's static species (from l1 on).
 
     At each node a, X_a = (hi I - A22(x_a))^{-1} [A21(x_a) | u2_a] comes
-    from one batched schur_reduce_stack call, whose result carries
-    A12 X_a.  Then y1 solves the order-(l1 n) Schur complement
-    (hi I - A11 - blockdiag A12 X) y1 = u1 + A12 (hi I - A22)^{-1} u2 by
-    one dense LU, and y2_a = X_a [y1_a; 1].  No pivoting across the
-    blocks is needed: hi > s(A) makes hi I - A a nonsingular M-matrix, so
-    every nodal pivot block and the Schur complement are nonsingular
-    M-matrices as well.  A singular block raises LinAlgError, as the
-    dense solve would.
+    from one batched schur_reduce_stack call on the nodal field A, whose
+    result carries A12 X_a.  Then y1 solves the order-(l1 n) Schur
+    complement (hi I - P11 - blockdiag A12 X) y1 = u1 + A12 (hi I -
+    A22)^{-1} u2 by one dense LU, and y2_a = X_a [y1_a; 1].  The Schur
+    complement is written from the blocks (_write_blocks): -d_i K_i on
+    the diagonal blocks, hi I - P - A12 X at the node entries.  No pivoting
+    across the blocks is needed: hi > s(P) makes hi I - P a nonsingular
+    M-matrix, so every nodal pivot block and the Schur complement are
+    nonsingular M-matrices as well.  A singular block raises
+    LinAlgError, as the dense solve would.
     """
+    n, l1 = P.nodal.shape[0], len(P.transfer)
     k = l1 * n
-    node = np.arange(A.shape[0]).reshape(-1, n).T   # node[a, i]: row of (i, x_a)
-    nodal = A[node[:, :, None], node[:, None, :]]    # A(x_a), (n, l, l)
-    nodal[:, :l1, :l1] = 0.0   # A11 stays in the dense block
-    rows, cols = node[:, :l1, None], node[:, None, :l1]
-    schur = np.empty((k, k))
-    ones = np.ones((n, 1, 1))
+    nodal = P.nodal.copy()
+    nodal[:, :l1, :l1] = 0.0   # A11 stays in the Schur complement
+    minus_p, minus_d = -P.node_entries()[:, :l1, :l1], [-d for d in P.d]
+    schur, eye, ones = np.zeros((k, k)), np.eye(l1), np.ones((n, 1, 1))
 
-    def solve(B, hi, u):   # B = A[None]
+    def solve(B, hi, u):   # B = P
         hi, u = float(hi[0]), u[0]
         G, X = schur_reduce_stack(nodal, l1, hi,
                                   rhs=u[k:].reshape(-1, n).T[..., None])
-        np.negative(A[:k, :k], out=schur)
-        schur.flat[::k + 1] += hi
-        schur[rows, cols] -= G[..., :l1]
+        _write_blocks(schur, P.transfer, minus_d,
+                      minus_p + hi * eye - G[..., :l1])
         y1 = np.linalg.solve(schur, u[:k] + G[..., l1].T.ravel())
         y2 = X @ np.concatenate((y1.reshape(l1, n).T[..., None], ones), 1)
         return np.concatenate((y1, y2[..., 0].T.ravel()))[None]
     return solve
 
 
-def _converged_bound(A: np.ndarray, tol: float = 1e-12,
-                     max_iterations: int = MAX_ITERATIONS,
-                     split: tuple[int, int] | None = None) -> float:
+def _converged_bound(A, tol: float = 1e-12,
+                     max_iterations: int = MAX_ITERATIONS) -> float:
     """metzler_bound(A).value; raises NonConvergenceError when the
     iteration does not converge."""
-    r = metzler_bound(A, tol=tol, max_iterations=max_iterations, split=split)
+    r = metzler_bound(A, tol=tol, max_iterations=max_iterations)
     if not r.converged:
         raise NonConvergenceError("Perron iteration did not converge",
                                   r.value, r.residual)
@@ -295,7 +350,7 @@ def nodal_bounds(stack) -> np.ndarray:
     A = _cooperative(np.asarray(stack, dtype=float))
     if A.shape[-1] == 0:
         return np.full(len(A), -np.inf)
-    r = _noda(A, 1e-12, MAX_ITERATIONS, None)
+    r = _noda(A, 1e-12, MAX_ITERATIONS)
     bad = np.flatnonzero(~r.converged)
     if len(bad):
         raise _not_converged(bad[0], r.value[bad[0]], r.residual[bad[0]])
@@ -351,7 +406,7 @@ def max_nodal_bound(stack) -> float:
 
 def schur_reduce_stack(A, l1: int, lam: float, rhs=None):
     """A11 + A12 (lam I - A22)^{-1} A21 for every matrix of a stack
-    (..., l, l); A itself when l1 = l.
+    (..., l, l); A itself when l1 = l and there is no rhs.
 
     lam > s(A22) at every node is not checked here; each caller holds it:
     _static_elimination solves at Noda's upper quotient hi >= s(A), and
@@ -367,7 +422,7 @@ def schur_reduce_stack(A, l1: int, lam: float, rhs=None):
     """
     A = np.asarray(A, dtype=float)
     l = A.shape[-1]
-    if l1 == l:
+    if l1 == l and rhs is None:
         return A
     R = lam * np.eye(l - l1) - A[..., l1:, l1:]
     if rhs is None:

@@ -11,8 +11,7 @@ import numpy as np
 
 from nlds.epidemic import SampledVSI, _operator
 from nlds.exprlang import Call, Const, Expr, Neg, Num, Var
-from nlds.matspec import perron_bound
-from nlds.opspec import _mat
+from nlds.matspec import BlockOperator, perron_bound
 
 
 def growth_rate(P, horizon: float, u0=None) -> float:
@@ -26,7 +25,7 @@ def growth_rate(P, horizon: float, u0=None) -> float:
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    M = _mat(P)
+    M = P.matrix if isinstance(P, BlockOperator) else np.asarray(P)
     m = M.shape[0]
     c = 1.0 + max(0.0, -float(np.min(np.diag(M))))
     dt = 1.0 / (2.0 * c)
@@ -94,8 +93,8 @@ def to_text(node: Expr) -> str:
 
 def assemble_epidemic(sv: SampledVSI) -> tuple[np.ndarray, np.ndarray]:
     """Transition matrix B and infection matrix F, each of order 2n."""
-    B = _operator(sv, 0.0)
-    return B, _operator(sv, 1.0) - B
+    B, BF = _operator(sv, 0.0).matrix, _operator(sv, 1.0).matrix
+    return B, BF - B
 
 
 def large_shift_bounds(C, l1: int, mus) -> list[float]:

@@ -316,18 +316,17 @@ def test_13_continuity_probe(criterion):
                        "holds, medians shrink with delta, diagonal shift "
                        "reproduced to 1e-12"):
         g = build_grid(-1, 1, 60)
-        fields = sample_fields(CASE_A_SYS, g)
+        probe = perturbation_probe(CASE_A_SYS, sample_fields(CASE_A_SYS, g))
         medians = []
         for delta in (1e-2, 1e-3, 1e-4, 1e-5):
             draws = []
             for seed in range(3):
-                pr = perturbation_probe(CASE_A_SYS, fields, delta, seed=seed)
+                pr = probe(delta, seed=seed)
                 assert pr.ds_abs <= pr.sandwich_bound + 1e-12
                 draws.append(pr.ds_abs)
             medians.append(sorted(draws)[1])
         assert all(b < a for a, b in zip(medians, medians[1:])), medians
-        pr = perturbation_probe(CASE_A_SYS, fields, 0.0, seed=0,
-                                diagonal_shift=1.0 / 3.0)
+        pr = probe(0.0, seed=0, diagonal_shift=1.0 / 3.0)
         assert abs(pr.ds - 1.0 / 3.0) <= 1e-12
 
 

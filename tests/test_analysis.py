@@ -205,7 +205,7 @@ def test_sweep_csv_format(tmp_path):
 
 def test_probe_zero_delta():
     g = build_grid(-1, 1, 30)
-    pr = perturbation_probe(CASE_A, sample_fields(CASE_A, g), 0.0, seed=0)
+    pr = perturbation_probe(CASE_A, sample_fields(CASE_A, g))(0.0, seed=0)
     assert pr.ds == 0.0
     assert pr.ds_abs == 0.0
 
@@ -213,7 +213,7 @@ def test_probe_zero_delta():
 def test_probe_diagonal_shift_exact():
     g = build_grid(-1, 1, 30)
     fields = sample_fields(CASE_A, g)
-    pr = perturbation_probe(CASE_A, fields, 0.0, seed=0, diagonal_shift=0.37)
+    pr = perturbation_probe(CASE_A, fields)(0.0, seed=0, diagonal_shift=0.37)
     assert pr.ds == pytest.approx(0.37, abs=1e-12)
 
 
@@ -221,7 +221,7 @@ def test_probe_sandwich_bound_holds():
     g = build_grid(-1, 1, 30)
     fields = sample_fields(CASE_A, g)
     for seed in range(4):
-        pr = perturbation_probe(CASE_A, fields, 1e-3, seed=seed)
+        pr = perturbation_probe(CASE_A, fields)(1e-3, seed=seed)
         assert pr.ds_abs <= pr.sandwich_bound + 1e-12
         assert pr.dm_inf <= 1e-3
         assert pr.dk_inf <= 1e-3
@@ -246,7 +246,7 @@ def test_probe_trend_with_delta():
     fields = sample_fields(CASE_A, g)
     medians = []
     for delta in (1e-2, 1e-3, 1e-4):
-        draws = [perturbation_probe(CASE_A, fields, delta, seed=s).ds_abs
+        draws = [perturbation_probe(CASE_A, fields)(delta, seed=s).ds_abs
                  for s in range(3)]
         medians.append(sorted(draws)[1])
     assert medians[0] > medians[1] > medians[2]
@@ -255,17 +255,17 @@ def test_probe_trend_with_delta():
 def test_probe_eliminates_the_static_species(monkeypatch):
     g = build_grid(-1, 1, 40)
     fields = sample_fields(CASE_A, g)
-    expected = perturbation_probe(CASE_A, fields, 1e-3, seed=3)
+    expected = perturbation_probe(CASE_A, fields)(1e-3, seed=3)
 
     def refuse(A):
         raise AssertionError(f"dense LU of order {A.shape[0]}")
 
     monkeypatch.setattr(nlds.matspec, "_dense_solver", refuse)
-    pr = perturbation_probe(CASE_A, fields, 1e-3, seed=3)
+    pr = perturbation_probe(CASE_A, fields)(1e-3, seed=3)
     assert pr.ds == pytest.approx(expected.ds, abs=1e-12)
     assert pr.ds_abs <= pr.sandwich_bound + 1e-12
-    shifted = perturbation_probe(CASE_A, fields, 0.0, seed=0,
-                                 diagonal_shift=0.37)
+    shifted = perturbation_probe(CASE_A, fields)(0.0, seed=0,
+                                                 diagonal_shift=0.37)
     assert shifted.ds == pytest.approx(0.37, abs=1e-12)
 
 

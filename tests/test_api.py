@@ -107,17 +107,15 @@ def test_every_public_name_resolves():
     assert missing == []
 
 
-def sample_calls():
-    """(module, function) of every `.sample(` call in src/nlds, with the
-    innermost function definition around it."""
+def attribute_reads(attr: str):
+    """(module, function) of every read of `.<attr>` in src/nlds, with
+    the innermost function definition around it."""
     def visit(node, module, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from visit(child, module, child.name)
                 continue
-            if (isinstance(child, ast.Call)
-                    and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "sample"):
+            if isinstance(child, ast.Attribute) and child.attr == attr:
                 yield module, owner
             yield from visit(child, module, owner)
 
@@ -128,5 +126,14 @@ def sample_calls():
 def test_expressions_are_sampled_in_one_place_per_model():
     # a dispersal system is sampled by sample_fields, a VSI model by
     # sample_params; every other routine reads what they return
-    assert set(sample_calls()) == {("assembly", "sample_fields"),
-                                   ("epidemic", "sample_params")}
+    assert set(attribute_reads("sample")) == {("assembly", "sample_fields"),
+                                              ("epidemic", "sample_params")}
+
+
+def test_dense_operators_are_formed_for_the_oracle_diagnose_and_r0():
+    # the Noda path solves on the blocks; a dense matrix of blocks is
+    # formed only for the oracle, diagnose's reduced operator and r0's
+    # order-n B11
+    assert set(attribute_reads("matrix")) == {
+        ("cli", "cmd_oracle"), ("opspec", "dense_spectrum"),
+        ("analysis", "assemble_reduced_operator"), ("epidemic", "r0")}

@@ -121,7 +121,7 @@ def test_validation_gate():
     with pytest.raises(ValidationGateError):
         assemble_operator(sys, g)
     P = assemble_operator(sys, g, force=True)
-    assert P.size == 20
+    assert len(P) == 20
 
 
 def test_pointwise_A_scalar_formula():

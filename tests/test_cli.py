@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nlds import cli
-from nlds.assembly import load_matrix
+from nlds.analysis import perturbation_probe
+from nlds.assembly import load_matrix, pointwise_A
 from nlds.cli import run
 from nlds.errors import (CertificateInconsistencyError, GridConsistencyError,
                          NonConvergenceError, SizeCapError)
@@ -557,3 +558,108 @@ def test_non_cooperative_force_runs_report_their_error(tmp_path):
         error = read_report(out)["error"]
         assert error["kind"] == kind
         assert message in error["message"]
+
+
+def test_diagnose_solves_each_nodal_stack_once(tmp_path, monkeypatch):
+    # s_e is the run grid's field.eta: the nodal matrices of each grid are
+    # solved once, and the essential bound is not solved again
+    import nlds.analysis
+    import nlds.matspec
+    import nlds.opspec
+    stacks = []
+    real = nlds.analysis.nodal_bounds
+
+    def counting(stack):
+        stacks.append(np.shape(stack))
+        return real(stack)
+
+    def refuse(stack):
+        raise AssertionError("second solve of the run grid's nodal matrices")
+
+    monkeypatch.setattr(nlds.analysis, "nodal_bounds", counting)
+    monkeypatch.setattr(nlds.opspec, "max_nodal_bound", refuse)
+    cfg = write_config(tmp_path, BASE)
+    out = tmp_path / "out"
+    assert run(["diagnose", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert [s for s in stacks if s[1:] == (2, 2)] == [(10, 2, 2), (20, 2, 2),
+                                                      (40, 2, 2)]
+    system, g = cli.build_objects(BASE, None)
+    A = pointwise_A(system, cli.sample_fields(system, g))
+    assert read_report(out)["diagnose"]["spectral"]["s_e"] == \
+        nlds.matspec.max_nodal_bound(A)
+
+
+def test_probe_solves_the_unperturbed_operator_once(tmp_path, monkeypatch):
+    import nlds.analysis
+    calls = {"assemble_operator": [], "_converged_bound": []}
+    for name, seen in calls.items():
+        def counting(*args, _real=getattr(nlds.analysis, name), _seen=seen,
+                     **kwargs):
+            _seen.append(args[0])
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(nlds.analysis, name, counting)
+    cfg_dict = json.loads(json.dumps(BASE))
+    cfg_dict["probe"] = {"delta_schedule": [1e-2, 1e-3], "draws": 2,
+                         "diagonal_shift": 0.25}
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "out"
+    assert run(["probe", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    # P0, then P1 of each of the 4 draws
+    assert len(calls["assemble_operator"]) == 5
+    # s0, then s1 and the two sandwich bounds of each draw, then the shift
+    solved = calls["_converged_bound"]
+    assert len(solved) == 1 + 3 * 4 + 1
+    P0 = solved[0]
+    assert sum(P is P0 for P in solved) == 1
+    # the same rows as a probe that solves P0 again for every draw
+    monkeypatch.undo()
+    system, g = cli.build_objects(cfg_dict, None)
+    fields = cli.sample_fields(system, g)
+    rows = read_report(out)["probe"]["results"]
+    for row in rows:
+        again = perturbation_probe(system, fields)(row["delta"], row["draw"])
+        assert {k: row[k] for k in again.to_dict()} == again.to_dict()
+
+
+THREE_SPECIES = {"l": 3, "l1": 1, "d": [1.0, 0.0, 0.0], "kernels": [GAUSS],
+                 "coefficients": [["-1 - x^2", "0.5", "0.2"],
+                                  ["0.3", "-x", "0.4"],
+                                  ["0.1", "0.6", "-2 + x^2"]]}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sweep", "diagnose", "r0"])
+def test_solve_path_forms_no_operator_sized_matrix(tmp_path, monkeypatch,
+                                                   command):
+    # the dense form of an operator with static species is never built,
+    # and no LU has more than the l1 n = n rows of the diffusing block
+    import nlds.matspec
+    real = nlds.matspec.BlockOperator.matrix.func
+
+    def dense(op):
+        if op.nodal.shape[1] > len(op.transfer):
+            raise AssertionError(f"dense operator of order {len(op)}")
+        return real(op)
+
+    orders = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        if np.ndim(a) == 2:
+            orders.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(nlds.matspec.BlockOperator, "matrix", property(dense))
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    n = 256   # from 4 COARSE_N cells on, with the coarse-grid start
+    cfg_dict = {"domain": BASE["domain"], "grid": {"n": n},
+                "system": THREE_SPECIES,
+                "sweep": {"mode": "large-d-degen", "t_schedule": [1.0, 10.0]}}
+    if command == "r0":
+        cfg_dict = {"domain": BASE["domain"], "grid": {"n": n},
+                    "epidemic": {"kernel": GAUSS, "d": 2.0, "r": "1 + 0.5*x",
+                                 "m": "1 + x^2", "b": "1",
+                                 "beta_d": "0.3 + 0.2*x^2", "beta_i": "1"}}
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert 0 < max(orders) <= n

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from test_opspec import rightmost_with_error
 
 import nlds.matspec
@@ -366,6 +366,8 @@ def vsi_models(draw, max_nodes=48):
 
 @settings(max_examples=100, deadline=None)
 @given(vsi_models())
+@example((make_params(d=0.0, r="0.67", m="0.1", b="0.1", beta_d="0.01",
+                      beta_i="0"), build_grid(-1, 1, 2)))
 def test_H_mu_of_random_vsi_models(case):
     params, g = case
     sv = sample_params(params, g)
@@ -375,7 +377,9 @@ def test_H_mu_of_random_vsi_models(case):
         P = B + F / mu
         exact, err = rightmost_with_error(P)
         assume(err <= 1e-10)   # a nearly defective root is beyond the oracle
-        c = 1.0 + max(0.0, -float(np.min(np.diag(P))))
+        # metzler_bound's stop scale: tol c
+        c = 1.0 + max(0.0, -float(np.min(np.diag(P))),
+                      float(P.sum(1).max()))
         try:
             h = H_mu(sv, mu)
         except NonConvergenceError:

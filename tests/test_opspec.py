@@ -6,7 +6,7 @@ import nlds.opspec
 from nlds.assembly import assemble_operator, pointwise_A, sample_fields
 from nlds.errors import InvalidParametersError, SizeCapError
 from nlds.grid import build_grid
-from nlds.matspec import metzler_bound
+from nlds.matspec import _static_elimination, metzler_bound
 from nlds.model import CoefField, DispersalSystem, KernelSpec
 from nlds.opspec import (COARSE_N, Exists, NoCertificate,
                          compute_spectral_report, dense_spectrum,
@@ -63,7 +63,7 @@ def test_essential_bound_zero_diffusion_is_pointwise_max():
                       kernels=[GAUSS])
     g = build_grid(-1, 1, 16)
     se = essential_bound(pointwise_A(sys, sample_fields(sys, g)))
-    from nlds.matspec import metzler_bound
+    from nlds.matspec import _static_elimination, metzler_bound
     expected = max(metzler_bound(m).value
                    for m in sys.coefficients.sample(g))
     assert se == pytest.approx(expected, abs=1e-12)
@@ -197,7 +197,7 @@ def test_report_solves_once_on_the_operator(monkeypatch):
     P = assemble_operator(sys, g)
     rep = compute_spectral_report(P)
     assert isinstance(rep.certificate, Exists)
-    assert orders.count(P.size) == 1
+    assert orders.count(len(P)) == 1
     assert rep.to_dict()["bracket"] == list(rep.bracket)
 
 
@@ -267,7 +267,7 @@ def test_fully_diffusing_steps_factor_the_whole_operator(monkeypatch):
     P = assemble_operator(sys, g)
     orders = recorded_solve_orders(monkeypatch)
     assert spectral_bound(P).converged
-    assert set(orders) == {P.size}
+    assert set(orders) == {len(P)}
 
 
 def rightmost_with_error(M):
@@ -329,19 +329,69 @@ def test_spectral_bound_of_random_systems(case):
     assert (rep.s, rep.bracket) == (r.value, r.bracket)
     if isinstance(rep.certificate, Exists):
         assert np.min(rep.certificate.eigenvector) > 0.0
-    # the dense LU of the whole matrix: the same bound within the bracket
+    # the dense LU of the whole matrix: the same bound within the bracket.
+    # P.matrix rounds nodal + d K_aa on its diagonal, and changing the
+    # diagonal of a Metzler matrix moves s by at most the change
     dense = spectral_bound(P.matrix, tol=1e-13)
     assert abs(dense.iterations - r.iterations) <= 1
     assert lo <= dense.value <= hi
-    assert dense.bracket[0] <= r.value <= dense.bracket[1]
+    rounded = np.finfo(float).eps * (np.abs(P.nodal).max() + max(
+        d * K.diagonal().max() for d, K in zip(P.d, P.transfer)))
+    assert dense.bracket[0] - rounded <= r.value <= dense.bracket[1] + rounded
+
+
+@settings(max_examples=100, deadline=None)
+@given(cooperative_systems())
+def test_block_forms_match_the_dense_matrix(case):
+    # each computed product lies within the rounding bound that the
+    # Collatz-Wielandt bracket assumes, (m + 2)(eps |P| u + eta), of the
+    # exact one, and P.matrix rounds nodal + d K_aa once more: two such
+    # bounds and one more eps |P| u apart
+    sys, g = case
+    P = assemble_operator(sys, g)
+    D, m, n, l1 = P.matrix, len(P), g.n, sys.l1
+    eps, eta = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    u = 1.0 + 0.5 * np.sin(np.arange(m))
+    # |P| u sums the absolute terms: at the node entries of the diffusing
+    # blocks |A_ii(x_a)| + d_i K_i(x_a, x_a), where P.matrix holds their sum
+    absolute = np.abs(D) @ u
+    for i, (K, d) in enumerate(zip(P.transfer, P.d)):
+        rows = slice(i * n, (i + 1) * n)
+        absolute[rows] += (np.abs(P.nodal[:, i, i]) + d * K.diagonal()
+                           - np.abs(np.diag(D)[rows])) * u[rows]
+    block_abs = (abs(P) @ u[:, None])[:, 0]
+    bound = (2 * m + 5) * (eps * block_abs + eta)
+    assert np.all(np.abs((P @ u[:, None])[:, 0] - D @ u) <= bound)
+    assert np.all(np.abs(block_abs - absolute) <= bound)
+    # the Schur complement of the elimination, at a shift where
+    # hi I - P is strictly diagonally dominant
+    hi = float(np.abs(D).sum(1).max()) + 1.0
+    factored = []
+    solve = np.linalg.solve
+
+    def capture(a, b):
+        if np.ndim(a) == 2:
+            factored.append(a.copy())
+        return solve(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "solve", capture)
+        _static_elimination(P)(P, np.array([hi]), u[None])
+    k = l1 * n
+    R = hi * np.eye(m - k) - D[k:, k:]
+    coupling = D[:k, k:] @ np.linalg.solve(R, D[k:, :k])
+    schur = hi * np.eye(k) - D[:k, :k] - coupling
+    scale = np.abs(hi * np.eye(k) - D[:k, :k]) + coupling
+    assert np.all(np.abs(factored[0] - schur)
+                  <= (2 * m + 5) * (eps * scale + eta))
 
 
 # --- the fine iteration starts from the coarse-grid eigenvector ----------
 
 def u1_run(P, **kwargs):
-    """The iteration from u = 1, as spectral_bound runs it below the
+    """The block solve from u = 1, as spectral_bound runs it below the
     gate."""
-    return metzler_bound(P.matrix, split=(P.system.l1, P.grid.n), **kwargs)
+    return metzler_bound(P, **kwargs)
 
 
 def assert_same_result(r, ref):
