@@ -12,7 +12,7 @@ under seeded random perturbations.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -79,12 +79,6 @@ class IntegrabilityReport:
     ratios: tuple
     fitted_order: float | None
     detail: str
-
-    def to_dict(self) -> dict:
-        return {"verdict": self.verdict, "eta_hat": self.eta_hat,
-                "integrals": [list(p) for p in self.integrals],
-                "ratios": list(self.ratios),
-                "fitted_order": self.fitted_order, "detail": self.detail}
 
 
 def _extrapolate_sup(etas: list[float]) -> float:
@@ -223,29 +217,8 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepTable:
     mode: str
-    reference_name: str   # which limit the deviation is measured against
+    reference: str   # which limit the deviation is measured against
     rows: tuple
-
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "reference": self.reference_name,
-                "rows": [vars(r) for r in self.rows]}
-
-    def write_csv(self, path) -> None:
-        write_csv(path, ["t", "s", "s_e", "gap", "reference", "deviation",
-                         "converged"], (astuple(r) for r in self.rows))
-
-
-def write_csv(path, header, rows) -> None:
-    """CSV table with a header line: numbers carry 17 significant
-    digits and booleans read true/false."""
-    def cell(v) -> str:
-        if isinstance(v, (bool, np.bool_)):
-            return "true" if v else "false"
-        return format(float(v), ".17g")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell(v) for v in row) + "\n")
 
 
 SWEEP_MODES = ("small-d", "large-d-nondegen", "large-d-degen")
@@ -301,7 +274,7 @@ def sweep(sys: DispersalSystem, fields: SampledFields, t_schedule,
                              reference=reference,
                              deviation=abs(r.value - reference),
                              converged=r.converged))
-    return SweepTable(mode=mode, reference_name=ref_name, rows=tuple(rows))
+    return SweepTable(mode=mode, reference=ref_name, rows=tuple(rows))
 
 
 # --- perturbation probe ---------------------------------------------------
@@ -313,9 +286,6 @@ class ProbeResult:
     ds: float                # signed spectral-bound change
     ds_abs: float
     sandwich_bound: float    # s(entrywise max) - s(entrywise min)
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
 
 
 def perturbation_probe(sys: DispersalSystem, fields: SampledFields,

@@ -4,9 +4,13 @@ persistence.
 One JSON config describes the domain, grid, system, solver knobs, and
 per-command sections; expression-valued fields are strings in the small
 arithmetic language.  Each run writes <out>/report.json plus CSV
-sidecars for tabular results; all decimals carry 17 significant digits
-and repeated runs with the same config and seed are byte-identical
-(timings excepted, which live under a separate key).
+sidecars for tabular results.  This module is the one place that
+decides both formats: a result object goes into the report as it is and
+is written as the dict of its fields, so a report key is a field name.
+All decimals carry 17 significant digits, and repeated runs with the
+same config, seed and BLAS thread count are byte-identical (timings
+excepted, which live under a separate key); a different thread count
+can move the last digit of a solve.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical failure
 (solver non-convergence, inconsistent certificate or grid consistency),
@@ -16,18 +20,20 @@ Exit codes: 0 success, 1 validation failure, 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
+from enum import Enum
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 
 from . import __version__
-from .analysis import (generalized_eigen_residual, integrability_diagnostic,
-                       perturbation_probe, refinement_grids, spectral_field,
-                       sweep, write_csv)
+from .analysis import (SweepRow, generalized_eigen_residual,
+                       integrability_diagnostic, perturbation_probe,
+                       refinement_grids, spectral_field, sweep)
 from .assembly import assemble_operator, dump_matrix, sample_fields
 from .epidemic import VSIParams, compute_r0_report
 from .errors import (CertificateInconsistencyError, ConfigError,
@@ -131,10 +137,19 @@ _SCHEMA = {
 _VALIDATOR = jsonschema.validators.validator_for(_SCHEMA)(_SCHEMA)
 
 
-# --- deterministic JSON with 17-significant-digit decimals ---------------
+# --- deterministic JSON and CSV with 17-significant-digit decimals -------
 
 def _json_value(v, out: list, indent: int) -> None:
+    """Append v as JSON: a dataclass as the dict of its fields whose repr
+    is on, an Enum as its value and an ndarray as nested lists."""
     pad = "  " * indent
+    if dataclasses.is_dataclass(v):
+        v = {f.name: getattr(v, f.name) for f in dataclasses.fields(v)
+             if f.repr}
+    elif isinstance(v, Enum):
+        v = v.value
+    elif isinstance(v, np.ndarray):
+        v = v.tolist()
     if isinstance(v, dict):
         if not v:
             out.append("{}")
@@ -174,6 +189,19 @@ def dumps_report(report: dict) -> str:
     _json_value(report, out, 0)
     out.append("\n")
     return "".join(out)
+
+
+def write_csv(path, header, rows) -> None:
+    """CSV table with a header line: numbers carry 17 significant
+    digits and booleans read true/false."""
+    def cell(v) -> str:
+        if isinstance(v, (bool, np.bool_)):
+            return "true" if v else "false"
+        return format(float(v), ".17g")
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(cell(v) for v in row) + "\n")
 
 
 # --- config handling ------------------------------------------------------
@@ -223,8 +251,7 @@ def validated_objects(cfg: dict, args, report: dict):
     raises ValidationGateError unless it passed or --force."""
     system, g = build_objects(cfg, args.n)
     fields = sample_fields(system, g)
-    vr = validate(system, fields)
-    report["validation"] = vr.to_dict()
+    vr = report["validation"] = validate(system, fields)
     if not vr.passed and not args.force:
         raise ValidationGateError(vr)
     return system, fields
@@ -240,8 +267,7 @@ def solver_opts(cfg: dict) -> dict:
 
 def cmd_validate(cfg, args, report, outdir) -> int:
     system, g = build_objects(cfg, args.n)
-    vr = validate(system, sample_fields(system, g))
-    report["validation"] = vr.to_dict()
+    vr = report["validation"] = validate(system, sample_fields(system, g))
     return EXIT_OK if vr.passed else EXIT_VALIDATION
 
 
@@ -250,9 +276,7 @@ def cmd_spectrum(cfg, args, report, outdir) -> int:
     opts = solver_opts(cfg)
     P = assemble_operator(system, fields.grid, force=True, fields=fields)
     sr = compute_spectral_report(P, **opts)
-    d = sr.to_dict()
-    d["tol"] = opts["tol"]
-    report["spectral"] = d
+    report["spectral"] = vars(sr) | {"tol": opts["tol"]}
     return EXIT_OK if sr.converged else EXIT_NONCONVERGENCE
 
 
@@ -261,7 +285,7 @@ def cmd_reduce(cfg, args, report, outdir) -> int:
     budget = solver_opts(cfg)["max_iterations"]
     weights = weights_for_system(system, fields, budget)
     rq = reduced_quantities(system, fields, weights, budget)
-    report["reduced"] = rq.to_dict()
+    report["reduced"] = rq
     write_csv(outdir / "weights.csv", ["species", "x", "weight"],
               ((i + 1, x, p) for i, wgt in enumerate(weights.weights)
                for x, p in zip(fields.grid.points, wgt)))
@@ -275,8 +299,10 @@ def cmd_sweep(cfg, args, report, outdir) -> int:
     table = sweep(system, fields, cfg["sweep"]["t_schedule"],
                   cfg["sweep"]["mode"], tol=opts["tol"],
                   max_iterations=opts["max_iterations"])
-    report["sweep"] = table.to_dict()
-    table.write_csv(outdir / "sweep.csv")
+    report["sweep"] = table
+    write_csv(outdir / "sweep.csv",
+              [f.name for f in dataclasses.fields(SweepRow)],
+              map(dataclasses.astuple, table.rows))
     ok = all(r.converged for r in table.rows)
     return EXIT_OK if ok else EXIT_NONCONVERGENCE
 
@@ -299,11 +325,11 @@ def cmd_diagnose(cfg, args, report, outdir) -> int:
         return by_n[gg.n]
 
     diag = integrability_diagnostic(lambda gg: field_of(gg).H, grids, region)
-    report["diagnose"] = {"integrability": diag.to_dict()}
+    report["diagnose"] = {"integrability": diag}
     field = field_of(g)   # its eta is the essential bound of P
     P = assemble_operator(system, g, force=True, fields=fields)
     sr = compute_spectral_report(P, s_e=field.eta, **opts)
-    report["diagnose"]["spectral"] = sr.to_dict()
+    report["diagnose"]["spectral"] = sr
     report["diagnose"]["field"] = {
         "eta": field.eta,
         "max_h": float(np.max(field.h)),
@@ -328,7 +354,7 @@ def cmd_r0(cfg, args, report, outdir) -> int:
     opts = solver_opts(cfg)
     rep = compute_r0_report(params, g, tol=opts["tol"],
                             max_iterations=opts["max_iterations"])
-    report["r0"] = rep.to_dict()
+    report["r0"] = rep
     write_csv(outdir / "q_samples.csv", ["mu", "Q"], rep.q_samples)
     return EXIT_OK if rep.converged else EXIT_NONCONVERGENCE
 
@@ -361,13 +387,11 @@ def cmd_probe(cfg, args, report, outdir) -> int:
     results = []
     for delta in deltas:
         for k in range(draws):
-            row = probe(delta, seed + k).to_dict()
-            row["delta"] = delta
-            row["draw"] = k
-            results.append(row)
+            results.append(vars(probe(delta, seed + k))
+                           | {"delta": delta, "draw": k})
     if shift is not None:
-        report["probe_diagonal_shift"] = probe(
-            0.0, seed, diagonal_shift=shift).to_dict()
+        report["probe_diagonal_shift"] = probe(0.0, seed,
+                                               diagonal_shift=shift)
     report["probe"] = {"deltas": list(deltas), "draws": draws,
                        "results": results}
     cols = ["delta", "draw", "dm_inf", "dk_inf", "ds", "ds_abs",
@@ -393,17 +417,16 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlds",
         description="Spectral analysis of cooperative nonlocal dispersal systems.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", default="./out", help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed override (default: config seed or 0)")
-        p.add_argument("--n", type=int, default=None, help="grid-size override")
-        p.add_argument("--force", action="store_true",
-                       help="run even if validation fails")
-        p.add_argument("--quiet", action="store_true")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, help="JSON config path")
+    parser.add_argument("--out", default="./out", help="output directory")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed override (default: config seed or 0)")
+    parser.add_argument("--n", type=int, default=None,
+                        help="grid-size override")
+    parser.add_argument("--force", action="store_true",
+                        help="run even if validation fails")
+    parser.add_argument("--quiet", action="store_true")
     return parser
 
 

@@ -27,7 +27,7 @@ ladder policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,8 +37,8 @@ from .errors import (InvalidParametersError, NonConvergenceError,
                      ResolventDomainError)
 from .exprlang import Expr
 from .grid import Grid
-from .matspec import (EPS, MAX_ITERATIONS, BlockOperator, _converged_bound,
-                      metzler_bound)
+from .matspec import (EPS, MAX_ITERATIONS, BlockOperator, PerronResult,
+                      _converged_bound, metzler_bound)
 from .model import KernelSpec
 from .reduce import bracket_and_bisect, ladder_classify, perron_weight
 
@@ -119,19 +119,10 @@ def _operator(sv: SampledVSI, t: float, species: int = 2) -> BlockOperator:
     return BlockOperator(M[:, :species, :species], (sv.transfer,), (sv.d,))
 
 
-@dataclass(frozen=True)
-class R0Result:
-    value: float
-    iterations: int
-    residual: float
-    converged: bool
-    outside_positivity: bool
-    bracket: tuple[float, float]
-
-
 def r0(sv: SampledVSI, tol: float = 1e-10,
-       max_iterations: int = MAX_ITERATIONS) -> R0Result:
-    """Spectral radius of the next-generation operator, with its bracket.
+       max_iterations: int = MAX_ITERATIONS) -> PerronResult:
+    """Spectral radius of the next-generation operator: the PerronResult
+    of the loop below, its bracket widened to hold R0.
 
     B is block upper triangular with cell block -diag(b), so the nonzero
     spectrum is that of the nonnegative cell-compartment matrix
@@ -181,10 +172,7 @@ def r0(sv: SampledVSI, tol: float = 1e-10,
     if floor.min() > 0:
         err = np.max(rho(x, c * u) / floor) * z + gamma_n * np.abs(x)
         eta = float(np.max(bi * err / u))
-    return R0Result(value=res.value, iterations=res.iterations,
-                    residual=res.residual, converged=res.converged,
-                    outside_positivity=sv.outside_positivity,
-                    bracket=(res.bracket[0] - eta, res.bracket[1] + eta))
+    return replace(res, bracket=(res.bracket[0] - eta, res.bracket[1] + eta))
 
 
 def H_mu(sv: SampledVSI, mu: float, tol: float = 1e-10,
@@ -229,10 +217,7 @@ class RootCase:
 
     tilde_r0: float
     ladder: tuple
-
-    def to_dict(self) -> dict:
-        return {"case": "root", "tilde_r0": self.tilde_r0,
-                "ladder": [list(p) for p in self.ladder]}
+    case: str = field(default="root", init=False)
 
 
 @dataclass(frozen=True)
@@ -242,10 +227,7 @@ class BoundaryCase:
 
     hat_r0: float
     ladder: tuple
-
-    def to_dict(self) -> dict:
-        return {"case": "boundary", "hat_r0": self.hat_r0,
-                "ladder": [list(p) for p in self.ladder]}
+    case: str = field(default="boundary", init=False)
 
 
 LimitClassification = RootCase | BoundaryCase
@@ -280,22 +262,11 @@ class R0Report:
     hat_r0: float
     tilde_r0: float | None
     limit: LimitClassification
-    r0_at_zero: float
+    r0_at_zero_diffusion: float
     q_samples: tuple          # (mu, Q(mu)) pairs
     sign_residual: float      # H(R0, d), zero at the computed ratio
     converged: bool           # R0's iteration and the sign check's
     outside_positivity: bool
-
-    def to_dict(self) -> dict:
-        return {"r0": self.r0, "bracket": list(self.bracket),
-                "hat_r0": self.hat_r0,
-                "tilde_r0": self.tilde_r0,
-                "limit": self.limit.to_dict(),
-                "r0_at_zero_diffusion": self.r0_at_zero,
-                "q_samples": [list(p) for p in self.q_samples],
-                "sign_residual": self.sign_residual,
-                "converged": self.converged,
-                "outside_positivity": self.outside_positivity}
 
 
 def compute_r0_report(params: VSIParams, grid: Grid, tol: float = 1e-10,
@@ -318,7 +289,7 @@ def compute_r0_report(params: VSIParams, grid: Grid, tol: float = 1e-10,
     return R0Report(
         r0=res.value, bracket=res.bracket, hat_r0=hat,
         tilde_r0=limit.tilde_r0 if isinstance(limit, RootCase) else None,
-        limit=limit, r0_at_zero=r0_at_zero_diffusion(sv),
+        limit=limit, r0_at_zero_diffusion=r0_at_zero_diffusion(sv),
         q_samples=q_samples, sign_residual=sign,
         converged=res.converged and sign_converged,
-        outside_positivity=res.outside_positivity)
+        outside_positivity=sv.outside_positivity)

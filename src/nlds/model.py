@@ -121,23 +121,9 @@ class Violation:
 @dataclass(frozen=True)
 class ValidationReport:
     mode: Mode
+    passed: bool   # no violations
     violations: tuple = ()
     notes: tuple = ()
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode.value,
-            "passed": self.passed,
-            "violations": [
-                {"check": v.check, "where": v.where, "detail": v.detail}
-                for v in self.violations
-            ],
-            "notes": list(self.notes),
-        }
 
 
 def validate(sys: DispersalSystem, fields) -> ValidationReport:
@@ -204,5 +190,5 @@ def validate(sys: DispersalSystem, fields) -> ValidationReport:
                 "diffusing species must come first: expected d > 0 exactly "
                 "on the leading l1 entries"))
 
-    return ValidationReport(mode=mode, violations=tuple(violations),
-                            notes=tuple(notes))
+    return ValidationReport(mode=mode, passed=not violations,
+                            violations=tuple(violations), notes=tuple(notes))

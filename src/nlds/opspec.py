@@ -35,6 +35,7 @@ class Exists:
     """Certified principal eigenpair."""
     eigenvalue: float
     eigenvector: np.ndarray = field(repr=False)
+    exists: bool = field(default=True, init=False)
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,7 @@ class NoCertificate:
     """Abstention: absence of a numerically resolvable gap does not
     prove the eigenvalue is missing."""
     reason: str
+    exists: bool = field(default=False, init=False)
 
 
 Certificate = Exists | NoCertificate
@@ -57,17 +59,6 @@ class SpectralReport:
     residual: float
     converged: bool
     bracket: tuple[float, float]
-
-    def to_dict(self) -> dict:
-        cert: dict
-        if isinstance(self.certificate, Exists):
-            cert = {"exists": True, "eigenvalue": self.certificate.eigenvalue}
-        else:
-            cert = {"exists": False, "reason": self.certificate.reason}
-        return {"s": self.s, "s_e": self.s_e, "gap": self.gap,
-                "certificate": cert, "iterations": self.iterations,
-                "residual": self.residual, "converged": self.converged,
-                "bracket": list(self.bracket)}
 
 
 def spectral_bound(P, tol: float = 1e-10,

@@ -18,7 +18,7 @@ system's SampledFields and evaluates no expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -133,10 +133,7 @@ class CaseA:
 
     gamma_star: float
     ladder: tuple  # (eps, value) pairs, eps descending
-
-    def to_dict(self) -> dict:
-        return {"case": "A", "gamma_star": self.gamma_star,
-                "ladder": [list(p) for p in self.ladder]}
+    case: str = field(default="A", init=False)
 
 
 @dataclass(frozen=True)
@@ -146,10 +143,7 @@ class CaseB:
 
     eta22: float
     ladder: tuple
-
-    def to_dict(self) -> dict:
-        return {"case": "B", "eta22": self.eta22,
-                "ladder": [list(p) for p in self.ladder]}
+    case: str = field(default="B", init=False)
 
 
 ThresholdOutcome = CaseA | CaseB
@@ -248,17 +242,7 @@ class ReducedQuantities:
     kappa_tilde: float    # s(tilde_M): the full-diffusion limit
     eta22: float          # max_x s(M22(x)): the static-block bound
     threshold: ThresholdOutcome | None
-    uniform_fallback: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "tilde_M": [[float(v) for v in row] for row in self.tilde_M],
-            "kappa": self.kappa,
-            "kappa_tilde": self.kappa_tilde,
-            "eta22": self.eta22,
-            "threshold": None if self.threshold is None else self.threshold.to_dict(),
-            "uniform_weight_fallback": list(self.uniform_fallback),
-        }
+    uniform_weight_fallback: tuple
 
 
 def reduced_quantities(sys: DispersalSystem, fields: SampledFields,
@@ -277,4 +261,4 @@ def reduced_quantities(sys: DispersalSystem, fields: SampledFields,
     return ReducedQuantities(tilde_M=tilde_M, kappa=kappa,
                              kappa_tilde=kappa_tilde, eta22=eta22,
                              threshold=threshold,
-                             uniform_fallback=weights.uniform_fallback)
+                             uniform_weight_fallback=weights.uniform_fallback)

@@ -395,6 +395,8 @@ DET_CONFIGS = {
 
 
 def test_15_determinism(criterion, tmp_path):
+    # byte-identical for a fixed BLAS thread count only: another count
+    # can move the last digit of a solve
     with criterion(15, "repeated seeded runs produce byte-identical "
                        "reports and CSV tables (timings excluded)"):
         for name, (command, cfg) in DET_CONFIGS.items():

@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import nlds.matspec
-from nlds.analysis import (assemble_reduced_operator,
+from nlds.analysis import (SweepRow, assemble_reduced_operator,
                            generalized_eigen_residual,
                            integrability_diagnostic, perturbation_probe,
                            refinement_grids, spectral_field, sweep)
 from nlds.assembly import assemble_operator, pointwise_A, sample_fields
+from nlds.cli import write_csv
 from nlds.errors import InvalidParametersError, ResolventDomainError
 from nlds.grid import build_grid
 from nlds.model import CoefField, DispersalSystem, KernelSpec
@@ -131,7 +134,7 @@ def test_small_d_sweep_monotone_deviation():
     g = build_grid(-1, 1, 60)
     table = sweep(sys, sample_fields(sys, g), [1.0, 0.1, 0.01],
                   mode="small-d")
-    assert table.reference_name == "kappa"
+    assert table.reference == "kappa"
     devs = [r.deviation for r in table.rows]
     assert devs[0] > devs[1] > devs[2]
     assert all(r.converged for r in table.rows)
@@ -143,7 +146,7 @@ def test_large_d_nondegen_sweep():
     g = build_grid(-1, 1, 60)
     fields = sample_fields(sys, g)
     table = sweep(sys, fields, [10.0, 100.0], mode="large-d-nondegen")
-    assert table.reference_name == "kappa_tilde"
+    assert table.reference == "kappa_tilde"
     assert table.rows[-1].deviation < table.rows[0].deviation
     assert table.rows[0].reference == pytest.approx(2 / 3, abs=1e-3)
 
@@ -152,7 +155,7 @@ def test_large_d_degen_sweep_references_fixed_point():
     g = build_grid(-1, 1, 60)
     fields = sample_fields(CASE_A, g)
     table = sweep(CASE_A, fields, [10.0, 100.0], mode="large-d-degen")
-    assert table.reference_name == "gamma_star"
+    assert table.reference == "gamma_star"
     assert table.rows[-1].deviation < 1e-2
     # only the diffusing entries scale: the system stays degenerate
     assert all(r.gap > 0 for r in table.rows)
@@ -190,7 +193,8 @@ def test_sweep_csv_format(tmp_path):
     fields = sample_fields(CASE_A, g)
     table = sweep(CASE_A, fields, [1.0, 10.0], mode="large-d-degen")
     path = tmp_path / "sweep.csv"
-    table.write_csv(path)
+    write_csv(path, [f.name for f in dataclasses.fields(SweepRow)],
+              map(dataclasses.astuple, table.rows))
     lines = path.read_text().splitlines()
     assert lines[0] == "t,s,s_e,gap,reference,deviation,converged"
     assert len(lines) == 3

@@ -137,3 +137,19 @@ def test_dense_operators_are_formed_for_the_oracle_diagnose_and_r0():
     assert set(attribute_reads("matrix")) == {
         ("cli", "cmd_oracle"), ("opspec", "dense_spectrum"),
         ("analysis", "assemble_reduced_operator"), ("epidemic", "r0")}
+
+
+def definitions(name: str):
+    """Module of every function or method called `name` in src/nlds."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name == name):
+                yield path.stem
+
+
+def test_reports_and_tables_are_written_in_one_place():
+    # result objects go into the report as they are; cli alone turns them
+    # into JSON and CSV
+    assert set(definitions("to_dict")) | set(definitions("write_csv")) <= {
+        "cli"}

@@ -212,6 +212,8 @@ def test_grid_override(tmp_path):
 
 
 def test_determinism_across_runs(tmp_path):
+    # byte-identical for a fixed BLAS thread count only: another count
+    # can move the last digit of a solve
     cfg_dict = json.loads(json.dumps(BASE))
     cfg_dict["sweep"] = {"mode": "large-d-degen", "t_schedule": [1.0, 10.0]}
     cfg_dict["probe"] = {"delta_schedule": [1e-3], "draws": 2}
@@ -237,6 +239,115 @@ def test_determinism_across_runs(tmp_path):
 
 CASE_B = {"l": 2, "l1": 1, "d": [1.0, 0.0], "kernels": [GAUSS],
           "coefficients": [["-2", "0.1"], ["0.1", "-abs(x)^0.5"]]}
+
+
+def key_paths(v, prefix=""):
+    """Every key of a report as a dotted path; the items of a list share
+    the list's path."""
+    if isinstance(v, dict):
+        for k, item in v.items():
+            yield prefix + k
+            yield from key_paths(item, f"{prefix}{k}.")
+    elif isinstance(v, list):
+        for item in v:
+            yield from key_paths(item, prefix)
+
+
+def section(name, *keys):
+    return {name} | {f"{name}.{k}" for k in keys}
+
+
+SPECTRAL = ("s", "s_e", "gap", "iterations", "residual", "converged",
+            "bracket", "certificate", "certificate.exists",
+            "certificate.eigenvalue")
+PROBE_ROW = ("dm_inf", "dk_inf", "ds", "ds_abs", "sandwich_bound")
+VALIDATION = section("validation", "mode", "passed", "violations", "notes")
+# the report keys of each command, the config echo aside; a report key is
+# a field name of the result object, so renaming a field fails here
+REPORT_KEYS = {
+    "validate": VALIDATION,
+    "spectrum": VALIDATION | section("spectral", *SPECTRAL, "tol"),
+    "reduce": VALIDATION | section(
+        "reduced", "tilde_M", "kappa", "kappa_tilde", "eta22",
+        "uniform_weight_fallback", "threshold", "threshold.case",
+        "threshold.gamma_star", "threshold.ladder"),
+    "sweep": VALIDATION | section(
+        "sweep", "mode", "reference", "rows",
+        *(f"rows.{k}" for k in ("t", "s", "s_e", "gap", "reference",
+                                "deviation", "converged"))),
+    "diagnose": VALIDATION | section(
+        "diagnose", "field", "field.eta", "field.max_h",
+        "field.nodewise_h_le_H", "generalized_eigen_residual",
+        "integrability",
+        *(f"integrability.{k}" for k in ("verdict", "eta_hat", "integrals",
+                                         "ratios", "fitted_order",
+                                         "detail")),
+        "spectral", *(f"spectral.{k}" for k in SPECTRAL)),
+    "r0": section("r0", "r0", "bracket", "hat_r0", "tilde_r0", "limit",
+                  "limit.case", "limit.tilde_r0", "limit.ladder",
+                  "r0_at_zero_diffusion", "q_samples", "sign_residual",
+                  "converged", "outside_positivity"),
+    "oracle": VALIDATION | section("oracle", "size", "max_real", "count"),
+    "probe": VALIDATION | section(
+        "probe", "deltas", "draws", "results", "results.delta",
+        "results.draw", *(f"results.{k}" for k in PROBE_ROW))
+    | section("probe_diagonal_shift", *PROBE_ROW),
+}
+# the other outcome of each tagged result: (command, config change, exit
+# code, keys it drops, keys it adds)
+OTHER_OUTCOMES = {
+    "violations": ("validate",
+                   {"system": {"coefficients": [["-1", "0"], ["0", "-1"]]}},
+                   1, set(), {"validation.violations.check",
+                              "validation.violations.where",
+                              "validation.violations.detail"}),
+    "no-certificate": ("spectrum",
+                       {"system": CASE_B, "solver": {"max_iterations": 1}},
+                       2, {"spectral.certificate.eigenvalue"},
+                       {"spectral.certificate.reason"}),
+    "case-b": ("reduce", {"system": CASE_B}, 0,
+               {"reduced.threshold.gamma_star"}, {"reduced.threshold.eta22"}),
+    "boundary": ("r0", {"epidemic": {"m": "5", "r": "0.3", "beta_i": "0.1"}},
+                 0, {"r0.limit.tilde_r0"}, {"r0.limit.hat_r0"}),
+}
+COMMON_KEYS = section("artifact", "name", "version") | section(
+    "timings", "wall_seconds") | {"command", "seed", "exit_code"}
+
+
+def report_keys(tmp_path, command, change=None):
+    cfg_dict = json.loads(json.dumps(BASE))
+    cfg_dict["sweep"] = {"mode": "large-d-degen", "t_schedule": [1.0, 10.0]}
+    cfg_dict["probe"] = {"delta_schedule": [1e-3], "draws": 1,
+                         "diagonal_shift": 0.25}
+    cfg_dict["epidemic"] = {"kernel": GAUSS, "d": 1.0, "r": "1", "m": "1",
+                            "b": "1", "beta_d": "0.5", "beta_i": "1"}
+    for name, part in (change or {}).items():
+        cfg_dict.setdefault(name, {}).update(part)
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "out"
+    code = run([command, "--config", cfg, "--out", str(out), "--quiet"])
+    rep = read_report(out)
+    rep.pop("config")
+    return code, rep, set(key_paths(rep))
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_KEYS))
+def test_report_keys_of_each_command(tmp_path, command):
+    code, rep, keys = report_keys(tmp_path, command)
+    assert code == 0
+    assert keys == COMMON_KEYS | REPORT_KEYS[command]
+    for cert in (rep.get("spectral", {}).get("certificate"),
+                 rep.get("diagnose", {}).get("spectral", {}).get("certificate")):
+        assert cert is None or cert == {"exists": True,
+                                        "eigenvalue": cert["eigenvalue"]}
+
+
+@pytest.mark.parametrize("outcome", sorted(OTHER_OUTCOMES))
+def test_report_keys_of_the_other_outcomes(tmp_path, outcome):
+    command, change, exit_code, dropped, added = OTHER_OUTCOMES[outcome]
+    code, _, keys = report_keys(tmp_path, command, change)
+    assert code == exit_code
+    assert keys == COMMON_KEYS | REPORT_KEYS[command] - dropped | added
 
 
 def test_spectrum_reports_bracket(tmp_path):
@@ -618,7 +729,7 @@ def test_probe_solves_the_unperturbed_operator_once(tmp_path, monkeypatch):
     rows = read_report(out)["probe"]["results"]
     for row in rows:
         again = perturbation_probe(system, fields)(row["delta"], row["draw"])
-        assert {k: row[k] for k in again.to_dict()} == again.to_dict()
+        assert {k: row[k] for k in vars(again)} == vars(again)
 
 
 THREE_SPECIES = {"l": 3, "l1": 1, "d": [1.0, 0.0, 0.0], "kernels": [GAUSS],

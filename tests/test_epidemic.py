@@ -70,9 +70,9 @@ def test_r0_constant_collapse():
 
 def test_r0_without_cell_free_route():
     g = build_grid(-1, 1, 40)
-    res = r0(sample_params(make_params(beta_i="0", beta_d="0.5 + 0.1*x^2"),
-                           g))
-    assert res.outside_positivity
+    sv = sample_params(make_params(beta_i="0", beta_d="0.5 + 0.1*x^2"), g)
+    res = r0(sv)
+    assert sv.outside_positivity
     expected = float(np.max(0.5 + 0.1 * g.points ** 2))
     assert res.value == pytest.approx(expected, abs=1e-10)
 
@@ -220,8 +220,7 @@ def test_report_bundle():
     assert rep.tilde_r0 == pytest.approx(1.5, abs=1e-8)
     assert abs(rep.sign_residual) <= 1e-8
     assert rep.q_samples[0][0] == pytest.approx(0.6, abs=1e-12)
-    d = rep.to_dict()
-    assert d["limit"]["case"] == "root"
+    assert rep.limit.case == "root"
 
 
 def test_positivity_validation():

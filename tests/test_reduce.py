@@ -275,9 +275,8 @@ def test_reduced_quantities_bundle():
     assert rq.kappa_tilde <= rq.kappa + 1e-9
     assert rq.eta22 == pytest.approx(-1.0, abs=1e-12)
     assert isinstance(rq.threshold, CaseA)
-    assert rq.uniform_fallback == (False, True)
-    d = rq.to_dict()
-    assert d["threshold"]["case"] == "A"
+    assert rq.uniform_weight_fallback == (False, True)
+    assert rq.threshold.case == "A"
 
 
 # --- fixed-point bracketing ------------------------------------------------
