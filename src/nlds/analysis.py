@@ -22,8 +22,8 @@ from .assembly import (SampledFields, assemble_operator, kernel_quadrature,
 from .errors import InvalidParametersError, ResolventDomainError
 from .grid import Grid, build_grid
 from .matspec import (MAX_ITERATIONS, BlockOperator, _converged_bound,
-                      max_nodal_bound, nodal_bounds, perron_bound,
-                      schur_reduce_stack)
+                      _cooperative, max_nodal_bound, nodal_bounds,
+                      perron_bound, schur_reduce_stack)
 from .model import DispersalSystem, Mode
 from .opspec import essential_bound, spectral_bound
 from .reduce import (CaseA, classify_threshold, p_weighted_mean,
@@ -178,9 +178,9 @@ def integrability_diagnostic(field_on, grids: list[Grid],
 # --- generalized eigenproblem on the diffusing block ---------------------
 
 def assemble_reduced_operator(sys: DispersalSystem, fields: SampledFields,
-                              lam: float) -> np.ndarray:
-    """(l1 n) x (l1 n) matrix of the reduced problem at parameter lam,
-    from the system's samples fields.
+                              lam: float) -> BlockOperator:
+    """The order-(l1 n) operator of the reduced problem at parameter
+    lam, from the system's samples fields, kept as its blocks.
 
     Nodal Schur reductions of the diffusion-included matrices A(x_a)
     (leading block M11 - diag(d_i chi_i)) plus the pure kernel-transfer
@@ -189,7 +189,7 @@ def assemble_reduced_operator(sys: DispersalSystem, fields: SampledFields,
     """
     _check_resolvent_domain(sys, fields, lam)
     F = schur_reduce_stack(pointwise_A(sys, fields), sys.l1, lam)
-    return BlockOperator(F, fields.transfer, sys.d).matrix
+    return BlockOperator(F, fields.transfer, sys.d)
 
 
 def generalized_eigen_residual(sys: DispersalSystem, fields: SampledFields,
@@ -324,6 +324,7 @@ def perturbation_probe(sys: DispersalSystem, fields: SampledFields,
                              tuple(T), (1.0,) * len(T))
 
     P0 = assemble_operator(sys, grid, force=True, fields=fields)
+    _cooperative(P0.nodal)
     s0 = bound(P0)
 
     def probe(delta: float, seed: int,

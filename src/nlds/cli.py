@@ -31,9 +31,10 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .analysis import (SweepRow, generalized_eigen_residual,
-                       integrability_diagnostic, perturbation_probe,
-                       refinement_grids, spectral_field, sweep)
+from .analysis import (SWEEP_MODES, ProbeResult, SweepRow,
+                       generalized_eigen_residual, integrability_diagnostic,
+                       perturbation_probe, refinement_grids, spectral_field,
+                       sweep)
 from .assembly import assemble_operator, dump_matrix, sample_fields
 from .epidemic import VSIParams, compute_r0_report
 from .errors import (CertificateInconsistencyError, ConfigError,
@@ -99,8 +100,7 @@ _SCHEMA = {
             "type": "object", "additionalProperties": False,
             "required": ["mode", "t_schedule"],
             "properties": {
-                "mode": {"enum": ["small-d", "large-d-nondegen",
-                                  "large-d-degen"]},
+                "mode": {"enum": list(SWEEP_MODES)},
                 "t_schedule": {"type": "array", "minItems": 1, "items": _NUM},
             },
         },
@@ -394,8 +394,8 @@ def cmd_probe(cfg, args, report, outdir) -> int:
                                                diagonal_shift=shift)
     report["probe"] = {"deltas": list(deltas), "draws": draws,
                        "results": results}
-    cols = ["delta", "draw", "dm_inf", "dk_inf", "ds", "ds_abs",
-            "sandwich_bound"]
+    cols = ["delta", "draw",
+            *(f.name for f in dataclasses.fields(ProbeResult))]
     write_csv(outdir / "probe.csv", cols,
               ([row[c] for c in cols] for row in results))
     return EXIT_OK

@@ -91,8 +91,7 @@ class SampledVSI:
 
 def sample_params(params: VSIParams, grid: Grid) -> SampledVSI:
     def ev(expr):
-        v = exprlang.eval_expr(expr, x=grid.points)
-        return np.broadcast_to(np.asarray(v, dtype=float), (grid.n,)).copy()
+        return exprlang.eval_expr(expr, x=grid.points).copy()
 
     r, m, b = ev(params.r), ev(params.m), ev(params.b)
     bd, bi = ev(params.beta_d), ev(params.beta_i)

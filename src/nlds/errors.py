@@ -21,7 +21,6 @@ class ExprError(NldsError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
-        self.bare_message = message
 
 
 class ExprSyntaxError(ExprError):

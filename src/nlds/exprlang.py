@@ -10,16 +10,20 @@ Grammar (whitespace insignificant):
                                          # tighter than unary minus
     atom   := NUMBER | NAME | NAME '(' expr (',' expr)* ')' | '(' expr ')'
 
-Variables are x and y; named constants pi and e; functions exp, abs,
-sqrt, sin, cos, min, max, pow.  Evaluation is IEEE double, elementwise
-over numpy arrays when array bindings are supplied.  A negative base
-with a fractional exponent, sqrt of a negative, and division by zero
-are reported as evaluation errors carrying the subexpression offset
-rather than produced as NaN.
+Variables are x and y and the named constants pi and e.  Three tables
+define the rest: FUNCTIONS maps each function name to the numpy
+function it calls, whose nin is its arity; OPERATORS maps each binary
+operator to its function; DOMAIN holds the domain rule of each function
+that has one.  A negative base with a fractional exponent (for '^' and
+pow alike), sqrt of a negative, and division by zero are reported as
+evaluation errors carrying the offset of the operator or function name
+rather than produced as NaN.  Evaluation is IEEE double, elementwise
+over numpy arrays when array bindings are supplied.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -27,15 +31,23 @@ import numpy as np
 
 from .errors import ExprEvalError, ExprSyntaxError
 
-FUNCTIONS = {
-    "exp": 1,
-    "abs": 1,
-    "sqrt": 1,
-    "sin": 1,
-    "cos": 1,
-    "min": 2,
-    "max": 2,
-    "pow": 2,
+FUNCTIONS = {"exp": np.exp, "abs": np.abs, "sqrt": np.sqrt, "sin": np.sin,
+             "cos": np.cos, "min": np.minimum, "max": np.maximum,
+             "pow": np.power}
+
+# Python's operators, not ufuncs: on Python floats a ufunc warns of an
+# overflow to inf that they give silently.  '^' is np.power, since **
+# raises on overflow and gives a complex for a negative base.
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+             "/": operator.truediv, "^": np.power}
+
+# function -> (message, fault): arguments for which fault(*args) holds
+# at any point lie outside the function's domain
+DOMAIN = {
+    operator.truediv: ("division by zero", lambda a, b: b == 0),
+    np.sqrt: ("sqrt of a negative number", lambda a: a < 0),
+    np.power: ("negative base with non-integer exponent",
+               lambda a, b: (a < 0) & (b != np.floor(b))),
 }
 
 CONSTANTS = {"pi": np.pi, "e": np.e}
@@ -142,25 +154,21 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected {val!r} after expression", off)
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def left_assoc(self, operand, ops: str) -> Expr:
+        """operand ((one of ops) operand)*, grouped from the left."""
+        node = operand()
         while True:
             kind, val, off = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                node = Bin(val, node, self.term(), offset=off)
-            else:
+            if kind != "op" or val not in ops:
                 return node
+            self.advance()
+            node = Bin(val, node, operand(), offset=off)
+
+    def expr(self) -> Expr:
+        return self.left_assoc(self.term, "+-")
 
     def term(self) -> Expr:
-        node = self.unary()
-        while True:
-            kind, val, off = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                node = Bin(val, node, self.unary(), offset=off)
-            else:
-                return node
+        return self.left_assoc(self.unary, "*/")
 
     def unary(self) -> Expr:
         kind, val, off = self.peek()
@@ -189,18 +197,14 @@ class _Parser:
                     raise ExprSyntaxError(f"unknown function {val!r}", off)
                 self.advance()
                 args = [self.expr()]
-                while True:
-                    k2, v2, o2 = self.peek()
-                    if k2 == "op" and v2 == ",":
-                        self.advance()
-                        args.append(self.expr())
-                    else:
-                        break
+                while self.peek()[:2] == ("op", ","):
+                    self.advance()
+                    args.append(self.expr())
                 self.expect_op(")")
-                if len(args) != FUNCTIONS[val]:
-                    raise ExprSyntaxError(
-                        f"{val} expects {FUNCTIONS[val]} argument(s), got {len(args)}",
-                        off)
+                nin = FUNCTIONS[val].nin
+                if len(args) != nin:
+                    raise ExprSyntaxError(f"{val} expects {nin} argument(s), "
+                                          f"got {len(args)}", off)
                 return Call(val, tuple(args), offset=off)
             if val in CONSTANTS:
                 return Const(val, offset=off)
@@ -221,25 +225,19 @@ def parse(text: str) -> Expr:
 
 # --- evaluation --------------------------------------------------------
 
-def _check_domain(node, cond, message):
-    if np.any(cond):
-        raise ExprEvalError(message, node.offset)
-
-
 def eval_expr(node: Expr, x=None, y=None):
     """Evaluate a tree with the given bindings.
 
-    Scalars in, float out; numpy arrays in, elementwise array out.
+    Scalar bindings give a float.  Array bindings give a float array of
+    the bindings' broadcast shape, whichever variables the tree reads; it
+    is a read-only view, so a caller that keeps or writes it copies it.
     """
-    env = {}
-    if x is not None:
-        env["x"] = x
-    if y is not None:
-        env["y"] = y
+    env = {name: v for name, v in (("x", x), ("y", y)) if v is not None}
     result = _eval(node, env)
-    if np.ndim(result) == 0:
+    shape = np.broadcast(*env.values()).shape
+    if not shape:
         return float(result)
-    return result
+    return np.broadcast_to(result, shape)
 
 
 def _eval(node, env):
@@ -254,45 +252,13 @@ def _eval(node, env):
     if isinstance(node, Neg):
         return -_eval(node.operand, env)
     if isinstance(node, Bin):
-        a = _eval(node.left, env)
-        b = _eval(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            _check_domain(node, np.asarray(b) == 0, "division by zero")
-            return a / b
-        # '^'
-        bb = np.asarray(b)
-        frac = bb != np.floor(bb)
-        _check_domain(node, (np.asarray(a) < 0) & frac,
-                      "negative base with non-integer exponent")
-        return np.power(a, b)
-    if isinstance(node, Call):
-        args = [_eval(arg, env) for arg in node.args]
-        if node.func == "exp":
-            return np.exp(args[0])
-        if node.func == "abs":
-            return np.abs(args[0])
-        if node.func == "sqrt":
-            _check_domain(node, np.asarray(args[0]) < 0,
-                          "sqrt of a negative number")
-            return np.sqrt(args[0])
-        if node.func == "sin":
-            return np.sin(args[0])
-        if node.func == "cos":
-            return np.cos(args[0])
-        if node.func == "min":
-            return np.minimum(args[0], args[1])
-        if node.func == "max":
-            return np.maximum(args[0], args[1])
-        # pow: same domain rule as '^'
-        bb = np.asarray(args[1])
-        frac = bb != np.floor(bb)
-        _check_domain(node, (np.asarray(args[0]) < 0) & frac,
-                      "negative base with non-integer exponent")
-        return np.power(args[0], args[1])
-    raise TypeError(f"not an expression node: {node!r}")
+        fn, operands = OPERATORS[node.op], (node.left, node.right)
+    elif isinstance(node, Call):
+        fn, operands = FUNCTIONS[node.func], node.args
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    args = [_eval(arg, env) for arg in operands]
+    rule = DOMAIN.get(fn)
+    if rule is not None and np.any(rule[1](*args)):
+        raise ExprEvalError(rule[0], node.offset)
+    return fn(*args)

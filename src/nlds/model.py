@@ -36,10 +36,8 @@ class KernelSpec:
 
     def sample(self, grid: Grid) -> np.ndarray:
         """Raw kernel values k(x_a, x_b) at all node pairs, shape (n, n)."""
-        x = grid.points[:, None]
-        y = grid.points[None, :]
-        out = exprlang.eval_expr(self.expr, x=x, y=y)
-        return np.broadcast_to(np.asarray(out, dtype=float), (grid.n, grid.n)).copy()
+        x = grid.points
+        return exprlang.eval_expr(self.expr, x=x[:, None], y=x[None, :]).copy()
 
 
 @dataclass(frozen=True)
@@ -61,8 +59,8 @@ class CoefField:
         out = np.empty((grid.n, self.l, self.l))
         for i in range(self.l):
             for j in range(self.l):
-                v = exprlang.eval_expr(self.entries[i][j], x=grid.points)
-                out[:, i, j] = np.broadcast_to(np.asarray(v, dtype=float), (grid.n,))
+                out[:, i, j] = exprlang.eval_expr(self.entries[i][j],
+                                                  x=grid.points)
         return out
 
 

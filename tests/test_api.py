@@ -132,11 +132,9 @@ def test_expressions_are_sampled_in_one_place_per_model():
 
 def test_dense_operators_are_formed_for_the_oracle_diagnose_and_r0():
     # the Noda path solves on the blocks; a dense matrix of blocks is
-    # formed only for the oracle, diagnose's reduced operator and r0's
-    # order-n B11
+    # formed only for the oracle and r0's order-n B11
     assert set(attribute_reads("matrix")) == {
-        ("cli", "cmd_oracle"), ("opspec", "dense_spectrum"),
-        ("analysis", "assemble_reduced_operator"), ("epidemic", "r0")}
+        ("cli", "cmd_oracle"), ("opspec", "dense_spectrum"), ("epidemic", "r0")}
 
 
 def definitions(name: str):

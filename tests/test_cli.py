@@ -671,6 +671,21 @@ def test_non_cooperative_force_runs_report_their_error(tmp_path):
         assert message in error["message"]
 
 
+def test_non_cooperative_force_probe_is_an_input_error(tmp_path):
+    # probe checks P0's nodal field before its first solve, so it exits 3
+    # with the message of the other commands, not 2 from a failed solve
+    cfg_dict = json.loads(json.dumps(BASE))
+    cfg_dict["system"]["coefficients"] = [["-1", "-0.5"], ["1", "-1"]]
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "out"
+    assert run(["probe", "--config", cfg, "--out", str(out), "--quiet",
+                "--force"]) == 3
+    error = read_report(out)["error"]
+    assert error["kind"] == "InvalidParametersError"
+    assert error["message"] == \
+        "not cooperative: entry (0,1) = -0.5 < 0 at node 0"
+
+
 def test_diagnose_solves_each_nodal_stack_once(tmp_path, monkeypatch):
     # s_e is the run grid's field.eta: the nodal matrices of each grid are
     # solved once, and the essential bound is not solved again

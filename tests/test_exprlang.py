@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,37 @@ def test_domain_errors_carry_offset():
         ev("pow(x, 1.5)", x=-2.0)
 
 
+@pytest.mark.parametrize("text, offset, message", [
+    ("2 + 1/x", 5, "division by zero"),
+    ("2 * x^0.5", 5, "non-integer exponent"),
+    ("2 + pow(x, 0.5)", 4, "non-integer exponent"),
+    ("2 + sqrt(x)", 4, "sqrt of a negative"),
+])
+def test_domain_error_offsets(text, offset, message):
+    # an operator's fault is reported at the operator, a function's at
+    # its name
+    with pytest.raises(ExprEvalError, match=message) as ei:
+        ev(text, x=-0.0 if "/" in text else -2.0)
+    assert ei.value.offset == offset
+
+
+@pytest.mark.parametrize("text", ["1e308*10", "1e308/1e-10"])
+def test_scalar_overflow_is_inf_without_warning(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ev(text) == math.inf
+
+
+def test_array_bindings_give_their_broadcast_shape():
+    points = np.linspace(-1, 1, 5)
+    out = ex.eval_expr(ex.parse("1"), x=points[:, None], y=points[None, :])
+    assert out.shape == (5, 5)
+    assert np.all(out == 1.0)
+    assert ex.eval_expr(ex.parse("x"), x=points[:, None],
+                        y=points[None, :]).shape == (5, 5)
+    assert not out.flags.writeable
+
+
 def test_negative_base_integer_exponent_allowed():
     assert ev("x^3", x=-2.0) == -8.0
 
@@ -137,7 +169,7 @@ def exprs(draw, depth=0):
         return ex.Bin(op, draw(exprs(depth=depth + 1)),
                       draw(exprs(depth=depth + 1)))
     name = draw(st.sampled_from(sorted(ex.FUNCTIONS)))
-    nargs = ex.FUNCTIONS[name]
+    nargs = ex.FUNCTIONS[name].nin
     args = tuple(draw(exprs(depth=depth + 1)) for _ in range(nargs))
     return ex.Call(name, args)
 
