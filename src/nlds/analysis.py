@@ -251,6 +251,7 @@ def sweep(sys: DispersalSystem, fields: SampledFields, t_schedule,
                                                  fields.grid), max_iterations)
         ref_name = "kappa_tilde"
     elif mode == "large-d-degen":
+        _cooperative(fields.M)   # or the classifier names the wrong cause
         weights = weights_for_system(sys, fields, max_iterations)
         outcome = classify_threshold(sys, fields, weights, max_iterations)
         if isinstance(outcome, CaseA):

@@ -10,8 +10,8 @@ and s(B + F/mu) has the sign of R0 - mu (Thieme, SIAM J. Appl. Math.
 field [[-m - d chi, r], [t beta_i, t beta_d - b]]; only virions disperse,
 and H_mu solves on its blocks without forming it.  R0 itself comes from
 Noda steps on the n x n cell-compartment matrix G, which is formed only
-when its first product G 1 (one order-n solve) does not already settle
-the value.
+when its first product G 1 (one Krylov solve on the blocks of B11) does
+not already settle the value.
 
 sample_params evaluates the rates and the kernel's quadrature on one
 grid, and every routine here reads that SampledVSI; compute_r0_report
@@ -38,7 +38,7 @@ from .errors import (InvalidParametersError, NonConvergenceError,
 from .exprlang import Expr
 from .grid import Grid
 from .matspec import (EPS, MAX_ITERATIONS, BlockOperator, PerronResult,
-                      _converged_bound, metzler_bound)
+                      _converged_bound, gmres, metzler_bound)
 from .model import KernelSpec
 from .reduce import bracket_and_bisect, ladder_classify, perron_weight
 
@@ -127,12 +127,12 @@ def r0(sv: SampledVSI, tol: float = 1e-10,
     spectrum is that of the nonnegative cell-compartment matrix
         G = diag(beta_d / b) + diag(beta_i) A^{-1} diag(c),
     A = -B11 and c = r / b, iterated within max_iterations Noda steps.
-    G 1 = beta_d / b + beta_i A^{-1} c takes one order-n solve, and
-    diag(G 1) agrees with G in all that the loop reads before its first
-    step (G 1, |G| 1 = G 1 and diag G >= 0).  So metzler_bound on it
-    with no step budget settles a model whose G 1 is flat within tol,
-    such as one with constant rates, without forming G; otherwise G is
-    formed by an n-column solve and iterated as a matrix.
+    G 1 = beta_d / b + beta_i A^{-1} c takes one GMRES solve on B11's
+    blocks, and diag(G 1) agrees with G in all that the loop reads before
+    its first step (G 1, |G| 1 = G 1 and diag G >= 0).  So metzler_bound
+    on it with no step budget settles a model whose G 1 is flat within
+    tol, such as one with constant rates, with no dense matrix; otherwise
+    B11 is formed, and G by its n-column LU solve, and iterated.
 
     The bracket is the Collatz-Wielandt bracket of the loop at its last
     vector u, widened by the error of the solve behind G u, so it holds
@@ -142,34 +142,32 @@ def r0(sv: SampledVSI, tol: float = 1e-10,
     z = A^{-1} c as computed, because A^{-1} >= 0 and A z >= c - rho(z, c).
 
     s(B11) < 0 is certified without a solve by the Collatz-Wielandt
-    bound at the grid weights w,
+    bound at the grid weights w, B11^T w = w nodal + d K^T w:
     max_a ((B11^T w)_a + (n + 2) eps (|B11|^T w)_a) / w_a < 0, which is
     -m plus rounding since w^T (K - diag chi) = 0.
     """
-    B11 = _operator(sv, 0.0, species=1).matrix
-    w, absA, gamma_n = sv.grid.weights, np.abs(B11), (sv.grid.n + 2) * EPS
-    sb = float(np.max((w @ B11 + gamma_n * (w @ absA)) / w))
+    P = _operator(sv, 0.0, species=1)   # B11 = -A
+    w, gamma_n = sv.grid.weights, (sv.grid.n + 2) * EPS
+    wP, dKw = w * P.nodal[:, 0, 0], sv.d * (w @ sv.transfer)
+    sb = float(np.max((wP + dKw + gamma_n * (np.abs(wP) + dKw)) / w))
     if sb >= 0:
         raise InvalidParametersError(
             f"transition block must be dissipative, got bound {sb:.6g}")
-    A, c, bi, bd = -B11, sv.r / sv.b, sv.beta_i, sv.beta_d / sv.b
-    x = z = np.linalg.solve(A, c)   # G 1 = bd + bi z
+    c, bi, bd = sv.r / sv.b, sv.beta_i, sv.beta_d / sv.b
+    x, rho_x = z, rho = gmres(P, -c)   # G 1 = bd + bi z; |c - A z| <= rho
     # the loop's first look at G, through diag(G 1) as a nodal-only operator
     res = metzler_bound(BlockOperator((bd + bi * z)[:, None, None], (), ()),
                         tol=tol, max_iterations=0)
     if not res.converged:
-        X = np.linalg.solve(A, np.diag(c))
+        X = np.linalg.solve(-P.matrix, np.diag(c))
         res = metzler_bound(np.diag(bd) + bi[:, None] * X, tol=tol,
                             max_iterations=max_iterations)
-        x = X @ res.vector
+        x, cu = X @ res.vector, c * res.vector   # |cu - A x| <= rho_x:
+        rho_x = np.abs(cu + P @ x) + gamma_n * (cu + abs(P) @ np.abs(x))
     u = res.vector
-
-    def rho(y, rhs):   # |rhs - A y| plus the rounding of computing it
-        return np.abs(rhs - A @ y) + gamma_n * (rhs + absA @ np.abs(y))
-
-    floor, eta = c - rho(z, c), np.inf   # A z >= floor
+    floor, eta = c - rho, np.inf   # A z >= floor
     if floor.min() > 0:
-        err = np.max(rho(x, c * u) / floor) * z + gamma_n * np.abs(x)
+        err = np.max(rho_x / floor) * z + gamma_n * np.abs(x)
         eta = float(np.max(bi * err / u))
     return replace(res, bracket=(res.bracket[0] - eta, res.bracket[1] + eta))
 

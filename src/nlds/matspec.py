@@ -13,7 +13,8 @@ runs it on a stack of one, nodal_bounds on the nodal matrices.  A
 dispersal operator enters as a BlockOperator, its nodal field and
 transfer matrices, and is never formed densely: each step eliminates
 the static species node by node and factors only the Schur complement
-on the diffusing block (_static_elimination).
+on the diffusing block (_static_elimination).  gmres solves P z = f by
+products with the blocks.
 
 The largest bound of a stack (max_nodal_bound, the essential bound) is
 screened first: Collatz-Wielandt brackets at the eigenvectors of one
@@ -65,15 +66,16 @@ class BlockOperator:
         return E
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """P x for x (..., l n, k), in O(l^2 n k + l1 n^2 k); a sum of at
-        most n + 2 rounded terms per entry."""
+        """P x for x (..., l n, k) or (l n,), in O(l^2 n k + l1 n^2 k); a
+        sum of at most n + 2 rounded terms per entry."""
         n, l = self.nodal.shape[:2]
+        shape, x = x.shape, x[:, None] if x.ndim == 1 else x
         X = x.reshape(*x.shape[:-2], l, n, x.shape[-1])
         D = self.nodal.transpose(1, 2, 0)[..., None]   # D[i, j]: block (i, j)
         out = (D * X[..., None, :, :, :]).sum(-3)
         for i, K in enumerate(self.transfer):
             out[..., i, :, :] += float(self.d[i]) * (K @ X[..., i, :, :])
-        return out.reshape(x.shape)
+        return out.reshape(shape)
 
     def __abs__(self) -> BlockOperator:
         """The blocks' absolute values: |P| x bounds the terms of P x."""
@@ -285,6 +287,45 @@ def _static_elimination(P: BlockOperator):
         y2 = X @ np.concatenate((y1.reshape(l1, n).T[..., None], ones), 1)
         return np.concatenate((y1, y2[..., 0].T.ravel()))[None]
     return solve
+
+
+def gmres(P: BlockOperator, f: np.ndarray):
+    """(z, b): z = P^{-1} f for P nonsingular and f without zeros, and
+    b >= |f - P z|.  GMRES on D^{-1} P z = D^{-1} f, D = diag P, from
+    z = D^{-1} f (Gram-Schmidt twice, Givens rotations, no restart), until
+    z's residual is within its rounding bound, checked at the start and
+    when the running residual has fallen by the factor that the last
+    check missed by; or the Krylov space is invariant (by step len(f))."""
+    m, k, full, rot, g = len(f), 0, False, [], []
+    D = np.diagonal(P.node_entries(), 0, 1, 2).T.ravel()
+    V, R, z = np.empty((m + 1, m)), np.zeros((m, m)), f / D
+    while True:
+        r, bound = f - P @ z, (m + 2) * EPS * (np.abs(f) + abs(P) @ np.abs(z))
+        excess = np.max(np.abs(r) / bound)
+        if full or excess <= 1:
+            return z, np.abs(r) + bound
+        if k == 0:
+            g.append(float(np.linalg.norm(r / D)))
+            V[0] = r / D / g[0]
+        limit = abs(g[k]) / excess
+        while not full and abs(g[k]) > limit:   # one Arnoldi step
+            w, Vk = P @ V[k] / D, V[:k + 1]
+            t = Vk @ w
+            w -= t @ Vk
+            s = Vk @ w   # and Gram-Schmidt again
+            w -= s @ Vk
+            h, hn = (t + s).tolist(), float(np.sqrt(w @ w))
+            V[k + 1], full = w / (hn or 1.0), not hn or k + 1 == m
+            for j, (a, b) in enumerate(rot):
+                h[j:j + 2] = a * h[j] + b * h[j + 1], a * h[j + 1] - b * h[j]
+            rr = float(np.hypot(h[k], hn))
+            rot.append((a := h[k] / rr, b := hn / rr))
+            R[:k + 1, k], g[k:] = h[:k] + [rr], (a * g[k], -b * g[k])
+            k += 1
+        y = np.zeros(k)
+        for i in reversed(range(k)):   # R y = g, back substitution
+            y[i] = (g[i] - R[i, i + 1:k] @ y[i + 1:]) / R[i, i]
+        z = f / D + y @ V[:k]
 
 
 def _converged_bound(A, tol: float = 1e-12,

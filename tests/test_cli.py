@@ -686,6 +686,22 @@ def test_non_cooperative_force_probe_is_an_input_error(tmp_path):
         "not cooperative: entry (0,1) = -0.5 < 0 at node 0"
 
 
+def test_non_cooperative_force_degenerate_sweep_is_an_input_error(tmp_path):
+    # the sweep checks the nodal field before the threshold classifier,
+    # which would otherwise fail on the ladder and name the wrong cause
+    cfg_dict = json.loads(json.dumps(BASE))
+    cfg_dict["system"]["coefficients"] = [["-1", "-0.5"], ["1", "-1"]]
+    cfg_dict["sweep"] = {"mode": "large-d-degen", "t_schedule": [1.0, 10.0]}
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", cfg, "--out", str(out), "--quiet",
+                "--force"]) == 3
+    error = read_report(out)["error"]
+    assert error["kind"] == "InvalidParametersError"
+    assert error["message"] == \
+        "not cooperative: entry (0,1) = -0.5 < 0 at node 0"
+
+
 def test_diagnose_solves_each_nodal_stack_once(tmp_path, monkeypatch):
     # s_e is the run grid's field.eta: the nodal matrices of each grid are
     # solved once, and the essential bound is not solved again

@@ -14,7 +14,7 @@ from nlds.epidemic import (BoundaryCase, RootCase, VSIParams,
 from nlds.errors import (InvalidParametersError, NonConvergenceError,
                          ResolventDomainError)
 from nlds.grid import build_grid
-from nlds.matspec import metzler_bound
+from nlds.matspec import EPS, BlockOperator, gmres, metzler_bound
 from nlds.opspec import dense_spectrum
 from nlds.reduce import SystemWeights, perron_weight, tilde_B
 from oracles import assemble_epidemic
@@ -295,8 +295,8 @@ def test_r0_step_budget():
 
 
 def test_r0_report_forms_no_next_generation_matrix(monkeypatch):
-    # constant rates: G 1 is flat, so R0 takes one order-n solve and the
-    # n-column solve (-B11)^{-1} diag(r/b) that forms G is not made
+    # constant rates: G 1 is flat, so R0 takes one Krylov solve on the
+    # blocks of B11, and no LU of order n, neither of B11 nor of G, is made
     shapes = []
     real = np.linalg.solve
 
@@ -304,13 +304,39 @@ def test_r0_report_forms_no_next_generation_matrix(monkeypatch):
         shapes.append((np.shape(a), np.shape(b)))
         return real(a, b)
 
+    def dense(op):
+        raise AssertionError(f"dense operator of order {len(op)}")
+
     monkeypatch.setattr(np.linalg, "solve", recording)
+    monkeypatch.setattr(nlds.matspec.BlockOperator, "matrix", property(dense))
     g = build_grid(-1, 1, 40)
     rep = compute_r0_report(make_params(d=2.0), g)
     assert rep.converged
-    assert any(a[-1] >= g.n for a, _ in shapes)
-    assert [(a, b) for a, b in shapes
-            if a[-1] >= g.n and len(b) > 1 and b[-1] > 1] == []
+    assert [a for a, _ in shapes if a[-1] >= g.n] == []
+
+
+def test_r0_solve_cost_does_not_grow_with_n(monkeypatch):
+    # -B11 scaled by its diagonal is the identity plus a compact operator,
+    # so the Krylov solve of the first look needs a number of products
+    # with B11 that does not grow with n; the stop rule's rounding term
+    # grows with n, so the count may fall by a step or two
+    real = nlds.matspec.BlockOperator.__matmul__
+    count = [0]
+
+    def counting(op, x):
+        count[0] += bool(op.transfer)   # products with B11 or |B11|
+        return real(op, x)
+
+    monkeypatch.setattr(nlds.matspec.BlockOperator, "__matmul__", counting)
+    for d in (1.0, 100.0):
+        counts = []
+        for n in (64, 128, 256, 512):
+            sv = sample_params(make_params(d=d), build_grid(-1, 1, n))
+            count[0] = 0
+            assert r0(sv).converged
+            counts.append(count[0])
+        assert max(counts) <= 12
+        assert counts == sorted(counts, reverse=True), counts
 
 
 def test_r0_with_isolated_nodes_matches_the_formed_matrix():
@@ -406,6 +432,22 @@ def test_H_mu_of_random_vsi_models(case):
         scale = (sv.m + sv.r * sv.beta_i * mu * sv.b / den ** 2) * p
         assert abs(q_of_mu(sv, p, mu) - tilde_B0[0, 0]) \
             <= 1e-12 * float(scale @ g.weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(vsi_models())
+def test_gmres_residual_is_within_its_rounding(case):
+    # the first look's solve of -B11 z = r/b stops on the rounding term
+    # of B11 z, |c - A z| <= (n + 2) eps (c + |A| |z|), A = -B11
+    params, g = case
+    sv = sample_params(params, g)
+    B11 = BlockOperator((-sv.m - sv.d * sv.chi)[:, None, None],
+                        (sv.transfer,), (sv.d,))
+    c = sv.r / sv.b
+    z, rho = gmres(B11, -c)
+    r = np.abs(c + B11 @ z)
+    assert np.all(r <= (g.n + 2) * EPS * (c + abs(B11) @ np.abs(z)))
+    assert np.all(r <= rho)
 
 
 def explicit_next_generation(params, g, sv):
