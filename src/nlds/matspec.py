@@ -12,9 +12,10 @@ loop, over a stack (N, m, m) with per-matrix stop rules: metzler_bound
 runs it on a stack of one, nodal_bounds on the nodal matrices.  A
 dispersal operator enters as a BlockOperator, its nodal field and
 transfer matrices, and is never formed densely: each step eliminates
-the static species node by node and factors only the Schur complement
-on the diffusing block (_static_elimination).  gmres solves P z = f by
-products with the blocks.
+the static species node by node and solves only the Schur complement
+on the diffusing block, itself a BlockOperator (_static_elimination):
+by gmres, products with its blocks, from order KRYLOV_MIN_ORDER on, and
+by one dense LU below.
 
 The largest bound of a stack (max_nodal_bound, the essential bound) is
 screened first: Collatz-Wielandt brackets at the eigenvectors of one
@@ -32,7 +33,8 @@ import numpy as np
 from .errors import InvalidParametersError, NonConvergenceError
 
 TOL_ZERO = 1e-13  # entries below this count as structural zeros
-MAX_ITERATIONS = 100  # Noda steps (dense LU solves) per bound
+MAX_ITERATIONS = 100  # Noda steps per bound
+KRYLOV_MIN_ORDER = 256  # Schur complements from this order on go to gmres
 EPS = float(np.finfo(float).eps)
 ETA = float(np.finfo(float).smallest_subnormal)
 
@@ -79,6 +81,10 @@ class BlockOperator:
 
     def __abs__(self) -> BlockOperator:
         """The blocks' absolute values: |P| x bounds the terms of P x."""
+        return self._abs
+
+    @cached_property
+    def _abs(self) -> BlockOperator:
         return BlockOperator(np.abs(self.nodal), tuple(
             K if K.min() >= 0 else np.abs(K) for K in self.transfer),
             tuple(abs(d) for d in self.d))
@@ -118,9 +124,10 @@ def metzler_bound(A, tol: float = 1e-12,
     Non-convergence is flagged.
 
     A is a matrix, solved by one dense LU per step, or a BlockOperator,
-    solved by the block elimination of _static_elimination, whose one
-    LU has order l1 n.  The quotients, the stop rule, the value and the
-    bracket always use the whole A.
+    solved by the block elimination of _static_elimination, whose Schur
+    complement of order l1 n goes to gmres from KRYLOV_MIN_ORDER on.  How
+    a step solves does not enter the evidence: the quotients, the stop
+    rule, the value and the bracket always use the whole A.
     """
     if not isinstance(A, BlockOperator):
         A = np.asarray(A, dtype=float)
@@ -261,13 +268,14 @@ def _static_elimination(P: BlockOperator):
     At each node a, X_a = (hi I - A22(x_a))^{-1} [A21(x_a) | u2_a] comes
     from one batched schur_reduce_stack call on the nodal field A, whose
     result carries A12 X_a.  Then y1 solves the order-(l1 n) Schur
-    complement (hi I - P11 - blockdiag A12 X) y1 = u1 + A12 (hi I -
-    A22)^{-1} u2 by one dense LU, and y2_a = X_a [y1_a; 1].  The Schur
-    complement is written from the blocks (_write_blocks): -d_i K_i on
-    the diagonal blocks, hi I - P - A12 X at the node entries.  No pivoting
-    across the blocks is needed: hi > s(P) makes hi I - P a nonsingular
-    M-matrix, so every nodal pivot block and the Schur complement are
-    nonsingular M-matrices as well.  A singular block raises
+    complement S = hi I - P11 - blockdiag A12 X, with right-hand side
+    u1 + A12 (hi I - A22)^{-1} u2, and y2_a = X_a [y1_a; 1].  S is again
+    a BlockOperator: nodal field hi I - A11 - A12 X, transfer matrices
+    K_i, rates -d_i.  From order KRYLOV_MIN_ORDER on, gmres solves it by
+    products; below, one dense LU of S written from the blocks
+    (_write_blocks).  No pivoting across the blocks is needed: hi > s(P)
+    makes hi I - P a nonsingular M-matrix, so every nodal pivot block and
+    S are nonsingular M-matrices as well.  A singular block raises
     LinAlgError, as the dense solve would.
     """
     n, l1 = P.nodal.shape[0], len(P.transfer)
@@ -275,15 +283,21 @@ def _static_elimination(P: BlockOperator):
     nodal = P.nodal.copy()
     nodal[:, :l1, :l1] = 0.0   # A11 stays in the Schur complement
     minus_p, minus_d = -P.node_entries()[:, :l1, :l1], [-d for d in P.d]
-    schur, eye, ones = np.zeros((k, k)), np.eye(l1), np.ones((n, 1, 1))
+    schur = np.zeros((k, k)) if k < KRYLOV_MIN_ORDER else None
+    eye, ones = np.eye(l1), np.ones((n, 1, 1))
 
     def solve(B, hi, u):   # B = P
         hi, u = float(hi[0]), u[0]
         G, X = schur_reduce_stack(nodal, l1, hi,
                                   rhs=u[k:].reshape(-1, n).T[..., None])
-        _write_blocks(schur, P.transfer, minus_d,
-                      minus_p + hi * eye - G[..., :l1])
-        y1 = np.linalg.solve(schur, u[:k] + G[..., l1].T.ravel())
+        f = u[:k] + G[..., l1].T.ravel()
+        if schur is None:
+            y1 = gmres(BlockOperator(hi * eye - P.nodal[:, :l1, :l1]
+                                     - G[..., :l1], P.transfer, minus_d), f)[0]
+        else:
+            _write_blocks(schur, P.transfer, minus_d,
+                          minus_p + hi * eye - G[..., :l1])
+            y1 = np.linalg.solve(schur, f)
         y2 = X @ np.concatenate((y1.reshape(l1, n).T[..., None], ones), 1)
         return np.concatenate((y1, y2[..., 0].T.ravel()))[None]
     return solve
@@ -295,20 +309,31 @@ def gmres(P: BlockOperator, f: np.ndarray):
     z = D^{-1} f (Gram-Schmidt twice, Givens rotations, no restart), until
     z's residual is within its rounding bound, checked at the start and
     when the running residual has fallen by the factor that the last
-    check missed by; or the Krylov space is invariant (by step len(f))."""
-    m, k, full, rot, g = len(f), 0, False, [], []
+    check missed by; or until a check finds the true residual no closer
+    to that bound than the check before (stagnation), or the Krylov
+    space is invariant (by step len(f)).  V and R grow by doubling.
+    Raises LinAlgError on a zero entry of D, a zero pivot of R or a
+    residual that is not finite: P is singular, or nearly so."""
+    m, k, full, rot, g, last = len(f), 0, False, [], [], np.inf
     D = np.diagonal(P.node_entries(), 0, 1, 2).T.ravel()
-    V, R, z = np.empty((m + 1, m)), np.zeros((m, m)), f / D
+    if not D.all():
+        raise np.linalg.LinAlgError("zero diagonal entry")
+    V, R, z = np.empty((min(m, 16) + 1, m)), np.empty((min(m, 16),) * 2), f / D
     while True:
         r, bound = f - P @ z, (m + 2) * EPS * (np.abs(f) + abs(P) @ np.abs(z))
         excess = np.max(np.abs(r) / bound)
-        if full or excess <= 1:
+        if not np.isfinite(excess):
+            raise np.linalg.LinAlgError("residual is not finite")
+        if full or excess <= 1 or excess >= last:
             return z, np.abs(r) + bound
         if k == 0:
             g.append(float(np.linalg.norm(r / D)))
             V[0] = r / D / g[0]
-        limit = abs(g[k]) / excess
+        limit, last = abs(g[k]) / excess, excess
         while not full and abs(g[k]) > limit:   # one Arnoldi step
+            if k == len(R):   # the buffers are full: double them
+                c = min(k, m - k)
+                V, R = np.concatenate((V, np.empty((c, m)))), np.pad(R, (0, c))
             w, Vk = P @ V[k] / D, V[:k + 1]
             t = Vk @ w
             w -= t @ Vk
@@ -318,7 +343,8 @@ def gmres(P: BlockOperator, f: np.ndarray):
             V[k + 1], full = w / (hn or 1.0), not hn or k + 1 == m
             for j, (a, b) in enumerate(rot):
                 h[j:j + 2] = a * h[j] + b * h[j + 1], a * h[j + 1] - b * h[j]
-            rr = float(np.hypot(h[k], hn))
+            if not (rr := float(np.hypot(h[k], hn))):
+                raise np.linalg.LinAlgError("zero pivot")
             rot.append((a := h[k] / rr, b := hn / rr))
             R[:k + 1, k], g[k:] = h[:k] + [rr], (a * g[k], -b * g[k])
             k += 1

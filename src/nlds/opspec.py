@@ -69,12 +69,13 @@ def spectral_bound(P, tol: float = 1e-10,
     An operator of blocks is never formed densely: its products cost
     O(l^2 n + l1 n^2), and each Noda step eliminates the static species
     node by node, through the nodal resolvents (sigma - A22(x_a))^{-1},
-    and factors only the order-(l1 n) Schur complement sigma I - L_sigma,
-    with L_sigma the reduced operator at sigma (of order l n when every
-    species disperses).  sigma stays above s(P), so sigma I - P is a
+    and solves only the order-(l1 n) Schur complement sigma I - L_sigma,
+    L_sigma the reduced operator at sigma (of order l n when every species
+    disperses): by gmres on its blocks from order KRYLOV_MIN_ORDER on, by
+    one dense LU below.  sigma stays above s(P), so sigma I - P is a
     nonsingular M-matrix and the elimination needs no pivoting across
     blocks.  Raw arrays take one dense LU per step; both give the bracket
-    on the whole matrix.  On an AssembledOperator of n >= 4 COARSE_N
+    on the whole matrix, which holds however the step solved.  On an AssembledOperator of n >= 4 COARSE_N
     cells, Noda starts from the eigenvector of the system on COARSE_N
     cells, interpolated by species, scaled to max 1 and floored at eps;
     from u = 1 if that solve raises or does not converge.  iterations

@@ -9,6 +9,8 @@ from nlds.assembly import load_matrix, pointwise_A
 from nlds.cli import run
 from nlds.errors import (CertificateInconsistencyError, GridConsistencyError,
                          NonConvergenceError, SizeCapError)
+from nlds.matspec import KRYLOV_MIN_ORDER
+from nlds.opspec import COARSE_N
 
 GAUSS = "exp(-(x-y)^2)"
 
@@ -772,8 +774,10 @@ THREE_SPECIES = {"l": 3, "l1": 1, "d": [1.0, 0.0, 0.0], "kernels": [GAUSS],
 @pytest.mark.parametrize("command", ["spectrum", "sweep", "diagnose", "r0"])
 def test_solve_path_forms_no_operator_sized_matrix(tmp_path, monkeypatch,
                                                    command):
-    # the dense form of an operator with static species is never built,
-    # and no LU has more than the l1 n = n rows of the diffusing block
+    # the dense form of an operator with static species is never built.
+    # From l1 n = KRYLOV_MIN_ORDER on, the Schur complement of the
+    # diffusing block is solved by products, so the only LU of order n is
+    # r0's n-column solve; spectrum runs at certify's n = 512
     import nlds.matspec
     real = nlds.matspec.BlockOperator.matrix.func
 
@@ -792,7 +796,7 @@ def test_solve_path_forms_no_operator_sized_matrix(tmp_path, monkeypatch,
 
     monkeypatch.setattr(nlds.matspec.BlockOperator, "matrix", property(dense))
     monkeypatch.setattr(np.linalg, "solve", recording)
-    n = 256   # from 4 COARSE_N cells on, with the coarse-grid start
+    n = 512 if command == "spectrum" else KRYLOV_MIN_ORDER
     cfg_dict = {"domain": BASE["domain"], "grid": {"n": n},
                 "system": THREE_SPECIES,
                 "sweep": {"mode": "large-d-degen", "t_schedule": [1.0, 10.0]}}
@@ -804,4 +808,4 @@ def test_solve_path_forms_no_operator_sized_matrix(tmp_path, monkeypatch,
     cfg = write_config(tmp_path, cfg_dict)
     out = tmp_path / "out"
     assert run([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    assert 0 < max(orders) <= n
+    assert 0 < max(orders) <= (n if command == "r0" else COARSE_N)

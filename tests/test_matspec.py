@@ -10,7 +10,8 @@ from scipy.sparse.csgraph import connected_components
 from nlds.assembly import assemble_operator
 from nlds.errors import InvalidParametersError, NonConvergenceError
 from nlds.grid import build_grid
-from nlds.matspec import (MAX_ITERATIONS, _noda, is_irreducible,
+from nlds.matspec import (MAX_ITERATIONS, BlockOperator, _noda,
+                          _static_elimination, gmres, is_irreducible,
                           max_nodal_bound, metzler_bound, nodal_bounds,
                           perron_bound, schur_reduce_stack)
 from nlds.model import CoefField, DispersalSystem, KernelSpec
@@ -529,3 +530,43 @@ def test_max_nodal_bound_refines_every_node_without_eig(
     del metzler_bound_orders[:]
     assert max_nodal_bound(stack) == expected
     assert metzler_bound_orders == [3] * 6
+
+
+# --- gmres: every call ends ----------------------------------------------
+
+def test_gmres_raises_on_a_zero_diagonal_entry():
+    # D = diag P is singular, so the preconditioned system is undefined;
+    # with z = D^{-1} f not finite, no residual test could ever hold
+    x = build_grid(-1, 1, 300).points
+    nodal = np.ones((300, 1, 1))
+    nodal[7] = 0.0
+    K = np.exp(-(x[:, None] - x[None]) ** 2) / 150
+    with pytest.raises(np.linalg.LinAlgError):
+        gmres(BlockOperator(nodal, (K,), (0.0,)), np.ones(300))
+
+
+def test_nearly_singular_schur_complement_takes_few_products(monkeypatch):
+    # a Noda step at 1e-6 above s on the width-0.1 Gaussian kernel: the
+    # true residual of the Schur complement's solve stalls about ten times
+    # above its rounding bound while the running one falls to underflow,
+    # so only the stagnation stop ends the solve
+    sys = DispersalSystem(
+        l=2, l1=1, d=(1.0, 0.0),
+        kernels=(KernelSpec.from_text("exp(-((x-y)/0.1)^2)"),),
+        coefficients=CoefField.from_text([["-1 - 0.2*x^2", "1"],
+                                          ["1", "-1"]]),
+        domain=(-1.0, 1.0))
+    P = assemble_operator(sys, build_grid(-1, 1, 256))
+    s = float(np.linalg.eigvalsh(P.matrix)[-1])   # P is symmetric
+    real, count = BlockOperator.__matmul__, [0]
+
+    def counting(op, x):
+        count[0] += 1
+        assert count[0] <= 100, "gmres does not stop"
+        return real(op, x)
+
+    monkeypatch.setattr(BlockOperator, "__matmul__", counting)
+    hi = np.array([s + 1e-6 * (1 + abs(s))])
+    y = _static_elimination(P)(P, hi, np.ones((1, len(P))))[0]
+    assert count[0] <= 50
+    assert np.all(np.isfinite(y)) and y.min() > 0.0

@@ -9,7 +9,7 @@ from nlds.assembly import assemble_operator, pointwise_A, sample_fields
 from nlds.cli import dumps_report
 from nlds.errors import InvalidParametersError, SizeCapError
 from nlds.grid import build_grid
-from nlds.matspec import _static_elimination, metzler_bound
+from nlds.matspec import KRYLOV_MIN_ORDER, _static_elimination, metzler_bound
 from nlds.model import CoefField, DispersalSystem, KernelSpec
 from nlds.opspec import (COARSE_N, Exists, NoCertificate,
                          compute_spectral_report, dense_spectrum,
@@ -271,6 +271,34 @@ def test_fully_diffusing_steps_factor_the_whole_operator(monkeypatch):
     orders = recorded_solve_orders(monkeypatch)
     assert spectral_bound(P).converged
     assert set(orders) == {len(P)}
+
+
+@pytest.mark.parametrize("l1,lu", [(1, {128}), (2, set())])
+def test_schur_complements_from_the_krylov_order_on_take_no_lu(
+        monkeypatch, l1, lu):
+    # at n = 128 the Schur complement has order l1 n: 128 keeps its LU,
+    # KRYLOV_MIN_ORDER = 256 is solved by gmres on its blocks
+    sys = make_system(THREE, d=[1.0] * l1 + [0.0] * (3 - l1), l1=l1,
+                      kernels=[GAUSS] * l1)
+    P = assemble_operator(sys, build_grid(-1, 1, KRYLOV_MIN_ORDER // 2))
+    orders = recorded_solve_orders(monkeypatch)
+    r = spectral_bound(P, tol=1e-13)
+    assert r.converged and set(orders) == lu
+    dense = spectral_bound(P.matrix, tol=1e-13)
+    assert r.iterations == dense.iterations
+    assert r.bracket[0] <= dense.value <= r.bracket[1]
+    assert dense.bracket[0] <= r.value <= dense.bracket[1]
+
+
+@pytest.mark.parametrize("n", [KRYLOV_MIN_ORDER - 1, KRYLOV_MIN_ORDER + 1])
+def test_exactly_singular_step_returns_its_shift(n):
+    # without dispersal, hi = max A 1 = 0 is s, and hi I - A is singular
+    # at the node x = 0: the LU and gmres both raise, and Noda returns hi
+    sys = make_system([["-1 - x^2", "1"], ["1", "-1"]], d=(0.0, 0.0), l1=1,
+                      kernels=[GAUSS])
+    P = assemble_operator(sys, build_grid(-1, 1, n), force=True)
+    r = metzler_bound(P, tol=1e-13)
+    assert (r.value, r.converged, r.iterations) == (0.0, True, 1)
 
 
 def rightmost_with_error(M):
