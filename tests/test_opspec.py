@@ -273,7 +273,8 @@ def test_fully_diffusing_steps_factor_the_whole_operator(monkeypatch):
     assert set(orders) == {len(P)}
 
 
-@pytest.mark.parametrize("l1,lu", [(1, {128}), (2, set())])
+@pytest.mark.parametrize("l1,lu", [(1, {128}), (2, set())],
+                         ids=["order_128", "order_256"])
 def test_schur_complements_from_the_krylov_order_on_take_no_lu(
         monkeypatch, l1, lu):
     # at n = 128 the Schur complement has order l1 n: 128 keeps its LU,
