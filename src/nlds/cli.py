@@ -3,14 +3,15 @@ persistence.
 
 One JSON config describes the domain, grid, system, solver knobs, and
 per-command sections; expression-valued fields are strings in the small
-arithmetic language.  Each run writes <out>/report.json plus CSV
-sidecars for tabular results.  This module is the one place that
-decides both formats: a result object goes into the report as it is and
-is written as the dict of its fields, so a report key is a field name.
-All decimals carry 17 significant digits, and repeated runs with the
-same config, seed and BLAS thread count are byte-identical (timings
-excepted, which live under a separate key); a different thread count
-can move the last digit of a solve.
+arithmetic language.  The schema table _SCHEMA states the format, and
+the module's own checker, _schema_errors, holds a config to it.  Each
+run writes <out>/report.json plus CSV sidecars for tabular results.
+This module is the one place that decides both formats: a result object
+goes into the report as it is and is written as the dict of its fields,
+so a report key is a field name.  All decimals carry 17 significant
+digits, and repeated runs with the same config, seed and BLAS thread
+count are byte-identical (timings excepted, which live under a separate
+key); a different thread count can move the last digit of a solve.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical failure
 (solver non-convergence, inconsistent certificate or grid consistency),
@@ -27,7 +28,6 @@ import time
 from enum import Enum
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -133,8 +133,48 @@ _SCHEMA = {
         "seed": {"type": "integer"},
     },
 }
-# built once; jsonschema.validate re-checks _SCHEMA on every call
-_VALIDATOR = jsonschema.validators.validator_for(_SCHEMA)(_SCHEMA)
+
+
+def _is(v, json_type: str) -> bool:
+    return not isinstance(v, bool) and isinstance(v, {
+        "object": dict, "array": list, "string": str, "null": type(None),
+        "integer": int, "number": (int, float)}[json_type])
+
+
+def _schema_errors(v, schema: dict, path: tuple = ()):
+    """Yield (path, message) for each way v breaks schema, in jsonschema's
+    words; keywords: type, enum, minimum, exclusiveMinimum, minItems,
+    maxItems, items, properties, required, additionalProperties: false.
+    An integer is an int (not 64.0), and a bool is no number."""
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_is(v, t) for t in types):
+        yield path, f"{v!r} is not of type {', '.join(map(repr, types))}"
+    if v not in schema.get("enum", [v]):
+        yield path, f"{v!r} is not one of {schema['enum']!r}"
+    if _is(v, "number"):
+        for key, eq in ("minimum", ""), ("exclusiveMinimum", "or equal to "):
+            if v < schema.get(key, v) or eq and v == schema.get(key):
+                yield path, f"{v!r} is less than {eq}the minimum of {schema[key]!r}"
+    elif isinstance(v, list):
+        if len(v) < schema.get("minItems", 0):
+            short = ("is too short", "should be non-empty")[schema["minItems"] == 1]
+            yield path, f"{v!r} {short}"
+        if len(v) > schema.get("maxItems", len(v)):
+            yield path, f"{v!r} is too long"
+        for i, item in enumerate(v if "items" in schema else ()):
+            yield from _schema_errors(item, schema["items"], path + (i,))
+    elif isinstance(v, dict):
+        extra = sorted(set(v) - set(schema.get("properties", ())))
+        if extra and schema.get("additionalProperties") is False:
+            yield path, ("Additional properties are not allowed ("
+                         f"{', '.join(map(repr, extra))} "
+                         f"{'was' if len(extra) == 1 else 'were'} unexpected)")
+        yield from ((path, f"{k!r} is a required property")
+                    for k in schema.get("required", ()) if k not in v)
+        for k, sub in schema.get("properties", {}).items():
+            if k in v:
+                yield from _schema_errors(v[k], sub, path + (k,))
 
 
 # --- deterministic JSON and CSV with 17-significant-digit decimals -------
@@ -207,6 +247,7 @@ def write_csv(path, header, rows) -> None:
 # --- config handling ------------------------------------------------------
 
 def load_config(path: str) -> dict:
+    """The config at path, checked against _SCHEMA by _schema_errors."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -214,10 +255,12 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
-    e = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+    # of several errors the shallowest, and among those the largest path
+    e = max(_schema_errors(cfg, _SCHEMA), default=None,
+            key=lambda e: (-len(e[0]), e[0]))
     if e is not None:
-        path_str = "/".join(str(p) for p in e.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path_str}: {e.message}")
+        path_str = "/".join(map(str, e[0])) or "<root>"
+        raise ConfigError(f"config invalid at {path_str}: {e[1]}")
     return cfg
 
 

@@ -291,9 +291,10 @@ def _static_elimination(P: BlockOperator):
         G, X = schur_reduce_stack(nodal, l1, hi,
                                   rhs=u[k:].reshape(-1, n).T[..., None])
         f = u[:k] + G[..., l1].T.ravel()
-        if schur is None:
-            y1 = gmres(BlockOperator(hi * eye - P.nodal[:, :l1, :l1]
-                                     - G[..., :l1], P.transfer, minus_d), f)[0]
+        if schur is None:   # |S| takes the |K_i| cached on |P|
+            S = hi * eye - P.nodal[:, :l1, :l1] - G[..., :l1]   # nodal field
+            y1 = gmres(BlockOperator(S, P.transfer, minus_d), f, BlockOperator(
+                np.abs(S), abs(P).transfer, abs(P).d))[0]
         else:
             _write_blocks(schur, P.transfer, minus_d,
                           minus_p + hi * eye - G[..., :l1])
@@ -303,7 +304,7 @@ def _static_elimination(P: BlockOperator):
     return solve
 
 
-def gmres(P: BlockOperator, f: np.ndarray):
+def gmres(P: BlockOperator, f: np.ndarray, abs_P: BlockOperator = None):
     """(z, b): z = P^{-1} f for P nonsingular and f without zeros, and
     b >= |f - P z|.  GMRES on D^{-1} P z = D^{-1} f, D = diag P, from
     z = D^{-1} f (Gram-Schmidt twice, Givens rotations, no restart), until
@@ -319,8 +320,9 @@ def gmres(P: BlockOperator, f: np.ndarray):
     if not D.all():
         raise np.linalg.LinAlgError("zero diagonal entry")
     V, R, z = np.empty((min(m, 16) + 1, m)), np.empty((min(m, 16),) * 2), f / D
+    abs_P = abs(P) if abs_P is None else abs_P   # |P|, for the bound
     while True:
-        r, bound = f - P @ z, (m + 2) * EPS * (np.abs(f) + abs(P) @ np.abs(z))
+        r, bound = f - P @ z, (m + 2) * EPS * (np.abs(f) + abs_P @ np.abs(z))
         excess = np.max(np.abs(r) / bound)
         if not np.isfinite(excess):
             raise np.linalg.LinAlgError("residual is not finite")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -482,10 +486,175 @@ def test_refused_run_names_the_validation_gate(tmp_path):
     assert "spectral" not in rep
 
 
-def test_config_schema_is_valid():
-    # load_config uses a validator built once at import and no longer
-    # checks the schema itself on every call
-    cli._VALIDATOR.check_schema(cli._SCHEMA)
+DROP = object()
+
+
+def changed(**edits):
+    """BASE with edits: a key path joined by "__" -> its new value, or
+    DROP to delete it."""
+    cfg = json.loads(json.dumps(BASE))
+    for path, value in edits.items():
+        *head, last = path.split("__")
+        node = cfg
+        for k in head:
+            node = node.setdefault(k, {})
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
+    return cfg
+
+
+# (id, config, "path: message") of invalid configs.  Each exits 3 with
+# the message that jsonschema's Draft 2020-12 validator and best_match
+# gave for it, recorded before cli's own checker replaced them.
+INVALID_CONFIGS = [
+    ("root_array", [],
+     "<root>: [] is not of type 'object'"),
+    ("root_number", 3,
+     "<root>: 3 is not of type 'object'"),
+    ("root_null", None,
+     "<root>: None is not of type 'object'"),
+    ("root_extra", changed(output={"directory": "x"}),
+     "<root>: Additional properties are not allowed ('output' was unexpected)"),
+    ("root_two_extras", changed(zeta=1, alpha=2),
+     "<root>: Additional properties are not allowed ('alpha', 'zeta' were unexpected)"),
+    ("grid_not_object", changed(grid=[40]),
+     "grid: [40] is not of type 'object'"),
+    ("n_missing", changed(grid__n=DROP),
+     "grid: 'n' is a required property"),
+    ("n_zero", changed(grid__n=0),
+     "grid/n: 0 is less than the minimum of 1"),
+    ("n_fraction", changed(grid__n=2.5),
+     "grid/n: 2.5 is not of type 'integer'"),
+    ("n_fraction_below_minimum", changed(grid__n=0.5),
+     "grid/n: 0.5 is not of type 'integer'"),
+    ("n_string", changed(grid__n="40"),
+     "grid/n: '40' is not of type 'integer'"),
+    ("n_bool", changed(grid__n=True),
+     "grid/n: True is not of type 'integer'"),
+    ("extra_before_missing", changed(grid={"cells": 10}),
+     "grid: Additional properties are not allowed ('cells' was unexpected)"),
+    ("refinements_empty", changed(grid__refinements=[]),
+     "grid/refinements: [] should be non-empty"),
+    ("refinements_item", changed(grid__refinements=[8, 0]),
+     "grid/refinements/1: 0 is less than the minimum of 1"),
+    ("refinements_two_items", changed(grid__refinements=[0, -1]),
+     "grid/refinements/1: -1 is less than the minimum of 1"),
+    ("domain_empty", changed(domain={}),
+     "domain: 'a' is a required property"),
+    ("domain_a_string", changed(domain__a="x"),
+     "domain/a: 'x' is not of type 'number'"),
+    ("domain_a_bool", changed(domain__a=False),
+     "domain/a: False is not of type 'number'"),
+    ("system_missing_two", changed(system__kernels=DROP, system__l=DROP),
+     "system: 'l' is a required property"),
+    ("d_item", changed(system__d=[1.0, "0"]),
+     "system/d/1: '0' is not of type 'number'"),
+    ("kernels_string", changed(system__kernels=GAUSS),
+     "system/kernels: 'exp(-(x-y)^2)' is not of type 'array'"),
+    ("coefficient_entry", changed(system__coefficients=[["1", 2], ["1", "-1"]]),
+     "system/coefficients/0/1: 2 is not of type 'string'"),
+    ("coefficient_two_rows", changed(system__coefficients=[["1", 2], [3, "x"]]),
+     "system/coefficients/1/0: 3 is not of type 'string'"),
+    ("coefficient_row", changed(system__coefficients=["1", ["1", "-1"]]),
+     "system/coefficients/0: '1' is not of type 'array'"),
+    ("tol_zero", changed(solver={"tol": 0}),
+     "solver/tol: 0 is less than or equal to the minimum of 0"),
+    ("tol_negative", changed(solver={"tol": -1e-3}),
+     "solver/tol: -0.001 is less than or equal to the minimum of 0"),
+    ("gap_tol_string", changed(solver={"gap_tol": "x"}),
+     "solver/gap_tol: 'x' is not of type 'number', 'null'"),
+    ("max_iterations_zero", changed(solver={"max_iterations": 0}),
+     "solver/max_iterations: 0 is less than the minimum of 1"),
+    ("solver_extra", changed(solver={"toll": 1e-8}),
+     "solver: Additional properties are not allowed ('toll' was unexpected)"),
+    ("sweep_mode", changed(sweep={"mode": "bogus", "t_schedule": [1.0]}),
+     "sweep/mode: 'bogus' is not one of ['small-d', 'large-d-nondegen', 'large-d-degen']"),
+    ("sweep_mode_number", changed(sweep={"mode": 3, "t_schedule": [1.0]}),
+     "sweep/mode: 3 is not one of ['small-d', 'large-d-nondegen', 'large-d-degen']"),
+    ("sweep_missing_schedule", changed(sweep={"mode": "small-d"}),
+     "sweep: 't_schedule' is a required property"),
+    ("sweep_empty_schedule", changed(sweep={"mode": "small-d", "t_schedule": []}),
+     "sweep/t_schedule: [] should be non-empty"),
+    ("region_short", changed(diagnose={"region": [0.0]}),
+     "diagnose/region: [0.0] is too short"),
+    ("region_long", changed(diagnose={"region": [0.0, 0.5, 1.0]}),
+     "diagnose/region: [0.0, 0.5, 1.0] is too long"),
+    ("draws_zero", changed(probe={"draws": 0}),
+     "probe/draws: 0 is less than the minimum of 1"),
+    ("diagonal_shift_string", changed(probe={"diagonal_shift": "0.1"}),
+     "probe/diagonal_shift: '0.1' is not of type 'number', 'null'"),
+    ("delta_schedule_item", changed(probe={"delta_schedule": [1e-2, None]}),
+     "probe/delta_schedule/1: None is not of type 'number'"),
+    ("epidemic_empty", changed(epidemic={}),
+     "epidemic: 'kernel' is a required property"),
+    ("epidemic_d_string", changed(epidemic={"kernel": GAUSS, "d": "1", "r": "1", "m": "1", "b": "1", "beta_d": "1", "beta_i": "1"}),
+     "epidemic/d: '1' is not of type 'number'"),
+    ("seed_string", changed(seed="1"),
+     "seed: '1' is not of type 'integer'"),
+    ("siblings_across_sections", changed(grid__n=0, system__l=0),
+     "system/l: 0 is less than the minimum of 1"),
+    ("shallow_beats_deep", changed(grid__n=0, extra=1),
+     "<root>: Additional properties are not allowed ('extra' was unexpected)"),
+    ("section_beats_its_keys", changed(system__l=0, system__extra=1),
+     "system: Additional properties are not allowed ('extra' was unexpected)"),
+    ("siblings_in_one_section", changed(system__l=0, system__l1=0),
+     "system/l1: 0 is less than the minimum of 1"),
+]
+
+
+@pytest.mark.parametrize("cfg, message", [c[1:] for c in INVALID_CONFIGS],
+                         ids=[c[0] for c in INVALID_CONFIGS])
+def test_invalid_config_exit_code_and_message(tmp_path, cfg, message):
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert run(["validate", "--config", path, "--out", str(out),
+                "--quiet"]) == 3
+    assert read_report(out)["error"] == {
+        "kind": "config", "message": f"config invalid at {message}"}
+
+
+def test_schema_uses_only_the_checked_keywords():
+    keywords = {"type", "enum", "minimum", "exclusiveMinimum", "minItems",
+                "maxItems", "items", "properties", "required",
+                "additionalProperties"}
+
+    def walk(schema):
+        assert set(schema) <= keywords
+        assert schema.get("additionalProperties", False) is False
+        subs = list(schema.get("properties", {}).values())
+        for sub in subs + ([schema["items"]] if "items" in schema else []):
+            walk(sub)
+    walk(cli._SCHEMA)
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("spectrum", changed(grid__n=64.0),
+     "grid/n: 64.0 is not of type 'integer'"),
+    ("probe", changed(seed=2.0), "seed: 2.0 is not of type 'integer'"),
+    ("probe", changed(probe={"draws": 2.0}),
+     "probe/draws: 2.0 is not of type 'integer'"),
+], ids=["n", "seed", "draws"])
+def test_integral_float_in_an_integer_field_is_a_config_error(
+        tmp_path, command, cfg, message):
+    # json.load gives 64.0 as a float, which the commands cannot use as
+    # a count or a seed; it is an input error, not a crash
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert run([command, "--config", path, "--out", str(out),
+                "--quiet"]) == 3
+    assert read_report(out)["error"]["message"] == (
+        f"config invalid at {message}")
+
+
+def test_importing_the_cli_loads_no_jsonschema():
+    code = ("import sys, nlds.cli; "
+            "sys.exit('jsonschema' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert done.returncode == 0
 
 
 def test_output_section_is_rejected(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
+from nlds import matspec
 from nlds.assembly import assemble_operator
 from nlds.errors import InvalidParametersError, NonConvergenceError
 from nlds.grid import build_grid
@@ -570,3 +571,32 @@ def test_nearly_singular_schur_complement_takes_few_products(monkeypatch):
     y = _static_elimination(P)(P, hi, np.ones((1, len(P))))[0]
     assert count[0] <= 50
     assert np.all(np.isfinite(y)) and y.min() > 0.0
+
+
+def test_schur_steps_share_the_absolute_transfer_matrices(monkeypatch):
+    # |S| of each Noda step takes |K| from |P|, which is computed once:
+    # K has a negative diagonal, so |K| is a new array, and a step that
+    # built its own would scan K again and hold a different array
+    n = matspec.KRYLOV_MIN_ORDER
+    x = build_grid(-1, 1, n).points
+    K = np.exp(-(x[:, None] - x[None]) ** 2) / n
+    K[np.diag_indices(n)] -= 1.0
+    nodal = np.empty((n, 2, 2))
+    nodal[:] = [[0.0, 1.0], [1.0, -1.0]]
+    nodal[:, 0, 0] = -1.0 - 0.2 * x ** 2
+    P = BlockOperator(nodal, (K,), (1.0, 0.0))
+    real, used = matspec.gmres, []
+
+    def recording(S, f, abs_S=None):
+        used.append((S, abs(S) if abs_S is None else abs_S))
+        return real(S, f, abs_S)
+
+    monkeypatch.setattr(matspec, "gmres", recording)
+    r = metzler_bound(P)
+    assert r.converged and len(used) >= 2
+    abs_K = abs(P).transfer[0]
+    assert abs_K is not K and np.array_equal(abs_K, np.abs(K))
+    for S, abs_S in used:
+        assert abs_S.transfer[0] is abs_K
+        assert np.array_equal(abs_S.nodal, np.abs(S.nodal))
+        assert abs_S.d == tuple(abs(d) for d in S.d)
