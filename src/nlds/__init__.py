@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .grid import Grid, build_grid
 from .model import (CoefField, DispersalSystem, KernelSpec, Mode,
                     ValidationReport, validate)
-from .assembly import AssembledOperator, assemble_operator, pointwise_A
+from .assembly import assemble_operator, pointwise_A
 from .matspec import is_irreducible, perron_bound
 from .opspec import (SpectralReport, compute_spectral_report, dense_spectrum,
                      essential_bound, principal_certificate, spectral_bound)
@@ -30,7 +30,7 @@ __all__ = [
     "Grid", "build_grid",
     "CoefField", "DispersalSystem", "KernelSpec", "Mode",
     "ValidationReport", "validate",
-    "AssembledOperator", "assemble_operator", "pointwise_A",
+    "assemble_operator", "pointwise_A",
     "is_irreducible", "perron_bound",
     "SpectralReport", "compute_spectral_report", "dense_spectrum",
     "essential_bound", "principal_certificate", "spectral_bound",

@@ -19,7 +19,8 @@ import numpy as np
 
 from .assembly import (SampledFields, assemble_operator, kernel_quadrature,
                        pointwise_A)
-from .errors import InvalidParametersError, ResolventDomainError
+from .errors import (InvalidParametersError, NonConvergenceError,
+                     ResolventDomainError)
 from .grid import Grid, build_grid
 from .matspec import (MAX_ITERATIONS, BlockOperator, _converged_bound,
                       _cooperative, max_nodal_bound, nodal_bounds,
@@ -193,12 +194,18 @@ def assemble_reduced_operator(sys: DispersalSystem, fields: SampledFields,
 
 
 def generalized_eigen_residual(sys: DispersalSystem, fields: SampledFields,
-                               lam: float, tol: float = 1e-10) -> float:
+                               lam: float, tol: float = 1e-10,
+                               max_iterations: int = MAX_ITERATIONS) -> float:
     """s(T_lam) - lam for the reduced operator T_lam of the samples
     fields: zero exactly when lam solves the reduced generalized
-    eigenproblem, which certified spectral bounds do."""
-    T = assemble_reduced_operator(sys, fields, lam)
-    return spectral_bound(T, tol=tol).value - lam
+    eigenproblem, which certified spectral bounds do; NonConvergenceError
+    when s(T_lam) takes more than max_iterations Noda steps."""
+    r = spectral_bound(assemble_reduced_operator(sys, fields, lam), tol=tol,
+                       max_iterations=max_iterations)
+    if not r.converged:
+        raise NonConvergenceError("reduced spectral bound did not converge",
+                                  r.value, r.residual)
+    return r.value - lam
 
 
 # --- diffusion sweeps -----------------------------------------------------

@@ -13,9 +13,9 @@ sample_fields is the one sampler of a dispersal system: validation,
 assembly, the reduced quantities and the analyses all read its samples.
 
 The operator is kept as its blocks, the nodal field and the transfer
-matrices (a matspec.BlockOperator), and the spectral routines solve on
-those.  Its dense matrix is formed only on demand, for the oracle and
-the tests, and stays the ground truth in disputes.
+matrices (a matspec.BlockOperator); the spectral routines solve on those,
+opspec's coarse start included.  Its dense matrix is formed on demand, for
+the oracle and the tests, and stays the ground truth in disputes.
 """
 
 from __future__ import annotations
@@ -63,37 +63,24 @@ def sample_fields(sys: DispersalSystem, grid: Grid) -> SampledFields:
                          chi=tuple(chi for _, chi in quads))
 
 
-@dataclass(frozen=True)
-class AssembledOperator(BlockOperator):
-    """Discretization of the dispersal operator of order l n, as its
-    blocks: nodal (n, l, l) holds A(x_a) = M(x_a) - diag(d_i chi_i(x_a),
-    i diffusing), as pointwise_A gives it, and transfer the K_i of the
-    diffusing species, scaled by d = system.d.  The largest nodal
-    spectral bound is the essential spectral bound of the operator."""
-
-    grid: Grid
-    system: DispersalSystem
-
-
 def assemble_operator(sys: DispersalSystem, grid: Grid, force: bool = False,
-                      fields: SampledFields | None = None) -> AssembledOperator:
+                      fields: SampledFields | None = None) -> BlockOperator:
     """The operator of fields, the samples of sys on grid (sampled here
-    when None), behind the validation of those samples unless
-    force=True."""
+    when None), behind the validation of those samples unless force=True:
+    nodal field pointwise_A, the K_i of the diffusing species, rates
+    sys.d.  Its largest nodal bound is its essential spectral bound."""
     if fields is None:
         fields = sample_fields(sys, grid)
     if not force:
         report = validate(sys, fields)
         if not report.passed:
             raise ValidationGateError(report)
-    return AssembledOperator(nodal=pointwise_A(sys, fields),
-                             transfer=fields.transfer, d=sys.d, grid=grid,
-                             system=sys)
+    return BlockOperator(pointwise_A(sys, fields), fields.transfer, sys.d)
 
 
 def pointwise_A(sys: DispersalSystem, fields: SampledFields) -> np.ndarray:
     """Nodal matrices A(x_a) = M(x_a) - diag(d_i chi_i(x_a), i diffusing)
-    of fields as an (n, l, l) stack; AssembledOperator.nodal."""
+    of fields as an (n, l, l) stack: the nodal field of the operator."""
     A = fields.M.copy()
     for i in range(sys.l1):
         A[:, i, i] -= float(sys.d[i]) * fields.chi[i]

@@ -138,14 +138,15 @@ _SCHEMA = {
 def _is(v, json_type: str) -> bool:
     return not isinstance(v, bool) and isinstance(v, {
         "object": dict, "array": list, "string": str, "null": type(None),
-        "integer": int, "number": (int, float)}[json_type])
+        "integer": int, "number": (int, float)}[json_type]) and (
+            not isinstance(v, float) or np.isfinite(v))   # not NaN, inf
 
 
 def _schema_errors(v, schema: dict, path: tuple = ()):
     """Yield (path, message) for each way v breaks schema, in jsonschema's
     words; keywords: type, enum, minimum, exclusiveMinimum, minItems,
     maxItems, items, properties, required, additionalProperties: false.
-    An integer is an int (not 64.0), and a bool is no number."""
+    An integer is an int (not 64.0); a number is finite and not a bool."""
     types = schema.get("type", [])
     types = [types] if isinstance(types, str) else types
     if types and not any(_is(v, t) for t in types):
@@ -380,8 +381,9 @@ def cmd_diagnose(cfg, args, report, outdir) -> int:
     }
     if (system.l1 < system.l and sr.gap > 0
             and isinstance(sr.certificate, Exists)):
-        resid = generalized_eigen_residual(system, fields, sr.s,
-                                           tol=opts["tol"])
+        resid = generalized_eigen_residual(
+            system, fields, sr.s, tol=opts["tol"],
+            max_iterations=opts["max_iterations"])
         report["diagnose"]["generalized_eigen_residual"] = resid
     return EXIT_OK if sr.converged else EXIT_NONCONVERGENCE
 

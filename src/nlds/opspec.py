@@ -1,17 +1,18 @@
-"""Spectral routines for the assembled operator: spectral bound,
-essential spectral bound, principal-eigenpair certification and a
-dense eigensolver oracle.
+"""Spectral routines for an operator kept as its blocks (BlockOperator):
+spectral bound, essential spectral bound, principal-eigenpair
+certification and a dense eigensolver oracle.
 
 The Noda path (spectral_bound, bracketed by Collatz-Wielandt bounds, on
 the operator's blocks) and the dense oracle (dense_spectrum, LAPACK's QR
 eigensolver on the dense matrix) are kept independent; the oracle is the
-source of truth in disputes.  From n = 4 COARSE_N cells on, Noda starts
-from the eigenvector on COARSE_N cells (u = 1 if that fails); the
-evidence is the fine bracket.  Existence of a principal eigenpair is
-certified from a spectral gap, with the eigenvector of the same single
-solve: when s - s_e exceeds the gap tolerance the rightmost eigenvalue
-is isolated and carries a strictly positive eigenvector; without a gap
-the routine abstains.  The essential bound is the largest nodal bound.
+source of truth in disputes.  From n = 4 COARSE_N nodes on, Noda starts
+from the eigenvector on COARSE_N cells, built from the operator's blocks
+(u = 1 if that fails); the evidence is the fine bracket.  Existence of a
+principal eigenpair is certified from a spectral gap, with the
+eigenvector of the same single solve: when s - s_e exceeds the gap
+tolerance the rightmost eigenvalue is isolated and carries a strictly
+positive eigenvector; without a gap the routine abstains.  The essential
+bound is the largest nodal bound.
 """
 
 from __future__ import annotations
@@ -20,14 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import AssembledOperator, assemble_operator
-from .errors import CertificateInconsistencyError, NldsError, SizeCapError
-from .grid import build_grid
+from .errors import CertificateInconsistencyError, SizeCapError
 from .matspec import (EPS, MAX_ITERATIONS, BlockOperator, PerronResult,
                       max_nodal_bound, metzler_bound)
 
 DENSE_SIZE_CAP = 600
-COARSE_N = 64   # cells of the grid whose eigenvector starts a fine solve
+COARSE_N = 64   # cells of the operator whose eigenvector starts a fine solve
 
 
 @dataclass(frozen=True)
@@ -64,42 +63,49 @@ class SpectralReport:
 def spectral_bound(P, tol: float = 1e-10,
                    max_iterations: int = MAX_ITERATIONS) -> PerronResult:
     """Rightmost eigenvalue of the flattened Metzler matrix by Noda
-    iteration; non-convergence is flagged, not raised.
+    iteration (metzler_bound); non-convergence is flagged, not raised.
+    A BlockOperator is never formed densely: each Noda step eliminates
+    the static species node by node and solves the order-(l1 n) Schur
+    complement on the blocks (matspec._static_elimination); raw arrays
+    take one dense LU per step.  The bracket is on the whole matrix, so
+    it holds however the step solved.
 
-    An operator of blocks is never formed densely: its products cost
-    O(l^2 n + l1 n^2), and each Noda step eliminates the static species
-    node by node, through the nodal resolvents (sigma - A22(x_a))^{-1},
-    and solves only the order-(l1 n) Schur complement sigma I - L_sigma,
-    L_sigma the reduced operator at sigma (of order l n when every species
-    disperses): by gmres on its blocks from order KRYLOV_MIN_ORDER on, by
-    one dense LU below.  sigma stays above s(P), so sigma I - P is a
-    nonsingular M-matrix and the elimination needs no pivoting across
-    blocks.  Raw arrays take one dense LU per step; both give the bracket
-    on the whole matrix, which holds however the step solved.  On an AssembledOperator of n >= 4 COARSE_N
-    cells, Noda starts from the eigenvector of the system on COARSE_N
-    cells, interpolated by species, scaled to max 1 and floored at eps;
-    from u = 1 if that solve raises or does not converge.  iterations
-    counts the fine steps.
+    From n = 4 COARSE_N nodes on, Noda starts from P on COARSE_N cells:
+    P's blocks linearly interpolated at the cell midpoints (K_i along both
+    indices, times n / COARSE_N), with the row sums the K_i lose put back
+    on the nodal diagonal, so that a constant eigenvector stays exact.
+    Its eigenvector, interpolated back by species, scaled to max 1 and
+    floored at eps, is the start (u = 1 if that solve does not converge).
+    iterations counts the fine steps.
     """
-    start = None
-    if isinstance(P, AssembledOperator) and P.grid.n >= 4 * COARSE_N:
-        g, cg = P.grid, build_grid(P.grid.a, P.grid.b, COARSE_N)
-        try:
-            r = metzler_bound(assemble_operator(P.system, cg, force=True),
-                              tol=tol, max_iterations=max_iterations)
-            u = np.concatenate([np.interp(g.points, cg.points, w)
+    start, n = None, len(P.nodal) if isinstance(P, BlockOperator) else 0
+    if n >= 4 * COARSE_N:
+        at = (np.arange(COARSE_N) + 0.5) * (n / COARSE_N) - 0.5   # node units
+        nodal, transfer = _interp(P.nodal, at), []
+        for i, K in enumerate(P.transfer):
+            rows = _interp(K, at)   # K_i's rows at the coarse nodes
+            transfer.append(_interp(rows.T, at).T * (n / COARSE_N))
+            nodal[:, i, i] += P.d[i] * (rows.sum(1) - transfer[i].sum(1))
+        r = metzler_bound(BlockOperator(nodal, tuple(transfer), P.d),
+                          tol=tol, max_iterations=max_iterations)
+        if r.converged:
+            u = np.concatenate([np.interp(np.arange(n), at, w)
                                 for w in r.vector.reshape(-1, COARSE_N)])
-            start = np.fmax(u / u.max(), EPS) if r.converged else None
-        except (NldsError, np.linalg.LinAlgError):
-            pass   # start from u = 1
+            start = np.fmax(u / u.max(), EPS)
     return metzler_bound(P, tol=tol, max_iterations=max_iterations,
                          start=start)
 
 
+def _interp(x: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """x (n, ...) at the fractional indices at in [0, n - 1), along axis 0."""
+    lo, f = at.astype(int), (at % 1).reshape(-1, *(1,) * (x.ndim - 1))
+    return x[lo] + f * (x[lo + 1] - x[lo])
+
+
 def essential_bound(A: np.ndarray) -> float:
     """Largest nodal spectral bound max_a s(A(x_a)) of the stack A
-    (n, l, l), by max_nodal_bound; on AssembledOperator.nodal this is the
-    essential spectral bound of the assembled operator."""
+    (n, l, l), by max_nodal_bound; on an assembled operator's nodal field
+    this is the operator's essential spectral bound."""
     return max_nodal_bound(A)
 
 
@@ -143,7 +149,7 @@ def dense_spectrum(P) -> np.ndarray:
     return vals[order]
 
 
-def compute_spectral_report(P: AssembledOperator, tol: float = 1e-10,
+def compute_spectral_report(P: BlockOperator, tol: float = 1e-10,
                             gap_tol: float | None = None,
                             max_iterations: int = MAX_ITERATIONS,
                             s_e: float | None = None) -> SpectralReport:

@@ -10,11 +10,12 @@ from nlds.analysis import (SweepRow, assemble_reduced_operator,
                            refinement_grids, spectral_field, sweep)
 from nlds.assembly import assemble_operator, pointwise_A, sample_fields
 from nlds.cli import write_csv
-from nlds.errors import InvalidParametersError, ResolventDomainError
+from nlds.errors import (InvalidParametersError, NonConvergenceError,
+                         ResolventDomainError)
 from nlds.grid import build_grid
 from nlds.model import CoefField, DispersalSystem, KernelSpec
 from nlds.matspec import nodal_bounds
-from nlds.opspec import (compute_spectral_report, essential_bound,
+from nlds.opspec import (COARSE_N, compute_spectral_report, essential_bound,
                          spectral_bound)
 
 GAUSS = "exp(-(x-y)^2)"
@@ -118,6 +119,16 @@ def test_reduced_operator_without_static_block_is_the_operator():
     g = build_grid(-1, 1, 30)
     T = assemble_reduced_operator(sys, sample_fields(sys, g), 0.7)
     assert np.array_equal(T.matrix, assemble_operator(sys, g).matrix)
+
+
+def test_residual_solve_that_does_not_converge_raises():
+    g = build_grid(-1, 1, 4 * COARSE_N)
+    fields = sample_fields(CASE_B, g)
+    s = compute_spectral_report(assemble_operator(CASE_B, g)).s
+    T = assemble_reduced_operator(CASE_B, fields, s)
+    assert spectral_bound(T, tol=1e-10).iterations > 1
+    with pytest.raises(NonConvergenceError, match="did not converge"):
+        generalized_eigen_residual(CASE_B, fields, s, max_iterations=1)
 
 
 def test_residual_domain_error():

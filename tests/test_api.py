@@ -137,6 +137,25 @@ def test_dense_operators_are_formed_for_the_oracle_diagnose_and_r0():
         ("cli", "cmd_oracle"), ("opspec", "dense_spectrum"), ("epidemic", "r0")}
 
 
+def package_imports(module: str) -> set:
+    """The nlds modules that src/nlds/<module>.py imports: `from .m
+    import x` and `import nlds.m` both give "m"."""
+    names = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or ""))
+    return {n.rsplit(".", 1)[-1] for n in names
+            if n.startswith((".", "nlds"))}
+
+
+def test_spectral_routines_read_only_the_operator():
+    # the coarse start is built from the operator's own blocks, so opspec
+    # neither samples nor assembles a system
+    assert package_imports("opspec") == {"matspec", "errors"}
+
+
 def definitions(name: str):
     """Module of every function or method called `name` in src/nlds."""
     for path in sorted(SRC.glob("*.py")):

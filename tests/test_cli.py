@@ -408,6 +408,22 @@ def test_max_iterations_caps_the_reduced_quantities(tmp_path, command):
     assert "weight did not converge" in error["message"]
 
 
+def test_diagnose_caps_the_residual_solve(tmp_path, monkeypatch):
+    calls = []
+    real = cli.generalized_eigen_residual
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "generalized_eigen_residual", recording)
+    cfg = write_config(tmp_path, changed(grid__refinements=[20, 40],
+                                         solver={"max_iterations": 57}))
+    out = tmp_path / "out"
+    assert run(["diagnose", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert [c["max_iterations"] for c in calls] == [57]
+
+
 def test_diagnose_honours_gap_tol(tmp_path):
     cfg_dict = json.loads(json.dumps(BASE))
     cfg_dict["grid"]["refinements"] = [20, 40]
@@ -601,6 +617,15 @@ INVALID_CONFIGS = [
      "system: Additional properties are not allowed ('extra' was unexpected)"),
     ("siblings_in_one_section", changed(system__l=0, system__l1=0),
      "system/l1: 0 is less than the minimum of 1"),
+    # json.load reads the tokens NaN, Infinity and -Infinity
+    ("tol_nan", changed(solver={"tol": float("nan")}),
+     "solver/tol: nan is not of type 'number'"),
+    ("tol_infinity", changed(solver={"tol": float("inf")}),
+     "solver/tol: inf is not of type 'number'"),
+    ("d_infinity", changed(system__d=[float("inf"), 0.0]),
+     "system/d/0: inf is not of type 'number'"),
+    ("domain_a_minus_infinity", changed(domain__a=float("-inf")),
+     "domain/a: -inf is not of type 'number'"),
 ]
 
 

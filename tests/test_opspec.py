@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import nlds.opspec
+from nlds.analysis import assemble_reduced_operator
 from nlds.assembly import assemble_operator, pointwise_A, sample_fields
 from nlds.cli import dumps_report
-from nlds.errors import InvalidParametersError, SizeCapError
+from nlds.errors import SizeCapError
 from nlds.grid import build_grid
 from nlds.matspec import KRYLOV_MIN_ORDER, _static_elimination, metzler_bound
 from nlds.model import CoefField, DispersalSystem, KernelSpec
@@ -433,14 +435,7 @@ def assert_same_result(r, ref):
                 ref.bracket))
 
 
-@pytest.mark.parametrize("n,l,l1,seed", [
-    (256, 2, 1, 0), (256, 2, 1, 1), (256, 2, 2, 2), (320, 1, 1, 3),
-    (320, 1, 1, 4)])
-def test_coarse_start_matches_the_oracle(n, l, l1, seed):
-    rng = np.random.default_rng(seed)
-    sys = random_system(lambda lo, hi: int(rng.integers(lo, hi + 1)) / 100,
-                        l, l1)
-    P = assemble_operator(sys, build_grid(-1, 1, n), force=True)
+def assert_coarse_start_matches_the_oracle(P):
     exact, err = rightmost_with_error(P.matrix)
     assert err <= 1e-10
     c = 1.0 + max(0.0, -float(np.min(np.diag(P.matrix))))
@@ -449,6 +444,42 @@ def test_coarse_start_matches_the_oracle(n, l, l1, seed):
     assert abs(r.value - exact) <= 1e-10 * c + err
     assert r.bracket[0] - err <= exact <= r.bracket[1] + err
     assert r.iterations <= u1_run(P, tol=1e-13).iterations
+
+
+def seeded_system(l, l1, seed):
+    rng = np.random.default_rng(seed)
+    return random_system(lambda lo, hi: int(rng.integers(lo, hi + 1)) / 100,
+                         l, l1)
+
+
+@pytest.mark.parametrize("n,l,l1,seed", [
+    (256, 2, 1, 0), (256, 2, 1, 1), (256, 2, 2, 2), (320, 1, 1, 3),
+    (320, 1, 1, 4), (300, 2, 1, 5), (384, 1, 1, 6)])
+def test_coarse_start_matches_the_oracle(n, l, l1, seed):
+    P = assemble_operator(seeded_system(l, l1, seed), build_grid(-1, 1, n),
+                          force=True)
+    assert_coarse_start_matches_the_oracle(P)
+
+
+def test_coarse_start_on_a_reduced_operator_matches_the_oracle():
+    # diagnose's residual solve: an operator of blocks with no assembly
+    # behind it, of order l1 n = 256
+    sys, g = seeded_system(2, 1, 7), build_grid(-1, 1, 4 * COARSE_N)
+    s = spectral_bound(assemble_operator(sys, g, force=True)).value
+    T = assemble_reduced_operator(sys, sample_fields(sys, g), s)
+    assert_coarse_start_matches_the_oracle(T)
+    assert (spectral_bound(T, tol=1e-13).iterations
+            < u1_run(T, tol=1e-13).iterations)   # 4 against 6
+
+
+def test_coarse_start_keeps_a_constant_eigenvector_exact():
+    # K 1 = chi for a symmetric kernel, so u = 1 is exact at every n; the
+    # coarse operator keeps it so, and the fine solve takes no step
+    sys = make_system([["-1.5"]], d=(1.4,), l1=1, kernels=[GAUSS])
+    P = assemble_operator(sys, build_grid(-1, 1, 300))
+    r = spectral_bound(P, tol=1e-13)
+    assert r.iterations == 0
+    assert_same_result(r, u1_run(P, tol=1e-13))
 
 
 @pytest.mark.parametrize("coeffs,steps", [(CASE_A, 2), (CASE_B, 3)],
@@ -468,23 +499,33 @@ def test_unconverged_coarse_solve_falls_back_to_u1():
                        u1_run(P, max_iterations=1))
 
 
-@pytest.mark.parametrize("error", [InvalidParametersError("no"),
-                                   np.linalg.LinAlgError("singular")])
-def test_failed_coarse_solve_falls_back_to_u1(monkeypatch, error):
+def counted_solves(monkeypatch, coarse=lambda r: r):
+    """The operators that spectral_bound hands to metzler_bound; the
+    first result passes through coarse."""
+    operators = []
+
+    def counting(A, **kwargs):
+        operators.append(A)
+        r = metzler_bound(A, **kwargs)
+        return coarse(r) if len(operators) == 1 else r
+    monkeypatch.setattr(nlds.opspec, "metzler_bound", counting)
+    return operators
+
+
+def test_failed_coarse_solve_falls_back_to_u1(monkeypatch):
     sys = make_system(CASE_B, d=(1.0, 0.0), l1=1, kernels=[GAUSS])
     P = assemble_operator(sys, build_grid(-1, 1, 4 * COARSE_N))
-
-    def failing(*args, **kwargs):
-        raise error
-    monkeypatch.setattr(nlds.opspec, "assemble_operator", failing)
-    assert_same_result(spectral_bound(P, tol=1e-12), u1_run(P))
+    solves = counted_solves(
+        monkeypatch, coarse=lambda r: dataclasses.replace(r, converged=False))
+    r = spectral_bound(P, tol=1e-12)
+    assert [len(A.nodal) for A in solves] == [COARSE_N, 4 * COARSE_N]
+    assert_same_result(r, u1_run(P))
 
 
 def test_below_the_gate_the_start_is_u1(monkeypatch):
     sys = make_system(CASE_B, d=(1.0, 0.0), l1=1, kernels=[GAUSS])
     P = assemble_operator(sys, build_grid(-1, 1, 4 * COARSE_N - 1))
-
-    def failing(*args, **kwargs):
-        raise AssertionError("no coarse solve below the gate")
-    monkeypatch.setattr(nlds.opspec, "assemble_operator", failing)
-    assert_same_result(spectral_bound(P, tol=1e-13), u1_run(P, tol=1e-13))
+    solves = counted_solves(monkeypatch)
+    r = spectral_bound(P, tol=1e-13)
+    assert len(solves) == 1 and solves[0] is P
+    assert_same_result(r, u1_run(P, tol=1e-13))
