@@ -115,10 +115,7 @@ def integrability_diagnostic(field_on, grids: list[Grid],
     quadrature sum to compare and raises InvalidParametersError.
     """
     alpha, beta = region
-    data = []
-    for g in grids:
-        Hs = np.asarray(field_on(g), dtype=float)
-        data.append((g, Hs))
+    data = [(g, np.asarray(field_on(g), dtype=float)) for g in grids]
     etas = [float(np.max(Hs)) for _, Hs in data]
     eta_hat = _extrapolate_sup(etas)
 
@@ -307,15 +304,16 @@ def perturbation_probe(sys: DispersalSystem, fields: SampledFields,
 
     Off-diagonal coefficients and kernels receive additive noise in
     [0, delta] (cooperativity and nonnegativity preserved); diagonals
-    receive noise in [-delta, delta].  The transfer matrices and
-    departure rates of the perturbed kernels add the quadrature of the
-    kernel noise to the unperturbed ones.  The spectral bounds of the
-    entrywise min and max of the two operators bracket both bounds, giving a
-    rigorous comparison bound on |ds| per draw.  diagonal_shift bypasses the
-    randomness and adds c to every diagonal entry, which must move the
-    bound by exactly c.  Each solve eliminates the static species, is
-    capped at max_iterations Noda steps and raises NonConvergenceError
-    when it does not converge.
+    receive noise in [-delta, delta].  The perturbed operator P1 is P0's
+    blocks plus the noise: dM on the nodal field, and the quadrature
+    dK_i, dchi_i of the kernel noise on K_i and, as -d_i dchi_i, on the
+    diffusing diagonals.  The spectral bounds of the entrywise min and
+    max of P0 and P1 bracket both bounds, giving a rigorous comparison
+    bound on |ds| per draw.  diagonal_shift bypasses the randomness and
+    adds c to every diagonal entry, which must move the bound by exactly
+    c.  Each solve eliminates the static species, is capped at
+    max_iterations Noda steps and raises NonConvergenceError when it
+    does not converge.
     """
     grid = fields.grid
     n, l = grid.n, sys.l
@@ -324,8 +322,8 @@ def perturbation_probe(sys: DispersalSystem, fields: SampledFields,
     bound = partial(_converged_bound, tol=tol, max_iterations=max_iterations)
 
     def entrywise(pick, P, Q):   # pick(P, Q), its transfer zero at the nodes
-        T = [pick(dk * K, dl * L) for K, L, dk, dl
-             in zip(P.transfer, Q.transfer, P.d, Q.d)]
+        T = [pick(d * K, d * L)   # P and Q share their rates
+             for K, L, d in zip(P.transfer, Q.transfer, P.d)]
         for t in T:
             np.fill_diagonal(t, 0.0)
         return BlockOperator(pick(P.node_entries(), Q.node_entries()),
@@ -346,31 +344,22 @@ def perturbation_probe(sys: DispersalSystem, fields: SampledFields,
                                sandwich_bound=abs(diagonal_shift))
 
         rng = np.random.default_rng(seed)
-        Mp = fields.M.copy()
-        dM = rng.uniform(0.0, delta, size=Mp.shape)
-        diag_noise = rng.uniform(-delta, delta, size=(n, l))
-        dM[:, idx, idx] = 0.0
-        Mp += dM
-        Mp[:, idx, idx] += diag_noise
-        Ks, chis = [], []
-        dk_inf = 0.0
-        for K, chi in zip(fields.transfer, fields.chi):
+        dM = rng.uniform(0.0, delta, size=P0.nodal.shape)
+        dM[:, idx, idx] = rng.uniform(-delta, delta, size=(n, l))
+        nodal, Ks, dk_inf = P0.nodal + dM, [], 0.0
+        for i, K in enumerate(P0.transfer):
             dK = rng.uniform(0.0, delta, size=(n, n))
-            if dK.size:
-                dk_inf = max(dk_inf, float(np.max(np.abs(dK))))
+            dk_inf = max(dk_inf, float(dK.max()))
             dK_w, dchi = kernel_quadrature(dK, grid)   # quadrature is linear
+            nodal[:, i, i] -= float(P0.d[i]) * dchi
             Ks.append(K + dK_w)
-            chis.append(chi + dchi)
-        fields_p = SampledFields(grid=grid, M=Mp, transfer=tuple(Ks),
-                                 chi=tuple(chis))
-        P1 = assemble_operator(sys, grid, force=True, fields=fields_p)
+        P1 = BlockOperator(nodal, tuple(Ks), P0.d)
         s1 = bound(P1)
-
         s_up = bound(entrywise(np.maximum, P0, P1))
         s_dn = bound(entrywise(np.minimum, P0, P1))
-        dm_inf = float(np.max(np.abs(Mp - fields.M))) if Mp.size else 0.0
-        return ProbeResult(dm_inf=dm_inf, dk_inf=dk_inf, ds=s1 - s0,
-                           ds_abs=abs(s1 - s0), sandwich_bound=s_up - s_dn)
+        return ProbeResult(dm_inf=float(np.abs(dM).max()), dk_inf=dk_inf,
+                           ds=s1 - s0, ds_abs=abs(s1 - s0),
+                           sandwich_bound=s_up - s_dn)
     return probe
 
 

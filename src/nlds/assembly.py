@@ -34,14 +34,12 @@ from .model import DispersalSystem, validate
 def kernel_quadrature(raw: np.ndarray, grid: Grid
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Transfer matrix K[a, b] = k(x_a, x_b) w_b and departure rates
-    chi(x_a) = sum_b k(x_b, x_a) w_b of the raw kernel samples (n, n).
+    chi(x_a) = sum_b k(x_b, x_a) w_b of the raw kernel samples (n, n),
+    which are read and not written.
 
     Both use the grid weights, so w^T (K - diag chi) = 0 to rounding.
-    K is raw scaled in place, so that no second n x n array is made:
-    pass samples made for this call.
     """
-    chi = raw.T @ grid.weights
-    return np.multiply(raw, grid.weights[None, :], out=raw), chi
+    return raw * grid.weights, raw.T @ grid.weights
 
 
 @dataclass(frozen=True)

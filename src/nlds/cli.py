@@ -35,13 +35,14 @@ from .analysis import (SWEEP_MODES, ProbeResult, SweepRow,
                        generalized_eigen_residual, integrability_diagnostic,
                        perturbation_probe, refinement_grids, spectral_field,
                        sweep)
-from .assembly import assemble_operator, dump_matrix, sample_fields
+from .assembly import (assemble_operator, dump_matrix, pointwise_A,
+                       sample_fields)
 from .epidemic import VSIParams, compute_r0_report
 from .errors import (CertificateInconsistencyError, ConfigError,
                      GridConsistencyError, NldsError, NonConvergenceError,
                      ValidationGateError)
 from .grid import build_grid
-from .matspec import MAX_ITERATIONS
+from .matspec import MAX_ITERATIONS, nodal_bounds
 from .model import CoefField, DispersalSystem, KernelSpec, validate
 from .opspec import Exists, compute_spectral_report, dense_spectrum
 from .reduce import reduced_quantities, weights_for_system
@@ -360,17 +361,12 @@ def cmd_diagnose(cfg, args, report, outdir) -> int:
     n_list = cfg.get("grid", {}).get(
         "refinements", [k for k in (g.n // 4, g.n // 2, g.n) if k >= 1])
     grids = refinement_grids(system.domain[0], system.domain[1], n_list)
-    by_n = {}   # grid size -> SpectralField, so the run grid's is reused
-
-    def field_of(gg):
-        if gg.n not in by_n:
-            by_n[gg.n] = spectral_field(
-                system, fields if gg.n == g.n else sample_fields(system, gg))
-        return by_n[gg.n]
-
-    diag = integrability_diagnostic(lambda gg: field_of(gg).H, grids, region)
+    field = spectral_field(system, fields)   # eta: the essential bound of P
+    diag = integrability_diagnostic(
+        lambda gg: field.H if gg.n == g.n else
+        nodal_bounds(pointwise_A(system, sample_fields(system, gg))),
+        grids, region)
     report["diagnose"] = {"integrability": diag}
-    field = field_of(g)   # its eta is the essential bound of P
     P = assemble_operator(system, g, force=True, fields=fields)
     sr = compute_spectral_report(P, s_e=field.eta, **opts)
     report["diagnose"]["spectral"] = sr

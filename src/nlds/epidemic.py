@@ -274,7 +274,7 @@ def compute_r0_report(params: VSIParams, grid: Grid, tol: float = 1e-10,
     estimate in an unconverged report."""
     sv = sample_params(params, grid)
     res = r0(sv, tol=tol, max_iterations=max_iterations)
-    weight = perron_weight(sv.transfer, sv.chi, grid, max_iterations).samples
+    weight = perron_weight(sv.transfer, sv.chi, grid, max_iterations)
     limit = r0_large_d_limit(sv, weight)
     hat = hat_r0(sv)
     q_samples = tuple((hat + eps, q) for eps, q in limit.ladder)

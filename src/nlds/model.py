@@ -35,9 +35,12 @@ class KernelSpec:
         return cls(exprlang.parse(text))
 
     def sample(self, grid: Grid) -> np.ndarray:
-        """Raw kernel values k(x_a, x_b) at all node pairs, shape (n, n)."""
+        """Raw kernel values k(x_a, x_b), (n, n): eval_expr's read-only
+        array, copied only when it broadcasts fewer values (a kernel of x
+        or y alone), whose products numpy would sum outside BLAS."""
         x = grid.points
-        return exprlang.eval_expr(self.expr, x=x[:, None], y=x[None, :]).copy()
+        return np.ascontiguousarray(
+            exprlang.eval_expr(self.expr, x=x[:, None], y=x[None, :]))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@ bound.
 
 Each diffusing species has a stationary dispersal profile p (Perron
 weight): the strictly positive, mass-one solution of the balance
-equation  integral k(x, y) p(y) dy = chi(x) p(x).  Averaging the
-coefficient field against these profiles produces the matrix whose
-spectral bound is the large-diffusion limit in the fully diffusing case.
+equation  integral k(x, y) p(y) dy = chi(x) p(x), whose nodal samples
+perron_weight returns.  Averaging the coefficient field against these
+profiles produces the matrix whose spectral bound is the
+large-diffusion limit in the fully diffusing case.
 In the partially degenerate case the limit is instead governed by the
 averaged Schur-reduced family B~_gamma: either it has a fixed point
 gamma* = s(B~_gamma*) above the static-block bound (case A) or the
@@ -37,25 +38,17 @@ BISECT_TOL = 1e-10
 BISECT_CAP = 200
 
 
-@dataclass(frozen=True)
-class PerronWeight:
-    """Stationary dispersal profile of one kernel on one grid."""
-
-    samples: np.ndarray
-    eigenvalue_dev: float    # |lambda - 1|; exactly 1 in the continuum
-    residual: float          # ||K p - chi p||_inf
-
-
 def perron_weight(K: np.ndarray, chi: np.ndarray, grid: Grid,
-                  max_iterations: int = MAX_ITERATIONS) -> PerronWeight:
-    """Perron vector of diag(chi)^{-1} K, for a kernel's transfer matrix K
-    and departure rates chi on grid, by Noda iteration to PERRON_TOL,
-    normalized to unit mass; NonConvergenceError after max_iterations.
+                  max_iterations: int = MAX_ITERATIONS) -> np.ndarray:
+    """The samples of the dispersal profile: the Perron vector of
+    diag(chi)^{-1} K, for a kernel's transfer matrix K and departure
+    rates chi on grid, by Noda iteration to PERRON_TOL, normalized to unit
+    mass; NonConvergenceError after max_iterations.
 
     The weighted node masses w_a chi(x_a) form an exact discrete left
     eigenvector at eigenvalue one, so the converged eigenvalue must sit
     within 100*PERRON_TOL of one; a larger deviation signals an
-    inconsistent grid and raises.
+    inconsistent grid and raises, as does a non-positive sample.
     """
     if np.min(chi) <= 0:
         raise InvalidParametersError("kernel has a node with zero departure rate")
@@ -63,7 +56,7 @@ def perron_weight(K: np.ndarray, chi: np.ndarray, grid: Grid,
                       max_iterations=max_iterations)
     if not r.converged:
         raise NonConvergenceError("weight did not converge", r.value, r.residual)
-    p = r.vector.copy()
+    p = r.vector
     if np.min(p) <= 0:
         raise GridConsistencyError(
             f"dispersal profile has a non-positive sample {np.min(p):.3g}")
@@ -72,9 +65,7 @@ def perron_weight(K: np.ndarray, chi: np.ndarray, grid: Grid,
         raise GridConsistencyError(
             f"normalized kernel eigenvalue deviates from one by {dev:.3g}; "
             f"refine the grid")
-    p /= float(p @ grid.weights)
-    residual = float(np.max(np.abs(K @ p - chi * p)))
-    return PerronWeight(samples=p, eigenvalue_dev=dev, residual=residual)
+    return p / float(p @ grid.weights)
 
 
 @dataclass(frozen=True)
@@ -90,7 +81,7 @@ def weights_for_system(sys: DispersalSystem, fields: SampledFields,
                        max_iterations: int = MAX_ITERATIONS) -> SystemWeights:
     grid = fields.grid
     fallback = tuple(i >= sys.l1 for i in range(sys.l))
-    ws = [perron_weight(K, chi, grid, max_iterations).samples
+    ws = [perron_weight(K, chi, grid, max_iterations)
           for K, chi in zip(fields.transfer, fields.chi)]
     ws += [np.full(grid.n, 1.0 / (grid.b - grid.a)) for _ in sys.d[sys.l1:]]
     return SystemWeights(weights=tuple(ws), uniform_fallback=fallback)

@@ -114,6 +114,15 @@ def test_kernel_quadrature_conserves_mass():
                                rtol=1e-14, atol=0)
 
 
+def test_kernel_quadrature_leaves_its_input_unchanged():
+    g = build_grid(-1, 1, 9)
+    raw = np.exp(-(g.points[:, None] - g.points[None, :] - 0.3) ** 2)
+    kept = raw.copy()
+    K, chi = kernel_quadrature(raw, g)
+    assert np.array_equal(raw, kept)
+    assert np.array_equal(K, kept * g.weights)
+
+
 def test_validation_gate():
     sys = make_system([["1", "0"], ["0", "1"]], d=(1.0, 1.0), l1=2,
                       kernels=[GAUSS, GAUSS])

@@ -693,7 +693,8 @@ def test_output_section_is_rejected(tmp_path):
     assert "output" in rep["error"]["message"]
 
 
-def test_diagnose_computes_one_field_per_grid(tmp_path, monkeypatch):
+def test_diagnose_computes_one_spectral_field(tmp_path, monkeypatch):
+    # the run grid's; the coarser grids need only their H
     sizes = []
     real = cli.spectral_field
 
@@ -705,7 +706,7 @@ def test_diagnose_computes_one_field_per_grid(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, BASE)
     out = tmp_path / "out"
     assert run(["diagnose", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    assert sizes == [10, 20, 40]
+    assert sizes == [40]
     field = read_report(out)["diagnose"]["field"]
     system, g = cli.build_objects(BASE, None)
     assert field["eta"] == real(system, cli.sample_fields(system, g)).eta
@@ -900,7 +901,8 @@ def test_non_cooperative_force_degenerate_sweep_is_an_input_error(tmp_path):
 
 def test_diagnose_solves_each_nodal_stack_once(tmp_path, monkeypatch):
     # s_e is the run grid's field.eta: the nodal matrices of each grid are
-    # solved once, and the essential bound is not solved again
+    # solved once, the run grid's first, and the essential bound is not
+    # solved again
     import nlds.analysis
     import nlds.matspec
     import nlds.opspec
@@ -914,13 +916,14 @@ def test_diagnose_solves_each_nodal_stack_once(tmp_path, monkeypatch):
     def refuse(stack):
         raise AssertionError("second solve of the run grid's nodal matrices")
 
-    monkeypatch.setattr(nlds.analysis, "nodal_bounds", counting)
+    for module in (nlds.analysis, cli):
+        monkeypatch.setattr(module, "nodal_bounds", counting)
     monkeypatch.setattr(nlds.opspec, "max_nodal_bound", refuse)
     cfg = write_config(tmp_path, BASE)
     out = tmp_path / "out"
     assert run(["diagnose", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    assert [s for s in stacks if s[1:] == (2, 2)] == [(10, 2, 2), (20, 2, 2),
-                                                      (40, 2, 2)]
+    assert [s for s in stacks if s[1:] == (2, 2)] == [(40, 2, 2), (10, 2, 2),
+                                                      (20, 2, 2)]
     system, g = cli.build_objects(BASE, None)
     A = pointwise_A(system, cli.sample_fields(system, g))
     assert read_report(out)["diagnose"]["spectral"]["s_e"] == \
@@ -942,8 +945,8 @@ def test_probe_solves_the_unperturbed_operator_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, cfg_dict)
     out = tmp_path / "out"
     assert run(["probe", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    # P0, then P1 of each of the 4 draws
-    assert len(calls["assemble_operator"]) == 5
+    # P0 only: each draw's P1 is built from P0's blocks
+    assert len(calls["assemble_operator"]) == 1
     # s0, then s1 and the two sandwich bounds of each draw, then the shift
     solved = calls["_converged_bound"]
     assert len(solved) == 1 + 3 * 4 + 1

@@ -24,7 +24,7 @@ GAUSS = "exp(-(x-y)^2)"
 
 def weight_samples(sv):
     """The Perron weight of the kernel of sv on its grid."""
-    return perron_weight(sv.transfer, sv.chi, sv.grid).samples
+    return perron_weight(sv.transfer, sv.chi, sv.grid)
 
 
 def make_params(d=1.0, r="1", m="1", b="1", beta_d="0.5", beta_i="1",
