@@ -330,7 +330,6 @@ def perturbation_probe(sys: DispersalSystem, fields: SampledFields,
                              tuple(T), (1.0,) * len(T))
 
     P0 = assemble_operator(sys, grid, force=True, fields=fields)
-    _cooperative(P0.nodal)
     s0 = bound(P0)
 
     def probe(delta: float, seed: int,

@@ -37,8 +37,8 @@ from .errors import (InvalidParametersError, NonConvergenceError,
                      ResolventDomainError)
 from .exprlang import Expr
 from .grid import Grid
-from .matspec import (EPS, MAX_ITERATIONS, BlockOperator, PerronResult,
-                      _converged_bound, gmres, metzler_bound)
+from .matspec import (EPS, MAX_ITERATIONS, TOL_ZERO, BlockOperator,
+                      PerronResult, _converged_bound, gmres, metzler_bound)
 from .model import KernelSpec
 from .reduce import bracket_and_bisect, ladder_classify, perron_weight
 
@@ -104,7 +104,11 @@ def sample_params(params: VSIParams, grid: Grid) -> SampledVSI:
             f"beta_i must be nonnegative, min = {np.min(bi):.6g}")
     if params.d < 0:
         raise InvalidParametersError(f"d must be nonnegative, got {params.d}")
-    K, chi = kernel_quadrature(params.kernel.sample(grid), grid)
+    raw = params.kernel.sample(grid)
+    if raw.min() < -TOL_ZERO:   # validate's kernel-nonnegativity rule
+        raise InvalidParametersError(
+            f"kernel must be nonnegative, min = {raw.min():.6g}")
+    K, chi = kernel_quadrature(raw, grid)
     return SampledVSI(grid=grid, d=params.d, r=r, m=m, b=b, beta_d=bd,
                       beta_i=bi, transfer=K, chi=chi,
                       outside_positivity=bool(np.min(bi) == 0.0))

@@ -127,9 +127,17 @@ def metzler_bound(A, tol: float = 1e-12,
     solved by the block elimination of _static_elimination, whose Schur
     complement of order l1 n goes to gmres from KRYLOV_MIN_ORDER on.  How
     a step solves does not enter the evidence: the quotients, the stop
-    rule, the value and the bracket always use the whole A.
+    rule, the value and the bracket always use the whole A.  A
+    BlockOperator with an off-diagonal entry below -TOL_ZERO, in its
+    nodal field or in a d_i K_i, raises InvalidParametersError.
     """
-    if not isinstance(A, BlockOperator):
+    if isinstance(A, BlockOperator):
+        _cooperative(A.nodal)
+        for i, (K, abs_K, d) in enumerate(zip(A.transfer, abs(A).transfer,
+                                              A.d)):
+            if d < 0 or d > 0 and abs_K is not K:   # |P| keeps K if K >= 0
+                _cooperative(d * K, f" in transfer block {i}")
+    else:
         A = np.asarray(A, dtype=float)
         if len(A) <= 1:   # an empty matrix gives -inf
             a = float(A[0, 0]) if len(A) else -np.inf
@@ -381,16 +389,16 @@ def perron_bound(C, max_iterations: int = MAX_ITERATIONS) -> float:
     return _converged_bound(_cooperative(a), max_iterations=max_iterations)
 
 
-def _cooperative(a: np.ndarray) -> np.ndarray:
+def _cooperative(a: np.ndarray, where: str = "") -> np.ndarray:
     """a, a matrix or a stack (N, m, m), unless an off-diagonal entry is
     below -TOL_ZERO; then raises InvalidParametersError naming the
-    entry, and its node in a stack."""
+    entry, its node in a stack, and where."""
     off = np.where(np.eye(a.shape[-1], dtype=bool), 0.0, a)
     if off.size and off.min() < -TOL_ZERO:
         *node, i, j = np.unravel_index(off.argmin(), off.shape)
         raise InvalidParametersError(
             f"not cooperative: entry ({i},{j}) = {a[(*node, i, j)]:.6g} < 0"
-            + "".join(f" at node {x}" for x in node))
+            + "".join(f" at node {x}" for x in node) + where)
     return a
 
 

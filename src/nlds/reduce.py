@@ -27,8 +27,9 @@ from .assembly import SampledFields
 from .errors import (ClassificationError, GridConsistencyError,
                      InvalidParametersError, NonConvergenceError)
 from .grid import Grid
-from .matspec import (MAX_ITERATIONS, _converged_bound, max_nodal_bound,
-                      metzler_bound, perron_bound, schur_reduce_stack)
+from .matspec import (MAX_ITERATIONS, TOL_ZERO, _converged_bound,
+                      _cooperative, max_nodal_bound, metzler_bound,
+                      perron_bound, schur_reduce_stack)
 from .model import DispersalSystem, Mode
 
 EPS_LADDER = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -45,11 +46,14 @@ def perron_weight(K: np.ndarray, chi: np.ndarray, grid: Grid,
     rates chi on grid, by Noda iteration to PERRON_TOL, normalized to unit
     mass; NonConvergenceError after max_iterations.
 
-    The weighted node masses w_a chi(x_a) form an exact discrete left
+    K must be cooperative and chi positive (InvalidParametersError).  The
+    weighted node masses w_a chi(x_a) form an exact discrete left
     eigenvector at eigenvalue one, so the converged eigenvalue must sit
     within 100*PERRON_TOL of one; a larger deviation signals an
     inconsistent grid and raises, as does a non-positive sample.
     """
+    if K.min() < -TOL_ZERO:   # a valid K costs a scan, not an n x n copy
+        _cooperative(K, " in the kernel's transfer matrix")
     if np.min(chi) <= 0:
         raise InvalidParametersError("kernel has a node with zero departure rate")
     r = metzler_bound(K / chi[:, None], tol=PERRON_TOL,

@@ -899,6 +899,49 @@ def test_non_cooperative_force_degenerate_sweep_is_an_input_error(tmp_path):
         "not cooperative: entry (0,1) = -0.5 < 0 at node 0"
 
 
+# system edits under which P is cooperative at the nodes but has a
+# negative entry in d_1 K_1, and the commands that must refuse them
+NON_METZLER_TRANSFER = [
+    ({"kernels": ["x*y"]}, "spectrum diagnose probe reduce sweep"),
+    ({"d": [-0.5, 0.0]}, "spectrum diagnose probe sweep"),
+    ({"kernels": [GAUSS + " - 0.1"]}, "spectrum diagnose probe reduce sweep"),
+]
+
+
+@pytest.mark.parametrize("command",
+                         ["spectrum", "diagnose", "probe", "reduce", "sweep"])
+def test_non_metzler_transfer_force_is_an_input_error(tmp_path, command):
+    # no bound is reported for a matrix the Collatz-Wielandt bracket does
+    # not hold for: the transfer blocks are checked like the nodal field
+    for k, (edit, commands) in enumerate(NON_METZLER_TRANSFER):
+        if command not in commands.split():
+            continue
+        cfg_dict = json.loads(json.dumps(BASE))
+        cfg_dict["system"].update(edit)
+        cfg_dict["sweep"] = {"mode": "large-d-degen", "t_schedule": [1.0]}
+        cfg_dict["probe"] = {"delta_schedule": [1e-3], "draws": 1}
+        cfg = write_config(tmp_path, cfg_dict, f"{k}.json")
+        out = tmp_path / f"out{k}"
+        assert run([command, "--config", cfg, "--out", str(out), "--quiet",
+                    "--force"]) == 3, edit
+        error = read_report(out)["error"]
+        assert error["kind"] == "InvalidParametersError", edit
+        assert error["message"].startswith("not cooperative"), edit
+
+
+def test_r0_negative_kernel_is_an_input_error(tmp_path):
+    cfg_dict = {"domain": BASE["domain"], "grid": BASE["grid"],
+                "epidemic": {"kernel": GAUSS + " - 0.3", "d": 1.0,
+                             "r": "1 + 0.5*x", "m": "1 + x^2", "b": "1",
+                             "beta_d": "0.3 + 0.2*x^2", "beta_i": "1"}}
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "out"
+    assert run(["r0", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    error = read_report(out)["error"]
+    assert error["kind"] == "InvalidParametersError"
+    assert error["message"].startswith("kernel must be nonnegative")
+
+
 def test_diagnose_solves_each_nodal_stack_once(tmp_path, monkeypatch):
     # s_e is the run grid's field.eta: the nodal matrices of each grid are
     # solved once, the run grid's first, and the essential bound is not
