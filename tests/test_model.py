@@ -102,6 +102,14 @@ def test_kernel_diagonal_check():
     assert any(v.check == "kernel-diagonal" for v in report.violations)
 
 
+def test_kernel_samples_are_contiguous():
+    # a kernel of one variable is broadcast by eval_expr; its chi must sum
+    # through BLAS in the order a two-variable kernel's does
+    g = build_grid(-1, 1, 16)
+    for text in (GAUSS, "exp(-x^2)", "exp(-abs(y))", "1"):
+        assert KernelSpec.from_text(text).sample(g).flags.c_contiguous, text
+
+
 def test_sample_shapes():
     sys = make_system([["-x^2", "1"], ["1", "-x^2"]], d=(1.0, 1.0), l1=2,
                       kernels=[GAUSS, GAUSS])
